@@ -12,7 +12,6 @@ from .corr import (
     adf,
     aperiodic_xcorr,
     cdf,
-    l4l2_adf,
     periodic_xcorr,
     psc,
     psc_at_least_one,
@@ -69,7 +68,6 @@ __all__ = [
     "periodic_xcorr",
     "adf",
     "cdf",
-    "l4l2_adf",
     "psc",
     "psc_at_least_one",
     "BinaryFieldContext",

@@ -20,7 +20,6 @@ so partitioning trials across workers cannot change the results.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -237,18 +236,23 @@ def cdf_numerators_grid(af: np.ndarray, ag: np.ndarray) -> np.ndarray:
     return acc[(rf - rg) % ell, rg]
 
 
-def cdf_numerators_diagonal(af: np.ndarray, ag: np.ndarray) -> np.ndarray:
-    """CDF numerators of (cyclic_shift(f, r), cyclic_shift(g, r)) for every
-    r (the equal-shift diagonal), as int64; divide by l^2."""
+def cdf_numerators_diagonal(af: np.ndarray, ag: np.ndarray, m: int | None = None) -> np.ndarray:
+    """CDF numerators of (resize(cyclic_shift(f, r), m), resize(cyclic_shift(g, r), m))
+    for every r (the equal-shift diagonal, windows of length m <= l), as
+    int64; divide by m^2."""
     ell = len(af)
+    if m is None:
+        m = ell
+    if not 1 <= m <= ell:
+        raise ValueError(f"window length {m} must be in [1, {ell}]")
     if ell > SHIFT_SEARCH_LIMIT:
         raise ValueError("shift-search budget exceeded")
     tf = np.concatenate([af, af])
     tg = np.concatenate([ag, ag])
     acc = np.zeros(ell, dtype=np.int64)
-    for s in range(-(ell - 1), ell):
+    for s in range(-(m - 1), m):
         a = abs(s)
-        span = ell - a
+        span = m - a
         if s >= 0:
             row = tf[s : s + ell] * ag  # offset k: f[(k+s)%l] * g[k]
         else:
@@ -326,14 +330,6 @@ def realize(spec: FamilySpec) -> tuple[BinarySequence, int]:
     if m != len(out):
         out = resize(out, m)
     return out, r
-
-
-def shift_search(spec: FamilySpec, objective: str = "adf") -> tuple[int, Fraction]:
-    """Spec-level entry point: search the base family's cyclic shifts."""
-    base = families.build_base(spec)
-    if len(base) > SHIFT_SEARCH_LIMIT:
-        raise ValueError("shift-search budget exceeded")
-    return best_shift(base, objective, resize_len=families.resized_length(spec, len(base)))
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +411,8 @@ def monte_carlo_baseline(length: int, trials: int, rng_seed: int) -> tuple[Fract
     for t in range(trials):
         f = random_pm1(SplitMix64(trial_seed(rng_seed, 2 * t)), length)
         g = random_pm1(SplitMix64(trial_seed(rng_seed, 2 * t + 1)), length)
-        cff = np.correlate(f, f, mode="full")
-        cfg = np.correlate(f, g, mode="full")
+        cff = corr._corr(f, f)
+        cfg = corr._corr(f, g)
         adf_num += int(np.dot(cff, cff)) - length * length
         cdf_num += int(np.dot(cfg, cfg))
     denom = trials * length * length
@@ -439,25 +435,19 @@ def _pair_row(name, params, f, g, target: float) -> SweepRow:
 
 
 def _half_legendre_best(p: int) -> tuple[int, BinarySequence, BinarySequence]:
-    """Shift minimizing the PSC of the half-Legendre pair."""
-    base = families.legendre(p)
-    ext = base.terms * 2
+    """Shift minimizing the PSC of the half-Legendre pair (first on ties).
+
+    At shift r the halves are the length-half windows of the Legendre
+    sequence starting at r and at r + half, so the all-shift engines give
+    every ADF and CDF numerator at once.
+    """
+    arr = families.legendre(p).as_array()
     half = (p - 1) // 2
-    best = None
-    for r in range(p):
-        cut = ext[r : r + 2 * half]
-        fa = np.array(cut[:half], dtype=np.int64)
-        fb = np.array(cut[half:], dtype=np.int64)
-        caa = np.correlate(fa, fa, mode="full")
-        cbb = np.correlate(fb, fb, mode="full")
-        cab = np.correlate(fa, fb, mode="full")
-        n = half * half
-        adf_a = (int(np.dot(caa, caa)) - n) / n
-        adf_b = (int(np.dot(cbb, cbb)) - n) / n
-        val = math.sqrt(adf_a * adf_b) + int(np.dot(cab, cab)) / n
-        if best is None or val < best[0]:
-            best = (val, r)
-    r = best[1]
+    n = half * half
+    adf_a = adf_numerators_all_shifts(arr, half) / n
+    adf_b = np.roll(adf_a, -half)
+    cross = cdf_numerators_diagonal(arr, np.roll(arr, -half), half) / n
+    r = int(np.argmin(np.sqrt(adf_a * adf_b) + cross))
     return r, *families.half_legendre_pair(p, r)
 
 
@@ -465,7 +455,7 @@ def report_pairs(construction: str, **params) -> list[SweepRow]:
     """Build a pair construction, search shifts where required, and report
     measured demerit factors against the construction's asymptotic PSC."""
     if construction == "golay":
-        lengths = params.pop("lengths")
+        [lengths] = _take(params, construction, "lengths")
         _no_extra(params)
         rows = []
         for ell in lengths:
@@ -474,7 +464,7 @@ def report_pairs(construction: str, **params) -> list[SweepRow]:
         return rows
 
     if construction == "typical_mseq":
-        n, d = params.pop("n"), params.pop("d")
+        n, d = _take(params, construction, "n", "d")
         _no_extra(params)
         ctx = families.make_binary_field(n)
         ell = ctx.order
@@ -486,7 +476,7 @@ def report_pairs(construction: str, **params) -> list[SweepRow]:
                           TARGETS["psc-typical-mseq"].value)]
 
     if construction == "reversing_mseq":
-        n = params.pop("n")
+        [n] = _take(params, construction, "n")
         k = params.pop("k", 0)
         _no_extra(params)
         ctx = families.make_binary_field(n)
@@ -498,14 +488,14 @@ def report_pairs(construction: str, **params) -> list[SweepRow]:
                           TARGETS["psc-reversing-mseq"].value)]
 
     if construction == "half_legendre":
-        p = params.pop("p")
+        [p] = _take(params, construction, "p")
         _no_extra(params)
         r, f, g = _half_legendre_best(p)
         return [_pair_row("half_legendre", f"p={p} shift={r}", f, g,
                           TARGETS["psc-half-legendre"].value)]
 
     if construction == "quartic_pair":
-        p = params.pop("p")
+        [p] = _take(params, construction, "p")
         _no_extra(params)
         ctx = families.make_prime_field(p)
         f0, g0 = families.quartic_f(ctx), families.quartic_g(ctx)
@@ -515,7 +505,7 @@ def report_pairs(construction: str, **params) -> list[SweepRow]:
                           TARGETS["psc-quartic"].value)]
 
     if construction == "legendre_plus_quartic":
-        p = params.pop("p")
+        [p] = _take(params, construction, "p")
         _no_extra(params)
         ctx = families.make_prime_field(p)
         hf = families.legendre(p)
@@ -527,9 +517,9 @@ def report_pairs(construction: str, **params) -> list[SweepRow]:
                           TARGETS["psc-legendre-quartic"].value)]
 
     if construction == "rsl_pair":
-        seed_f, seed_g = params.pop("seed_f"), params.pop("seed_g")
-        signs = params.pop("signs")
-        depth = params.pop("depth")
+        seed_f, seed_g, signs, depth = _take(
+            params, construction, "seed_f", "seed_g", "signs", "depth"
+        )
         _no_extra(params)
         stems = golay.rsl_pair_stems(seed_f, seed_g, signs, depth)
         f, g = stems[-1]
@@ -537,6 +527,14 @@ def report_pairs(construction: str, **params) -> list[SweepRow]:
                           TARGETS["psc-rsl-best"].value)]
 
     raise ValueError(f"unknown pair construction {construction!r}")
+
+
+def _take(params: dict, construction: str, *names) -> list:
+    """Pop the named required parameters, naming any that are missing."""
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise ValueError(f"construction {construction} needs parameter {', '.join(missing)}")
+    return [params.pop(name) for name in names]
 
 
 def _no_extra(params: dict):

@@ -5,8 +5,13 @@ C_{f,g}(s) = sum_j f_{j+s} g_j with out-of-range terms treated as zero,
 so the support is -(len(g)-1) <= s <= len(f)-1.  Periodic correlation
 satisfies PC(s) = C(s) + C(s - l) for equal lengths l.
 
-All values are integers; demerit factors are Fractions.  The fast path
-uses numpy integer correlation, which is exact (no floating point).
+All values are integers; demerit factors are Fractions.  The private
+kernel _corr is the only correlation site in the package: spectra, demerit
+factors, Golay checks, the pair census and the Monte Carlo baseline all go
+through it.  It is numpy's direct integer correlation on int64 arrays, so
+no floating point is involved, and it refuses lengths above MAX_EXACT_LEN
+= 2^20.  Below that bound |C(s)| <= l and sum_s C(s)^2 <= 2l^3/3 < 2^63, so
+the squared sums are exact in int64 as well.
 """
 
 from __future__ import annotations
@@ -19,21 +24,22 @@ import numpy as np
 
 from .sequence import BinarySequence
 
-# int64 windows of +-1 terms cannot overflow below this length
+# int64 correlations of +-1 terms and their squared sums cannot overflow
+# below this length
 MAX_EXACT_LEN = 1 << 20
 
 
-def _check_len(seq: BinarySequence):
-    if len(seq) > MAX_EXACT_LEN:
-        raise ValueError(f"sequence length {len(seq)} exceeds exact-arithmetic budget {MAX_EXACT_LEN}")
+def _corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """C_{a,b}(s) for s = -(len(b)-1) .. len(a)-1, from int64 term arrays."""
+    for n in (len(a), len(b)):
+        if n > MAX_EXACT_LEN:
+            raise ValueError(f"sequence length {n} exceeds exact-arithmetic budget {MAX_EXACT_LEN}")
+    return np.correlate(a, b, mode="full")
 
 
 def xcorr_values(f: BinarySequence, g: BinarySequence) -> list[int]:
     """C_{f,g}(s) for s = -(len(g)-1) .. len(f)-1, as Python ints."""
-    _check_len(f)
-    _check_len(g)
-    c = np.correlate(f.as_array(), g.as_array(), mode="full")
-    return [int(v) for v in c]
+    return _corr(f.as_array(), g.as_array()).tolist()
 
 
 @dataclass(frozen=True)
@@ -78,29 +84,18 @@ def periodic_xcorr(f: BinarySequence, g: BinarySequence) -> CorrelationSpectrum:
 
 def adf(f: BinarySequence) -> Fraction:
     """Autocorrelation demerit factor: sum of C(s)^2 over s != 0, divided by l^2."""
-    c = xcorr_values(f, f)
+    arr = f.as_array()
+    c = _corr(arr, arr)
     ell = len(f)
-    total = sum(v * v for v in c)
-    return Fraction(total - ell * ell, ell * ell)
+    return Fraction(int(np.dot(c, c)) - ell * ell, ell * ell)
 
 
 def cdf(f: BinarySequence, g: BinarySequence) -> Fraction:
     """Crosscorrelation demerit factor: sum of C(s)^2 over all s, divided by lf*lg."""
     if len(f) != len(g):
         raise ValueError("crosscorrelation demerit factor requires equal lengths")
-    c = xcorr_values(f, g)
-    return Fraction(sum(v * v for v in c), len(f) * len(g))
-
-
-def l4l2_adf(f: BinarySequence) -> Fraction:
-    """ADF via the norm identity ||f||_4^4 = sum_s C(s)^2, where ||f||_4^4 is
-    computed from the coefficients of f(z) * f~(z) (f~ = reversed f)."""
-    _check_len(f)
-    arr = f.as_array()
-    prod = np.convolve(arr, arr[::-1])
-    ell = len(f)
-    l4_4 = sum(int(v) * int(v) for v in prod)
-    return Fraction(l4_4, ell * ell) - 1
+    c = _corr(f.as_array(), g.as_array())
+    return Fraction(int(np.dot(c, c)), len(f) * len(g))
 
 
 def _sqrt_exact(q: Fraction) -> Fraction | None:

@@ -157,9 +157,6 @@ class FamilySpec:
     resize_ratio: float | None = None
     descriptor: str = field(default="", compare=False)
 
-    def base_length(self) -> int:
-        return (1 << self.n) - 1 if self.kind == "mseq" else self.p
-
     def __str__(self) -> str:
         return self.descriptor or self.kind
 
@@ -243,12 +240,3 @@ def resized_length(spec: FamilySpec, base_len: int) -> int:
         return base_len
     m = round(spec.resize_ratio * base_len)
     return max(m, 1)
-
-
-def realize_fixed(spec: FamilySpec) -> BinarySequence:
-    """Build the sequence for a spec whose shift is a concrete integer."""
-    if spec.shift == "best":
-        raise ValueError("shift=best requires a shift search (see analysis.realize)")
-    out = cyclic_shift(build_base(spec), spec.shift)
-    m = resized_length(spec, len(out))
-    return resize(out, m) if m != len(out) else out

@@ -19,7 +19,8 @@ from importlib import resources
 
 import numpy as np
 
-from .sequence import BinarySequence, parse_sequences
+from .corr import _corr
+from .sequence import BinarySequence, from_array, parse_sequences
 
 STEM_LENGTH_LIMIT = 1 << 24
 
@@ -63,21 +64,16 @@ def rsl_pair_stems(seed_f: BinarySequence, seed_g: BinarySequence, signs, depth:
 # Golay pairs
 
 
-def _acorr_tail_sum(a: BinarySequence, b: BinarySequence) -> np.ndarray:
-    aa = a.as_array()
-    ab = b.as_array()
-    c = np.correlate(aa, aa, mode="full") + np.correlate(ab, ab, mode="full")
-    mid = len(a) - 1
-    return np.delete(c, mid)
+def _acorr_tail(arr: np.ndarray) -> np.ndarray:
+    """Autocorrelations at shifts 1 .. len-1 (the rest follow by symmetry)."""
+    return _corr(arr, arr)[len(arr) :]
 
 
 def is_golay_pair(a: BinarySequence, b: BinarySequence) -> bool:
     """True iff C_{a,a}(s) + C_{b,b}(s) = 0 for every s != 0."""
     if len(a) != len(b):
         raise ValueError("Golay check requires equal lengths")
-    if len(a) == 1:
-        return True
-    return not _acorr_tail_sum(a, b).any()
+    return not (_acorr_tail(a.as_array()) + _acorr_tail(b.as_array())).any()
 
 
 @dataclass(frozen=True)
@@ -170,47 +166,30 @@ def search_optimal_seeds(length: int, exemplar_cap: int = 10):
 # Composition and base pairs
 
 
-def _compose_once(a, b, c, d) -> tuple[BinarySequence, BinarySequence] | None:
-    """Tensor-style composition of pair (a,b) of length m with (c,d) of
-    length n, giving a candidate pair of length m*n."""
-    aa, ab = a.as_array(), b.as_array()
-    ac, ad = c.as_array(), d.as_array()
+def _compose_once(pa: GolayPair, pb: GolayPair) -> GolayPair:
+    """Turyn's composition of pa = (a,b) of length m with pb = (c,d) of
+    length n, giving an uncertified pair of length m*n.
+
+    Block i of the result is u_i*a + v_i*b~ (first sequence) and
+    u_i*b - v_i*a~ (second), where ~ is reversal, u = (c+d)/2 and
+    v = (c-d)/2.  Exactly one of u_i, v_i is nonzero, so every term is +-1.
+    """
+    aa, ab = pa.a.as_array(), pa.b.as_array()
+    ac, ad = pb.a.as_array(), pb.b.as_array()
     u = (ac + ad) // 2
     v = (ac - ad) // 2
     f = np.outer(u, aa) + np.outer(v, ab[::-1])
     g = np.outer(u, ab) - np.outer(v, aa[::-1])
-    if np.abs(f).min() == 0 or np.abs(g).min() == 0:
-        return None
-    from .sequence import from_array
-
-    return from_array(f.ravel()), from_array(g.ravel())
+    return GolayPair(from_array(f.ravel()), from_array(g.ravel()))
 
 
 def golay_compose(pa: GolayPair, pb: GolayPair) -> GolayPair:
-    """Compose two certified pairs into a certified pair of product length.
-
-    Sign/reversal conventions differ across composition variants, so a small
-    set of reversal/negation variants is tried and the first candidate that
-    passes certification is returned; the certification check is the source
-    of truth.
-    """
+    """Compose two certified pairs into a pair of product length by one
+    Turyn step (Turyn 1974), then certify the result once."""
     if not (pa.certified and pb.certified):
         raise ValueError("composition inputs must be certified Golay pairs")
-    a, b = pa.a, pa.b
-    variants = []
-    for c, d in ((pb.a, pb.b), (pb.b, pb.a)):
-        rev = BinarySequence(d.terms[::-1])
-        variants.extend([(c, d), (c, -d), (c, rev), (c, -rev)])
-    for c, d in variants:
-        cand = _compose_once(a, b, c, d)
-        if cand is None:
-            continue
-        f, g = cand
-        if is_golay_pair(f, g):
-            return GolayPair(f, g, certified=True)
-    raise CertificationError(
-        f"no composition variant of lengths {pa.length} x {pb.length} certified"
-    )
+    pair = _compose_once(pa, pb)
+    return certify(pair.a, pair.b)
 
 
 _BASE2 = (BinarySequence((1, 1)), BinarySequence((1, -1)))
@@ -270,7 +249,8 @@ def base_factorization(length: int) -> tuple[int, int, int] | None:
 
 
 def compose_to_length(length: int) -> GolayPair:
-    """Certified pair of the given length, composed from the base pairs."""
+    """Certified pair of the given length: Turyn steps from the base pairs,
+    certified once at the end."""
     if length < 2:
         raise ValueError("composed pair length must be at least 2")
     expo = base_factorization(length)
@@ -278,11 +258,11 @@ def compose_to_length(length: int) -> GolayPair:
         raise ValueError(f"{length} is not of the form 2^a * 10^b * 26^c")
     a, b, c = expo
     factors = [2] * a + [10] * b + [26] * c
-    pair = golay_base(factors[0])
+    bases = {fac: golay_base(fac) for fac in dict.fromkeys(factors)}
+    pair = bases[factors[0]]
     for fac in factors[1:]:
-        pair = golay_compose(pair, golay_base(fac))
-    assert pair.length == length
-    return pair
+        pair = _compose_once(pair, bases[fac])
+    return pair if pair.certified else certify(pair.a, pair.b)
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +279,14 @@ def search_golay_pairs(length: int) -> GolayPair | None:
     if not 2 <= length <= 16:
         raise ValueError(f"exhaustive pair search supports lengths 2..16, got {length}")
     seqs = [_mask_to_sequence(m, length) for m in range(1 << length)]
-    tails = {}
-    arrs = [s.as_array() for s in seqs]
-    for m, arr in enumerate(arrs):
-        c = np.correlate(arr, arr, mode="full")
-        tail = tuple(int(v) for v in c[length:])
-        tails.setdefault(tail, []).append(m)
-    for m, arr in enumerate(arrs):
-        c = np.correlate(arr, arr, mode="full")
-        need = tuple(-int(v) for v in c[length:])
-        partners = tails.get(need)
-        if partners:
-            return certify(seqs[m], seqs[partners[0]])
+    tails = [tuple(_acorr_tail(s.as_array()).tolist()) for s in seqs]
+    first = {}
+    for m, tail in enumerate(tails):
+        first.setdefault(tail, m)
+    for m, tail in enumerate(tails):
+        partner = first.get(tuple(-v for v in tail))
+        if partner is not None:
+            return certify(seqs[m], seqs[partner])
     return None
 
 
@@ -353,8 +329,6 @@ def random_pair_search(
         sideways = 0
         for _ in range(steps):
             if energy == 0:
-                from .sequence import from_array
-
                 return certify(from_array(a), from_array(b))
             da, db = flip_deltas(a), flip_deltas(b)
             gain = np.concatenate(

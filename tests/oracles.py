@@ -42,5 +42,17 @@ def oracle_cdf(f, g) -> Fraction:
     return Fraction(total, len(f) * len(g))
 
 
+def oracle_l4l2_adf(f) -> Fraction:
+    """ADF via the norm identity ||f||_4^4 = sum_s C(s)^2, with ||f||_4^4
+    taken from the coefficients of f(z) * f~(z) (f~ = reversed f)."""
+    ell = len(f)
+    rev = list(f)[::-1]
+    prod = [0] * (2 * ell - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(rev):
+            prod[i + j] += x * y
+    return Fraction(sum(c * c for c in prod), ell * ell) - 1
+
+
 def random_sequence(rng, length: int) -> BinarySequence:
     return BinarySequence(tuple(rng.choice((1, -1)) for _ in range(length)))

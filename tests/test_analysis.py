@@ -5,7 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seqcorr import BinarySequence, adf, cdf, cyclic_shift, legendre, resize
+from seqcorr import (
+    BinarySequence,
+    adf,
+    cdf,
+    cyclic_shift,
+    half_legendre_pair,
+    legendre,
+    psc,
+    resize,
+)
 from seqcorr.analysis import (
     SplitMix64,
     TARGETS,
@@ -24,7 +33,6 @@ from seqcorr.analysis import (
     report_pairs,
     rows_to_csv,
     rows_to_json,
-    shift_search,
     trial_seed,
 )
 from seqcorr.families import parse_family
@@ -150,6 +158,20 @@ class TestEngines:
             diag = cdf_numerators_diagonal(f.as_array(), g.as_array())
             assert np.array_equal(np.diag(grid), diag)
 
+    def test_diagonal_window_matches_oracle(self):
+        rng = random.Random(67)
+        for _ in range(8):
+            ell = rng.randrange(2, 13)
+            f = random_sequence(rng, ell)
+            g = random_sequence(rng, ell)
+            for m in range(1, ell):
+                diag = cdf_numerators_diagonal(f.as_array(), g.as_array(), m)
+                for r in range(ell):
+                    expect = oracle_cdf(resize(cyclic_shift(f, r), m), resize(cyclic_shift(g, r), m))
+                    assert Fraction(int(diag[r]), m * m) == expect
+        with pytest.raises(ValueError):
+            cdf_numerators_diagonal(f.as_array(), g.as_array(), ell + 1)
+
     def test_budgets(self):
         big = np.ones(1 << 15, dtype=np.int64)
         with pytest.raises(ValueError):
@@ -168,9 +190,8 @@ class TestShiftSearch:
     def test_legendre_search_improves_on_unshifted(self):
         from seqcorr.families import build_base
 
-        spec = parse_family("legendre:p=127")
-        r, val = shift_search(spec)
-        f = build_base(spec)
+        f = build_base(parse_family("legendre:p=127"))
+        r, val = best_shift(f)
         assert val < adf(f)
         assert val == adf(cyclic_shift(f, r))
 
@@ -286,6 +307,12 @@ class TestSweepsAndReports:
         assert row.length == 14
         assert row.target == pytest.approx(7 / 6)
 
+    def test_half_legendre_shift_minimizes_psc(self):
+        for p in (13, 29, 37):
+            (row,) = report_pairs("half_legendre", p=p)
+            brute = min(psc(*half_legendre_pair(p, r)).psc for r in range(p))
+            assert row.psc == pytest.approx(brute)
+
     def test_report_quartic_and_mixed(self):
         (row,) = report_pairs("quartic_pair", p=29)
         assert row.length == 29
@@ -310,3 +337,11 @@ class TestSweepsAndReports:
             report_pairs("bogus")
         with pytest.raises(ValueError):
             report_pairs("half_legendre", p=29, extra=1)
+        for construction, params, missing in (
+            ("typical_mseq", {"n": 5}, "d"),
+            ("golay", {}, "lengths"),
+            ("half_legendre", {}, "p"),
+            ("rsl_pair", {"seed_f": parse_line("+"), "signs": (1,), "depth": 1}, "seed_g"),
+        ):
+            with pytest.raises(ValueError, match=missing):
+                report_pairs(construction, **params)

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -177,6 +178,13 @@ class TestPairs:
         code, _, _ = run(capsys, "pairs", "rsl_pair", "--seeds", str(seeds), "--depth", "2")
         assert code == 2
 
+    def test_half_legendre_over_search_budget_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "pairs", "half_legendre", "--p", "16411")
+        assert code == 2 and out == ""
+        assert "shift-search budget" in err
+        assert time.perf_counter() - start < 10
+
     def test_unknown_construction_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "pairs", "nonsense")
         assert code == 2
@@ -259,6 +267,13 @@ class TestBaselineAndRoots:
     def test_baseline_rejects_zero_trials(self, capsys):
         code, _, _ = run(capsys, "baseline", "--len", "4", "--trials", "0")
         assert code == 2
+
+    def test_baseline_over_exact_budget_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "baseline", "--len", "2000000", "--trials", "1")
+        assert code == 2 and out == ""
+        assert "exact-arithmetic budget" in err
+        assert time.perf_counter() - start < 10
 
     def test_roots_lists_targets(self, capsys):
         code, out, _ = run(capsys, "roots")

@@ -17,12 +17,12 @@ from seqcorr import (
     quartic_g,
     resize,
 )
+from seqcorr.analysis import realize
 from seqcorr.families import (
     FamilySpec,
     build_base,
     parse_family,
     power_of_two_residues,
-    realize_fixed,
     with_size,
 )
 from seqcorr.gf import is_prime
@@ -219,7 +219,6 @@ class TestFamilySpec:
     def test_parse_mseq(self):
         spec = parse_family("mseq:n=10,char=3")
         assert spec.kind == "mseq" and spec.n == 10 and spec.char_shift == 3
-        assert spec.base_length() == 1023
 
     def test_parse_legendre_with_search_and_resize(self):
         spec = parse_family("legendre:p=1019,shift=best,resize=1.0578")
@@ -230,7 +229,9 @@ class TestFamilySpec:
     def test_parse_fixed_shift(self):
         spec = parse_family("quartic_f:p=13,shift=5")
         assert spec.shift == 5
-        assert realize_fixed(spec).terms == cyclic_shift(quartic_f(make_prime_field(13)), 5).terms
+        seq, r = realize(spec)
+        assert r == 5
+        assert seq.terms == cyclic_shift(quartic_f(make_prime_field(13)), 5).terms
 
     def test_parse_errors(self):
         for bad in (
@@ -250,7 +251,3 @@ class TestFamilySpec:
         assert build_base(with_size(spec, 11)).to_line() == legendre(11).to_line()
         mspec = FamilySpec("mseq", n=3)
         assert build_base(mspec).to_line() == "-++-+--"
-
-    def test_realize_fixed_rejects_search_spec(self):
-        with pytest.raises(ValueError):
-            realize_fixed(parse_family("legendre:p=7,shift=best"))

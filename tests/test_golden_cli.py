@@ -1,0 +1,65 @@
+"""Golden CLI corpus: exact stdout and exit code of seqcorr commands.
+
+Each expected file under tests/golden/ holds the stdout of one command,
+recorded once from the CLI; a refactor that changes any byte of them
+changes user-visible output.  The input files beside them (a non-Golay
+pair and two recursion seeds) and the shipped length-10 Golay asset are the
+pair files the cases read.
+"""
+
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from seqcorr.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLAY10 = str(resources.files("seqcorr").joinpath("data/golay10.txt"))
+PAIR7 = str(GOLDEN / "pair7.txt")
+SEEDS = str(GOLDEN / "seeds2.txt")
+
+# name -> (argv, exit code); stdout is compared with golden/<name>.out
+CASES = {
+    "generate_mseq": (["generate", "mseq:n=10,char=3"], 0),
+    "generate_legendre_best_resize": (["generate", "legendre:p=1019,shift=best,resize=1.0578"], 0),
+    "generate_quartic_g": (["generate", "quartic_g:p=101,shift=7"], 0),
+    "correlate_golay10": (["correlate", GOLAY10], 0),
+    "correlate_golay10_periodic": (["correlate", GOLAY10, "--periodic"], 0),
+    "correlate_pair7": (["correlate", PAIR7], 0),
+    "demerit_golay10": (["demerit", GOLAY10], 0),
+    "demerit_pair7": (["demerit", PAIR7], 0),
+    "sweep_legendre_csv": (
+        ["sweep", "legendre:p=3,shift=best", "--sizes", "101,211",
+         "--target", "legendre-shifted-adf"], 0),
+    "sweep_legendre_json": (
+        ["sweep", "legendre:p=3,shift=best", "--sizes", "101,211",
+         "--target", "legendre-shifted-adf", "--json"], 0),
+    "pairs_typical_mseq": (["pairs", "typical_mseq", "--n", "7", "--d", "5"], 0),
+    "pairs_reversing_mseq": (["pairs", "reversing_mseq", "--n", "7", "--k", "1"], 0),
+    "pairs_half_legendre_29": (["pairs", "half_legendre", "--p", "29"], 0),
+    "pairs_half_legendre_503": (["pairs", "half_legendre", "--p", "503"], 0),
+    "pairs_quartic_pair": (["pairs", "quartic_pair", "--p", "29"], 0),
+    "pairs_legendre_plus_quartic": (["pairs", "legendre_plus_quartic", "--p", "101"], 0),
+    "pairs_rsl_pair": (
+        ["pairs", "rsl_pair", "--seeds", SEEDS, "--signs", "+-+-", "--depth", "4"], 0),
+    "pairs_golay": (["pairs", "golay", "--lengths", "2,4,8,10,20,40,80,160,640"], 0),
+    "pairs_golay_json": (["pairs", "golay", "--lengths", "10,20", "--json"], 0),
+    "seed_search": (["seed-search", "--max-len", "10"], 0),
+    "golay_compose_160": (["golay", "compose", "--length", "160"], 0),
+    "golay_compose_2560": (["golay", "compose", "--length", "2560"], 0),
+    "golay_verify": (["golay", "verify", GOLAY10], 0),
+    "golay_search10": (["golay", "search10"], 0),
+    "golay_bases": (["golay", "bases"], 0),
+    "baseline": (["baseline", "--len", "64", "--trials", "50", "--seed", "3"], 0),
+    "roots": (["roots"], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_stdout(name, capsys):
+    argv, expected_code = CASES[name]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == expected_code
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="ascii")
