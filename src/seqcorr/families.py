@@ -11,13 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .gf import (
     BinaryFieldContext,
     PrimeFieldContext,
+    check_prime_size,
     is_prime,
     make_binary_field,
     make_prime_field,
-    quadratic_character,
     trace,
 )
 from .sequence import BinarySequence
@@ -62,10 +64,13 @@ def power_of_two_residues(ell: int) -> set[int]:
 
 def legendre(p: int) -> BinarySequence:
     """Length-p sequence: +1 at 0 and at nonzero squares, -1 at nonsquares."""
+    check_prime_size(p)
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    terms = [1] + [quadratic_character(p, j) for j in range(1, p)]
-    return BinarySequence(tuple(terms))
+    terms = np.full(p, -1, dtype=np.int64)
+    roots = np.arange(p // 2 + 1, dtype=np.int64)  # j and p - j share j^2
+    terms[roots * roots % p] = 1
+    return BinarySequence(tuple(terms.tolist()))
 
 
 def _quartic(ctx: PrimeFieldContext, plus_cosets: tuple[int, int]) -> BinarySequence:

@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Largest prime field order accepted; GF(p) tables and length-p sequences
+# hold p entries, as GF(2^n) stops at n = 24
+MAX_PRIME = 1 << 24
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 3.3 * 10^24."""
@@ -182,7 +186,14 @@ class PrimeFieldContext:
         return f"GF({self.p}) generator {self.generator}"
 
 
+def check_prime_size(p: int) -> None:
+    """Raise ValueError for p above MAX_PRIME, before any p-sized work."""
+    if p > MAX_PRIME:
+        raise ValueError(f"prime {p} exceeds the field-size limit {MAX_PRIME}")
+
+
 def make_prime_field(p: int) -> PrimeFieldContext:
+    check_prime_size(p)
     g = find_primitive_element(p)
     cosets = ()
     if p % 4 == 1:

@@ -42,6 +42,14 @@ class TestGenerate:
         code, _, _ = run(capsys, "generate", "legendre:p=8")
         assert code == 2
 
+    def test_huge_prime_fails_fast(self, capsys):
+        for family in ("legendre", "quartic_f"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "generate", f"{family}:p=1000000007")
+            assert code == 2 and out == ""
+            assert "field-size limit" in err
+            assert time.perf_counter() - start < 10
+
 
 class TestCorrelate:
     def test_aperiodic_csv(self, capsys, tmp_path):

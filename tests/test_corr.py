@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from seqcorr import (
@@ -12,6 +13,7 @@ from seqcorr import (
     periodic_xcorr,
     psc,
 )
+from seqcorr import corr
 from seqcorr.corr import psc_at_least_one
 from seqcorr.sequence import dump_sequences, parse_line, parse_sequences
 
@@ -96,6 +98,91 @@ class TestAperiodicXcorr:
         for _ in range(10):
             f = random_sequence(rng, rng.randrange(1, 40))
             assert aperiodic_xcorr(f, f)[0] == len(f)
+
+
+X = corr._FFT_MIN_LEN
+
+
+def spectrum_of(c, len_g):
+    return {s - (len_g - 1): v for s, v in enumerate(c.tolist())}
+
+
+class TestKernel:
+    """corr._corr on both sides of the FFT crossover."""
+
+    @pytest.mark.parametrize(
+        "len_f, len_g",
+        [(1, 1), (X - 1, X - 1), (X, X), (X + 1, X + 1), (X + 37, X), (X, X + 3), (X + 5, 3)],
+    )
+    def test_matches_oracle(self, len_f, len_g):
+        rng = random.Random(len_f * 1000 + len_g)
+        f = random_sequence(rng, len_f)
+        g = random_sequence(rng, len_g)
+        c = corr._corr(f.as_array(), g.as_array())
+        assert c.dtype == np.int64
+        assert spectrum_of(c, len_g) == oracle_spectrum(f, g)
+
+    @pytest.mark.parametrize("ell", [1, X - 1, X, X + 1])
+    def test_autocorrelation_of_one_array(self, ell):
+        f = random_sequence(random.Random(ell), ell)
+        arr = f.as_array()
+        c = corr._corr(arr, arr)
+        assert c.dtype == np.int64
+        assert spectrum_of(c, ell) == oracle_spectrum(f, f)
+
+    def test_crossover_selects_path(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        below = rng.choice([-1, 1], X - 1).astype(np.int64)
+        at = rng.choice([-1, 1], X).astype(np.int64)
+        expected = np.correlate(at, at, mode="full")
+
+        def no_direct(*args, **kwargs):
+            raise AssertionError("direct correlation called")
+
+        monkeypatch.setattr(np, "correlate", no_direct)
+        assert np.array_equal(corr._corr(at, at), expected)
+        with pytest.raises(AssertionError):
+            corr._corr(below, below)
+
+    def test_demerit_factors_above_crossover(self):
+        rng = random.Random(600)
+        f = random_sequence(rng, 600)
+        g = random_sequence(rng, 600)
+        assert adf(f) == oracle_adf(f)
+        assert cdf(f, g) == oracle_cdf(f, g)
+
+    def test_length_budget_checked_first(self):
+        big = np.ones(corr.MAX_EXACT_LEN + 1, dtype=np.int64)
+        with pytest.raises(ValueError, match="exact-arithmetic budget"):
+            corr._corr(big, big[:X])
+
+
+class TestKernelGuard:
+    """A wrong FFT result is caught and replaced by the direct one."""
+
+    @staticmethod
+    def perturb_irfft(monkeypatch, delta):
+        real = np.fft.irfft
+
+        def irfft(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out[0] += delta  # the shift-0 value
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+
+    @pytest.mark.parametrize("delta", [0.3, 1.0])  # rounding margin; sum identity
+    @pytest.mark.parametrize("auto", [True, False])
+    def test_perturbed_inverse_falls_back(self, monkeypatch, delta, auto):
+        rng = np.random.default_rng(11)
+        a = rng.choice([-1, 1], 2 * X).astype(np.int64)
+        b = a if auto else rng.choice([-1, 1], 2 * X).astype(np.int64)
+        expected = np.correlate(a, b, mode="full")
+        self.perturb_irfft(monkeypatch, delta)
+        assert corr._fft_corr(a, b) is None
+        c = corr._corr(a, b)
+        assert c.dtype == np.int64
+        assert np.array_equal(c, expected)
 
 
 class TestPeriodicXcorr:

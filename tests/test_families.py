@@ -25,7 +25,7 @@ from seqcorr.families import (
     power_of_two_residues,
     with_size,
 )
-from seqcorr.gf import is_prime
+from seqcorr.gf import is_prime, quadratic_character
 
 from oracles import random_sequence
 
@@ -107,6 +107,15 @@ class TestLegendre:
         for bad in (2, 9, 15):
             with pytest.raises(ValueError):
                 legendre(bad)
+
+    def test_matches_quadratic_character(self):
+        for p in [p for p in range(3, 700) if is_prime(p)] + [4099]:
+            expected = [1] + [quadratic_character(p, j) for j in range(1, p)]
+            assert list(legendre(p)) == expected
+
+    def test_rejects_primes_above_field_limit(self):
+        with pytest.raises(ValueError, match="field-size limit"):
+            legendre(1000000007)
 
     def test_two_level_periodic_autocorrelation_for_three_mod_four(self):
         for p in (7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83, 103, 107, 127, 131, 139,

@@ -146,3 +146,8 @@ class TestPrimeField:
 
     def test_context_printable(self):
         assert "13" in str(make_prime_field(13))
+
+    def test_rejects_fields_above_size_limit(self):
+        assert make_prime_field(16777199).p == 16777199  # below 2^24, 3 mod 4: no coset table
+        with pytest.raises(ValueError, match="field-size limit"):
+            make_prime_field(1000000007)

@@ -186,6 +186,16 @@ class TestComposition:
             assert rep.adf_f == rep.adf_g
             assert rep.psc_exact == 1
 
+    def test_one_flipped_term_above_fft_crossover_fails_certification(self):
+        pair = compose_to_length(2560)
+        terms = list(pair.a.terms)
+        terms[1000] = -terms[1000]
+        broken = BinarySequence(tuple(terms))
+        assert is_golay_pair(pair.a, pair.b)
+        assert not is_golay_pair(broken, pair.b)
+        with pytest.raises(CertificationError):
+            certify(broken, pair.b)
+
     def test_base_factorization(self):
         assert base_factorization(200) == (1, 2, 0)
         assert base_factorization(26) == (0, 0, 1)

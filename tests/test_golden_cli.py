@@ -2,9 +2,10 @@
 
 Each expected file under tests/golden/ holds the stdout of one command,
 recorded once from the CLI; a refactor that changes any byte of them
-changes user-visible output.  The input files beside them (a non-Golay
-pair and two recursion seeds) and the shipped length-10 Golay asset are the
-pair files the cases read.
+changes user-visible output.  The input files beside them (non-Golay pairs
+of lengths 7 and 1021, the longer one above the correlation kernel's FFT
+crossover, and two recursion seeds) and the shipped length-10 Golay asset
+are the pair files the cases read.
 """
 
 from importlib import resources
@@ -17,6 +18,7 @@ from seqcorr.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 GOLAY10 = str(resources.files("seqcorr").joinpath("data/golay10.txt"))
 PAIR7 = str(GOLDEN / "pair7.txt")
+PAIR1021 = str(GOLDEN / "pair1021.txt")
 SEEDS = str(GOLDEN / "seeds2.txt")
 
 # name -> (argv, exit code); stdout is compared with golden/<name>.out
@@ -29,6 +31,9 @@ CASES = {
     "correlate_pair7": (["correlate", PAIR7], 0),
     "demerit_golay10": (["demerit", GOLAY10], 0),
     "demerit_pair7": (["demerit", PAIR7], 0),
+    "correlate_pair1021": (["correlate", PAIR1021], 0),
+    "correlate_pair1021_periodic": (["correlate", PAIR1021, "--periodic"], 0),
+    "demerit_pair1021": (["demerit", PAIR1021], 0),
     "sweep_legendre_csv": (
         ["sweep", "legendre:p=3,shift=best", "--sizes", "101,211",
          "--target", "legendre-shifted-adf"], 0),
