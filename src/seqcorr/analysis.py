@@ -1,9 +1,16 @@
 """Sweeps, shift searches, Monte Carlo baselines, and asymptotic targets.
 
-All demerit-factor numerators here are exact int64 window sums; division by
-the squared length happens only at the edge (Fraction or float).  The RNG
-is SplitMix64, fixed by its constants so that any implementation can
-reproduce the streams:
+All demerit-factor numerators here are exact int64 sums; division by the
+squared length happens only at the edge (Fraction or float).  The all-shift
+engines share one rotation walk: the off-peak autocorrelation C(1..m-1) of
+resize(cyclic_shift(f, r), m) is taken once from corr._corr at r = 0 and then
+updated in O(m) per step to r + 1.  ADF numerators are 2 sum C^2 per shift;
+CDF numerators follow from sum_s C_fg(s)^2 = sum_t C_ff(t) C_gg(t), a dot
+product per shift on the diagonal and one integer matrix product for the
+full shift grid.
+
+The RNG is SplitMix64, fixed by its constants so that any implementation
+can reproduce the streams:
 
     next(state): state += 0x9E3779B97F4A7C15  (mod 2^64)
                  z = state
@@ -176,93 +183,84 @@ def lookup_target(text: str) -> AsymptoticTarget:
 # Exact all-shift engines
 
 
+def _rotation_acorrs(arr: np.ndarray, m: int):
+    """Yield, for r = 0 .. l-1, the int64 vector C(1), .., C(m-1) of the
+    aperiodic autocorrelation of resize(cyclic_shift(f, r), m).
+
+    Rotation r is the window x[r : r+m] of x = resize(f, l+m).  Moving to
+    r+1 drops x[r] and appends x[r+m], so every C(s) gains
+    x[r+m] x[r+m-s] - x[r] x[r+s]: with +-1 terms, one in-place add or
+    subtract of a slice of x reversed and one of a slice of x.  The first
+    vector comes from corr._corr.  The same array is yielded each time and
+    updated in place; copy it to keep it.
+    """
+    n = len(arr) + m
+    x = np.resize(np.asarray(arr, dtype=np.int64), n)
+    xr = x[::-1].copy()  # contiguous, so the adds stay vectorised
+    first = x[:m]
+    c = corr._corr(first, first)[m:]
+    signs = x.tolist()
+    yield c
+    for r in range(len(arr) - 1):
+        (np.add if signs[r + m] > 0 else np.subtract)(c, xr[n - r - m : n - r - 1], out=c)
+        (np.subtract if signs[r] > 0 else np.add)(c, x[r + 1 : r + m], out=c)
+        yield c
+
+
 def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarray:
     """ADF numerator (sum of squared off-peak correlations) of
     resize(cyclic_shift(f, r), m) for every shift r, as int64; divide by m^2.
 
-    For each aperiodic shift s, the correlation of the resized shifted
-    sequence is a length-(m-s) window sum of the periodic product
-    f_{(k+s) mod l} * f_{k mod l} starting at offset r, which cumulative
-    sums over a doubled row give for all r at once.
+    Each numerator is 2 sum_s C(s)^2 over the rotation walk's vector, O(m)
+    per shift; |C(s)| <= m and the sum stays below 2m^3/3, so int64 is exact.
     """
     ell = len(arr)
     if m is None:
         m = ell
+    if m < 1:
+        raise ValueError(f"resized length {m} must be >= 1")
     if ell > SHIFT_SEARCH_LIMIT or m > 2 * SHIFT_SEARCH_LIMIT:
         raise ValueError("shift-search budget exceeded")
-    tiled = np.concatenate([arr, arr])
-    acc = np.zeros(ell, dtype=np.int64)
-    for s in range(1, m):
-        row = tiled[s % ell : s % ell + ell] * arr
-        doubled = np.concatenate([row, row])
-        cums = np.zeros(2 * ell + 1, dtype=np.int64)
-        np.cumsum(doubled, out=cums[1:])
-        span = m - s
-        q, t = divmod(span, ell)
-        w = q * cums[ell] + cums[t : t + ell] - cums[:ell]
-        acc += w * w
-    return 2 * acc
+    return 2 * np.fromiter((c @ c for c in _rotation_acorrs(arr, m)), np.int64, ell)
 
 
 def cdf_numerators_grid(af: np.ndarray, ag: np.ndarray) -> np.ndarray:
     """CDF numerators of (cyclic_shift(f, rf), cyclic_shift(g, rg)) for the
     full (rf, rg) grid, as int64; divide by l^2.
 
-    Window sums of the products f_{(k+d) mod l} * g_k over all offsets give
-    each aperiodic correlation; accumulating squared windows with a row
-    roll of -s aligns the diagonal d = (rf - rg) mod l for every s.
+    For equal lengths sum_s C_fg(s)^2 = sum_t C_ff(t) C_gg(t), so with the
+    rotation walks stacked as rows R_f and R_g (l x (l-1), lags 1 .. l-1)
+    the grid is l^2 + 2 R_f R_g^T, one integer matrix product.  Every entry
+    is below l^3 <= 2^27 at PAIR_GRID_LIMIT, so int64 is exact.
     """
     ell = len(af)
+    if len(ag) != ell:
+        raise ValueError("pair shift grid requires equal lengths")
     if ell > PAIR_GRID_LIMIT:
         raise ValueError(f"pair shift grid supports lengths up to {PAIR_GRID_LIMIT}")
-    tf = np.concatenate([af, af])
-    prods = np.empty((ell, ell), dtype=np.int64)
-    for d in range(ell):
-        prods[d] = tf[d : d + ell] * ag
-    doubled = np.concatenate([prods, prods], axis=1)
-    cums = np.zeros((ell, 2 * ell + 1), dtype=np.int64)
-    np.cumsum(doubled, axis=1, out=cums[:, 1:])
-    acc = np.zeros((ell, ell), dtype=np.int64)
-    for s in range(-(ell - 1), ell):
-        a = abs(s)
-        span = ell - a
-        if s >= 0:
-            w = cums[:, span : span + ell] - cums[:, 0:ell]
-        else:
-            w = cums[:, ell : 2 * ell] - cums[:, a : a + ell]
-        acc += np.roll(w * w, -s, axis=0)
-    rf = np.arange(ell)[:, None]
-    rg = np.arange(ell)[None, :]
-    return acc[(rf - rg) % ell, rg]
+    rows_f, rows_g = (np.stack([c.copy() for c in _rotation_acorrs(a, ell)]) for a in (af, ag))
+    return ell * ell + 2 * (rows_f @ rows_g.T)
 
 
 def cdf_numerators_diagonal(af: np.ndarray, ag: np.ndarray, m: int | None = None) -> np.ndarray:
     """CDF numerators of (resize(cyclic_shift(f, r), m), resize(cyclic_shift(g, r), m))
     for every r (the equal-shift diagonal, windows of length m <= l), as
-    int64; divide by m^2."""
+    int64; divide by m^2.
+
+    By sum_s C_fg(s)^2 = sum_t C_ff(t) C_gg(t) each numerator is
+    m^2 + 2 C_f . C_g over two rotation walks in step, O(m) per shift.
+    """
     ell = len(af)
+    if len(ag) != ell:
+        raise ValueError("diagonal shift search requires equal lengths")
     if m is None:
         m = ell
     if not 1 <= m <= ell:
         raise ValueError(f"window length {m} must be in [1, {ell}]")
     if ell > SHIFT_SEARCH_LIMIT:
         raise ValueError("shift-search budget exceeded")
-    tf = np.concatenate([af, af])
-    tg = np.concatenate([ag, ag])
-    acc = np.zeros(ell, dtype=np.int64)
-    for s in range(-(m - 1), m):
-        a = abs(s)
-        span = m - a
-        if s >= 0:
-            row = tf[s : s + ell] * ag  # offset k: f[(k+s)%l] * g[k]
-        else:
-            row = af * tg[a : a + ell]  # offset k: f[k] * g[(k+|s|)%l]
-        doubled = np.concatenate([row, row])
-        cums = np.zeros(2 * ell + 1, dtype=np.int64)
-        np.cumsum(doubled, out=cums[1:])
-        w = cums[span : span + ell] - cums[:ell]
-        acc += w * w
-    return acc
+    walks = zip(_rotation_acorrs(af, m), _rotation_acorrs(ag, m))
+    return m * m + 2 * np.fromiter((cf @ cg for cf, cg in walks), np.int64, ell)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqcorr import (
     BinarySequence,
     adf,
     cdf,
+    corr,
     cyclic_shift,
     half_legendre_pair,
     legendre,
@@ -172,12 +175,81 @@ class TestEngines:
         with pytest.raises(ValueError):
             cdf_numerators_diagonal(f.as_array(), g.as_array(), ell + 1)
 
+    def test_engine_input_validation(self):
+        arr = np.ones(5, dtype=np.int64)
+        for m in (0, -3):
+            with pytest.raises(ValueError):
+                adf_numerators_all_shifts(arr, m)
+        with pytest.raises(ValueError):
+            cdf_numerators_grid(arr, np.ones(4, dtype=np.int64))
+        with pytest.raises(ValueError):
+            cdf_numerators_diagonal(arr, np.ones(6, dtype=np.int64))
+        with pytest.raises(ValueError):
+            cdf_numerators_diagonal(arr, np.ones(4, dtype=np.int64), 2)
+
+    def test_walk_seeded_above_fft_crossover(self):
+        rng = random.Random(68)
+        f = random_sequence(rng, 600)
+        g = random_sequence(rng, 600)
+        assert 600 >= corr._FFT_MIN_LEN  # the first rotation is correlated on the FFT path
+        nums = adf_numerators_all_shifts(f.as_array(), 650)
+        diag = cdf_numerators_diagonal(f.as_array(), g.as_array(), 600)
+        for r in (0, 1, 2, 299, 598, 599):
+            fr, gr = cyclic_shift(f, r), cyclic_shift(g, r)
+            assert Fraction(int(nums[r]), 650 * 650) == adf(resize(fr, 650))
+            assert Fraction(int(diag[r]), 600 * 600) == cdf(fr, gr)
+
     def test_budgets(self):
         big = np.ones(1 << 15, dtype=np.int64)
         with pytest.raises(ValueError):
             adf_numerators_all_shifts(big)
         with pytest.raises(ValueError):
             cdf_numerators_grid(np.ones(513, dtype=np.int64), np.ones(513, dtype=np.int64))
+
+
+def _pm1(min_size, max_size):
+    return st.lists(st.sampled_from((1, -1)), min_size=min_size, max_size=max_size).map(
+        lambda terms: BinarySequence(tuple(terms))
+    )
+
+
+class TestEngineProperties:
+    """The all-shift engines against the brute-force oracles, on the
+    materialised resize(cyclic_shift(...)) sequences."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.integers(1, 24).flatmap(lambda n: st.tuples(_pm1(n, n), st.integers(1, 2 * n + 3))))
+    @example(case=(BinarySequence((1,)), 1))  # l = m = 1: the lag vector is empty
+    def test_adf_all_shifts(self, case):
+        f, m = case
+        nums = adf_numerators_all_shifts(f.as_array(), m)
+        assert nums.shape == (len(f),) and nums.dtype == np.int64
+        for r in range(len(f)):
+            assert Fraction(int(nums[r]), m * m) == oracle_adf(resize(cyclic_shift(f, r), m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.integers(1, 20).flatmap(
+        lambda n: st.tuples(_pm1(n, n), _pm1(n, n), st.integers(1, n))))
+    @example(case=(BinarySequence((1,)), BinarySequence((-1,)), 1))
+    def test_diagonal_windows(self, case):
+        f, g, m = case
+        diag = cdf_numerators_diagonal(f.as_array(), g.as_array(), m)
+        assert diag.shape == (len(f),) and diag.dtype == np.int64
+        for r in range(len(f)):
+            expect = oracle_cdf(resize(cyclic_shift(f, r), m), resize(cyclic_shift(g, r), m))
+            assert Fraction(int(diag[r]), m * m) == expect
+
+    @settings(max_examples=30, deadline=None)
+    @given(fg=st.integers(1, 12).flatmap(lambda n: st.tuples(_pm1(n, n), _pm1(n, n))))
+    def test_grid(self, fg):
+        f, g = fg
+        ell = len(f)
+        grid = cdf_numerators_grid(f.as_array(), g.as_array())
+        assert grid.shape == (ell, ell) and grid.dtype == np.int64
+        for rf in range(ell):
+            for rg in range(ell):
+                expect = oracle_cdf(cyclic_shift(f, rf), cyclic_shift(g, rg))
+                assert Fraction(int(grid[rf, rg]), ell * ell) == expect
 
 
 class TestShiftSearch:
@@ -224,6 +296,9 @@ class TestShiftSearch:
             best_pair_shifts(f, f, "adf")
         with pytest.raises(ValueError):
             best_shift(f, "cdf")
+        for m in (0, -3):
+            with pytest.raises(ValueError):
+                best_shift(f, resize_len=m)
 
     def test_realize_with_best_shift_and_resize(self):
         seq, r = realize(parse_family("legendre:p=31,shift=best,resize=1.5"))

@@ -5,7 +5,10 @@ recorded once from the CLI; a refactor that changes any byte of them
 changes user-visible output.  The input files beside them (non-Golay pairs
 of lengths 7 and 1021, the longer one above the correlation kernel's FFT
 crossover, and two recursion seeds) and the shipped length-10 Golay asset
-are the pair files the cases read.
+are the pair files the cases read.  Some cases run the shift-search
+engines near their limits: the full pair grid at l = 511 and, with the PSC
+objective, at p = 389; the equal-shift diagonal at l = 1023; and a resized
+best shift at p = 4099.
 """
 
 from importlib import resources
@@ -25,6 +28,8 @@ SEEDS = str(GOLDEN / "seeds2.txt")
 CASES = {
     "generate_mseq": (["generate", "mseq:n=10,char=3"], 0),
     "generate_legendre_best_resize": (["generate", "legendre:p=1019,shift=best,resize=1.0578"], 0),
+    "generate_legendre_4099_best_resize": (
+        ["generate", "legendre:p=4099,shift=best,resize=1.0578"], 0),
     "generate_quartic_g": (["generate", "quartic_g:p=101,shift=7"], 0),
     "correlate_golay10": (["correlate", GOLAY10], 0),
     "correlate_golay10_periodic": (["correlate", GOLAY10, "--periodic"], 0),
@@ -45,6 +50,9 @@ CASES = {
     "pairs_half_legendre_29": (["pairs", "half_legendre", "--p", "29"], 0),
     "pairs_half_legendre_503": (["pairs", "half_legendre", "--p", "503"], 0),
     "pairs_quartic_pair": (["pairs", "quartic_pair", "--p", "29"], 0),
+    "pairs_quartic_pair_389": (["pairs", "quartic_pair", "--p", "389"], 0),
+    "pairs_reversing_mseq_grid511": (["pairs", "reversing_mseq", "--n", "9", "--k", "2"], 0),
+    "pairs_reversing_mseq_diag1023": (["pairs", "reversing_mseq", "--n", "10", "--k", "3"], 0),
     "pairs_legendre_plus_quartic": (["pairs", "legendre_plus_quartic", "--p", "101"], 0),
     "pairs_rsl_pair": (
         ["pairs", "rsl_pair", "--seeds", SEEDS, "--signs", "+-+-", "--depth", "4"], 0),
