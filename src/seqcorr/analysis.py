@@ -34,7 +34,7 @@ import numpy as np
 
 from . import corr, families, golay
 from .families import FamilySpec, cyclic_shift, resize
-from .sequence import BinarySequence, from_array
+from .sequence import BinarySequence
 
 SHIFT_SEARCH_LIMIT = 1 << 14
 PAIR_GRID_LIMIT = 512
@@ -295,19 +295,17 @@ def best_pair_shifts(
         raise ValueError("pair objective must be cdf or psc")
     ell = len(f)
     af, ag = f.as_array(), g.as_array()
+    if objective == "psc":
+        adf_f, adf_g = (adf_numerators_all_shifts(a).astype(np.float64) for a in (af, ag))
     if ell <= PAIR_GRID_LIMIT:
         grid = cdf_numerators_grid(af, ag).astype(np.float64)
         if objective == "psc":
-            adf_f = adf_numerators_all_shifts(af).astype(np.float64)
-            adf_g = adf_numerators_all_shifts(ag).astype(np.float64)
             grid = grid + np.sqrt(np.outer(adf_f, adf_g))
         k = int(np.argmin(grid))
         rf, rg = divmod(k, ell)
         return (rf, rg), float(grid[rf, rg]) / (ell * ell)
     diag = cdf_numerators_diagonal(af, ag).astype(np.float64)
     if objective == "psc":
-        adf_f = adf_numerators_all_shifts(af).astype(np.float64)
-        adf_g = adf_numerators_all_shifts(ag).astype(np.float64)
         diag = diag + np.sqrt(adf_f * adf_g)
     r = int(np.argmin(diag))
     return (r, r), float(diag[r]) / (ell * ell)
@@ -432,8 +430,8 @@ def _pair_row(name, params, f, g, target: float) -> SweepRow:
     )
 
 
-def _half_legendre_best(p: int) -> tuple[int, BinarySequence, BinarySequence]:
-    """Shift minimizing the PSC of the half-Legendre pair (first on ties).
+def _half_legendre(p):
+    """The half-Legendre pair at the shift minimizing its PSC (first on ties).
 
     At shift r the halves are the length-half windows of the Legendre
     sequence starting at r and at r + half, so the all-shift engines give
@@ -446,95 +444,83 @@ def _half_legendre_best(p: int) -> tuple[int, BinarySequence, BinarySequence]:
     adf_b = np.roll(adf_a, -half)
     cross = cdf_numerators_diagonal(arr, np.roll(arr, -half), half) / n
     r = int(np.argmin(np.sqrt(adf_a * adf_b) + cross))
-    return r, *families.half_legendre_pair(p, r)
+    yield f"p={p} shift={r}", *families.half_legendre_pair(p, r)
+
+
+def _golay(lengths):
+    if not lengths:
+        raise ValueError("lengths must list at least one length")
+    for ell in lengths:
+        pair = golay.compose_to_length(ell)
+        yield "composed", pair.a, pair.b
+
+
+def _typical_mseq(n, d):
+    ctx = families.make_binary_field(n)
+    ell = ctx.order
+    pows = families.power_of_two_residues(ell)
+    if d % ell in pows or (-d) % ell in pows:
+        raise ValueError(f"typical construction requires |d| not a power of 2 mod {ell}")
+    yield f"n={n} d={d} shifts=0/0", *families.msequence_pair(ctx, d)
+
+
+def _reversing_mseq(n, k):
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    ctx = families.make_binary_field(n)
+    f0, g0 = families.msequence_pair(ctx, -pow(2, k, ctx.order) % ctx.order)
+    (rf, rg), _ = best_pair_shifts(f0, g0, "cdf")
+    yield f"n={n} d=-2^{k} shifts={rf}/{rg}", cyclic_shift(f0, rf), cyclic_shift(g0, rg)
+
+
+def _quartic_pair(p):
+    ctx = families.make_prime_field(p)
+    f0, g0 = families.quartic_f(ctx), families.quartic_g(ctx)
+    (rf, rg), _ = best_pair_shifts(f0, g0, "psc")
+    yield f"p={p} shifts={rf}/{rg}", cyclic_shift(f0, rf), cyclic_shift(g0, rg)
+
+
+def _legendre_plus_quartic(p):
+    ctx = families.make_prime_field(p)
+    hf, qf = families.legendre(p), families.quartic_f(ctx)
+    (rf, _), (rg, _) = best_shift(hf), best_shift(qf)
+    yield f"p={p} shifts={rf}/{rg}", cyclic_shift(hf, rf), cyclic_shift(qf, rg)
+
+
+def _rsl_pair(seed_f, seed_g, signs, depth):
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    if (ell := len(seed_f) << depth) > corr.MAX_EXACT_LEN:
+        raise ValueError(f"rsl_pair length {ell} exceeds exact-arithmetic budget {corr.MAX_EXACT_LEN}")
+    f, g = golay.rsl_pair_stems(seed_f, seed_g, signs, depth)[-1]
+    yield f"seed_len={len(seed_f)} depth={depth}", f, g
+
+
+# Pair constructions: name -> (builder, parameter names, TARGETS name of the
+# limiting PSC).  A builder takes the parameters as keywords and yields
+# (params text, f, g) for each pair it reports; golay yields one per length.
+PAIR_CONSTRUCTIONS = {
+    "typical_mseq": (_typical_mseq, ("n", "d"), "psc-typical-mseq"),
+    "reversing_mseq": (_reversing_mseq, ("n", "k"), "psc-reversing-mseq"),
+    "half_legendre": (_half_legendre, ("p",), "psc-half-legendre"),
+    "quartic_pair": (_quartic_pair, ("p",), "psc-quartic"),
+    "legendre_plus_quartic": (_legendre_plus_quartic, ("p",), "psc-legendre-quartic"),
+    "rsl_pair": (_rsl_pair, ("seed_f", "seed_g", "signs", "depth"), "psc-rsl-best"),
+    "golay": (_golay, ("lengths",), "psc-golay"),
+}
+PAIR_DEFAULTS = {"k": 0}
 
 
 def report_pairs(construction: str, **params) -> list[SweepRow]:
     """Build a pair construction, search shifts where required, and report
     measured demerit factors against the construction's asymptotic PSC."""
-    if construction == "golay":
-        [lengths] = _take(params, construction, "lengths")
-        _no_extra(params)
-        rows = []
-        for ell in lengths:
-            pair = golay.compose_to_length(ell)
-            rows.append(_pair_row("golay", "composed", pair.a, pair.b, TARGETS["psc-golay"].value))
-        return rows
-
-    if construction == "typical_mseq":
-        n, d = _take(params, construction, "n", "d")
-        _no_extra(params)
-        ctx = families.make_binary_field(n)
-        ell = ctx.order
-        pows = families.power_of_two_residues(ell)
-        if d % ell in pows or (-d) % ell in pows:
-            raise ValueError(f"typical construction requires |d| not a power of 2 mod {ell}")
-        f, g = families.msequence_pair(ctx, d)
-        return [_pair_row("typical_mseq", f"n={n} d={d} shifts=0/0", f, g,
-                          TARGETS["psc-typical-mseq"].value)]
-
-    if construction == "reversing_mseq":
-        [n] = _take(params, construction, "n")
-        k = params.pop("k", 0)
-        _no_extra(params)
-        ctx = families.make_binary_field(n)
-        d = (-(1 << k)) % ctx.order
-        f0, g0 = families.msequence_pair(ctx, d)
-        (rf, rg), _ = best_pair_shifts(f0, g0, "cdf")
-        f, g = cyclic_shift(f0, rf), cyclic_shift(g0, rg)
-        return [_pair_row("reversing_mseq", f"n={n} d=-2^{k} shifts={rf}/{rg}", f, g,
-                          TARGETS["psc-reversing-mseq"].value)]
-
-    if construction == "half_legendre":
-        [p] = _take(params, construction, "p")
-        _no_extra(params)
-        r, f, g = _half_legendre_best(p)
-        return [_pair_row("half_legendre", f"p={p} shift={r}", f, g,
-                          TARGETS["psc-half-legendre"].value)]
-
-    if construction == "quartic_pair":
-        [p] = _take(params, construction, "p")
-        _no_extra(params)
-        ctx = families.make_prime_field(p)
-        f0, g0 = families.quartic_f(ctx), families.quartic_g(ctx)
-        (rf, rg), _ = best_pair_shifts(f0, g0, "psc")
-        f, g = cyclic_shift(f0, rf), cyclic_shift(g0, rg)
-        return [_pair_row("quartic_pair", f"p={p} shifts={rf}/{rg}", f, g,
-                          TARGETS["psc-quartic"].value)]
-
-    if construction == "legendre_plus_quartic":
-        [p] = _take(params, construction, "p")
-        _no_extra(params)
-        ctx = families.make_prime_field(p)
-        hf = families.legendre(p)
-        qf = families.quartic_f(ctx)
-        rf, _ = best_shift(hf)
-        rg, _ = best_shift(qf)
-        f, g = cyclic_shift(hf, rf), cyclic_shift(qf, rg)
-        return [_pair_row("legendre_plus_quartic", f"p={p} shifts={rf}/{rg}", f, g,
-                          TARGETS["psc-legendre-quartic"].value)]
-
-    if construction == "rsl_pair":
-        seed_f, seed_g, signs, depth = _take(
-            params, construction, "seed_f", "seed_g", "signs", "depth"
-        )
-        _no_extra(params)
-        stems = golay.rsl_pair_stems(seed_f, seed_g, signs, depth)
-        f, g = stems[-1]
-        return [_pair_row("rsl_pair", f"seed_len={len(seed_f)} depth={depth}", f, g,
-                          TARGETS["psc-rsl-best"].value)]
-
-    raise ValueError(f"unknown pair construction {construction!r}")
-
-
-def _take(params: dict, construction: str, *names) -> list:
-    """Pop the named required parameters, naming any that are missing."""
-    missing = [name for name in names if name not in params]
-    if missing:
-        raise ValueError(f"construction {construction} needs parameter {', '.join(missing)}")
-    return [params.pop(name) for name in names]
-
-
-def _no_extra(params: dict):
-    if params:
-        raise ValueError(f"unexpected parameters {sorted(params)}")
+    if construction not in PAIR_CONSTRUCTIONS:
+        raise ValueError(f"unknown pair construction {construction!r}")
+    build, names, target = PAIR_CONSTRUCTIONS[construction]
+    given = {**PAIR_DEFAULTS, **params}
+    wrong = [f"missing {name}" for name in names if name not in given]
+    wrong += [f"unexpected {name}" for name in sorted(set(params) - set(names))]
+    if wrong:
+        raise ValueError(f"construction {construction} takes {', '.join(names)}: {'; '.join(wrong)}")
+    pairs = build(**{name: given[name] for name in names})
+    return [_pair_row(construction, text, f, g, TARGETS[target].value) for text, f, g in pairs]

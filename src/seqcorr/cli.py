@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import analysis, corr, families, golay
-from .sequence import dump_sequences, load_pair, load_sequences, parse_line
+from .sequence import dump_sequences, load_pair, parse_line
 
 
 def _frac(q: Fraction) -> str:
@@ -28,10 +28,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    seqs = load_sequences(args.pairfile)
-    if len(seqs) != 2:
-        raise ValueError(f"pair file must contain exactly 2 sequences, found {len(seqs)}")
-    f, g = seqs
+    f, g = load_pair(args.pairfile)
     spec = corr.periodic_xcorr(f, g) if args.periodic else corr.aperiodic_xcorr(f, g)
     print("shift,value")
     for s in spec.shifts():
@@ -68,42 +65,32 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+# Each `pairs` option: argparse type, help, the library keywords it becomes,
+# and how its text becomes their values (None: the parsed value itself).
+_PAIR_OPTIONS = {
+    "n": (int, None, ("n",), None),
+    "d": (int, None, ("d",), None),
+    "k": (int, "reversing decimation is -2^k", ("k",), None),
+    "p": (int, None, ("p",), None),
+    "lengths": (str, "comma-separated Golay lengths", ("lengths",),
+                lambda text: ([int(s) for s in text.split(",") if s.strip()],)),
+    "seeds": (str, "pair file with two recursion seeds", ("seed_f", "seed_g"), load_pair),
+    "signs": (str, "sign sequence as +/- text", ("signs",), lambda text: (parse_line(text).terms,)),
+    "depth": (int, None, ("depth",), None),
+}
+
+
 def _cmd_pairs(args) -> int:
-    kind = args.construction
+    _, names, _ = analysis.PAIR_CONSTRUCTIONS[args.construction]
     params = {}
-    if kind == "golay":
-        if not args.lengths:
-            raise ValueError("golay pairs need --lengths")
-        params["lengths"] = [int(s) for s in args.lengths.split(",") if s.strip()]
-    elif kind == "typical_mseq":
-        _require(args, "n", "d")
-        params = {"n": args.n, "d": args.d}
-    elif kind == "reversing_mseq":
-        _require(args, "n")
-        params = {"n": args.n, "k": args.k or 0}
-    elif kind in ("half_legendre", "quartic_pair", "legendre_plus_quartic"):
-        _require(args, "p")
-        params = {"p": args.p}
-    elif kind == "rsl_pair":
-        if not (args.seeds and args.signs and args.depth is not None):
-            raise ValueError("rsl_pair needs --seeds, --signs, and --depth")
-        seed_f, seed_g = load_pair(args.seeds)
-        params = {
-            "seed_f": seed_f,
-            "seed_g": seed_g,
-            "signs": parse_line(args.signs).terms,
-            "depth": args.depth,
-        }
-    else:
-        raise ValueError(f"unknown construction {kind!r}")
-    _emit(analysis.report_pairs(kind, **params), args.json)
+    for option, (_, _, keywords, convert) in _PAIR_OPTIONS.items():
+        if keywords[0] in names:
+            value = getattr(args, option)
+            if value is None:
+                raise ValueError(f"construction {args.construction} needs --{option}")
+            params.update(zip(keywords, convert(value) if convert else (value,)))
+    _emit(analysis.report_pairs(args.construction, **params), args.json)
     return 0
-
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValueError(f"construction {args.construction} needs --{name}")
 
 
 def _cmd_seed_search(args) -> int:
@@ -201,26 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("pairs", help="pair-construction report (CSV)")
-    p.add_argument(
-        "construction",
-        choices=[
-            "typical_mseq",
-            "reversing_mseq",
-            "half_legendre",
-            "quartic_pair",
-            "legendre_plus_quartic",
-            "rsl_pair",
-            "golay",
-        ],
-    )
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--k", type=int, help="reversing decimation is -2^k")
-    p.add_argument("--p", type=int)
-    p.add_argument("--lengths", help="comma-separated Golay lengths")
-    p.add_argument("--seeds", help="pair file with two recursion seeds")
-    p.add_argument("--signs", help="sign sequence as +/- text")
-    p.add_argument("--depth", type=int)
+    p.add_argument("construction", choices=list(analysis.PAIR_CONSTRUCTIONS))
+    for option, (kind, text, keywords, _) in _PAIR_OPTIONS.items():
+        p.add_argument(f"--{option}", type=kind, help=text,
+                       default=analysis.PAIR_DEFAULTS.get(keywords[0]))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_pairs)
 

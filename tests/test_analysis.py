@@ -19,6 +19,7 @@ from seqcorr import (
     resize,
 )
 from seqcorr.analysis import (
+    PAIR_CONSTRUCTIONS,
     SplitMix64,
     TARGETS,
     adf_numerators_all_shifts,
@@ -420,3 +421,26 @@ class TestSweepsAndReports:
         ):
             with pytest.raises(ValueError, match=missing):
                 report_pairs(construction, **params)
+
+    @pytest.mark.parametrize("construction", list(PAIR_CONSTRUCTIONS))
+    def test_report_rejects_extra_keyword(self, construction):
+        _, names, _ = PAIR_CONSTRUCTIONS[construction]
+        with pytest.raises(ValueError, match="unexpected bogus"):
+            report_pairs(construction, bogus=1, **dict.fromkeys(names))
+
+    def test_report_validates_parameters_by_name(self):
+        with pytest.raises(ValueError, match="lengths"):
+            report_pairs("golay", lengths=[])
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            report_pairs("reversing_mseq", n=5, k=-1)
+        seed = parse_line("+")
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            report_pairs("rsl_pair", seed_f=seed, seed_g=seed, signs=(1,), depth=-1)
+        with pytest.raises(ValueError, match="exact-arithmetic budget"):
+            report_pairs("rsl_pair", seed_f=seed, seed_g=seed, signs=(1,) * 21, depth=21)
+
+    def test_reversing_mseq_large_k_wraps(self):
+        # d = -2^k mod 2^n - 1 depends on k mod n only.
+        (row,) = report_pairs("reversing_mseq", n=5, k=2)
+        (wrapped,) = report_pairs("reversing_mseq", n=5, k=2 + 5 * 10**6)
+        assert (wrapped.adf_f, wrapped.adf_g, wrapped.cdf) == (row.adf_f, row.adf_g, row.cdf)

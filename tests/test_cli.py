@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from seqcorr.cli import main
+from seqcorr import analysis
+from seqcorr.cli import _PAIR_OPTIONS, main
 from seqcorr.sequence import parse_sequences
 
 
@@ -196,6 +197,52 @@ class TestPairs:
     def test_unknown_construction_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "pairs", "nonsense")
         assert code == 2
+
+    def test_rsl_pair_over_exact_budget_fails_fast(self, capsys, tmp_path):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("+\n+\n")
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "pairs", "rsl_pair", "--seeds", str(seeds), "--signs", "+" * 24, "--depth", "24"
+        )
+        assert code == 2 and out == ""
+        assert "exact-arithmetic budget" in err
+        assert time.perf_counter() - start < 10
+
+    def test_empty_lengths_exits_2(self, capsys):
+        code, out, err = run(capsys, "pairs", "golay", "--lengths", ",")
+        assert code == 2 and out == ""
+        assert "lengths" in err
+
+    def test_negative_k_exits_2(self, capsys):
+        code, out, err = run(capsys, "pairs", "reversing_mseq", "--n", "5", "--k", "-1")
+        assert code == 2 and out == ""
+        assert "k must be >= 0" in err
+
+    @pytest.mark.parametrize("construction,option", [
+        (construction, option)
+        for construction, (_, names, _) in analysis.PAIR_CONSTRUCTIONS.items()
+        for option, (_, _, keywords, _) in _PAIR_OPTIONS.items()
+        if keywords[0] in names and keywords[0] not in analysis.PAIR_DEFAULTS
+    ])
+    def test_missing_option_exits_2(self, capsys, tmp_path, construction, option):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("+\n+\n")
+        values = {"n": "5", "d": "3", "k": "1", "p": "29", "lengths": "2",
+                  "seeds": str(seeds), "signs": "+", "depth": "1"}
+        argv = ["pairs", construction]
+        for other in _PAIR_OPTIONS:
+            if other != option:
+                argv += [f"--{other}", values[other]]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"needs --{option}" in err
+
+    def test_help_lists_every_construction(self, capsys):
+        assert main(["pairs", "--help"]) == 0
+        out = capsys.readouterr().out
+        for construction in analysis.PAIR_CONSTRUCTIONS:
+            assert construction in out
 
 
 class TestSeedSearch:

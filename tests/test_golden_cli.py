@@ -7,8 +7,8 @@ of lengths 7 and 1021, the longer one above the correlation kernel's FFT
 crossover, and two recursion seeds) and the shipped length-10 Golay asset
 are the pair files the cases read.  Some cases run the shift-search
 engines near their limits: the full pair grid at l = 511 and, with the PSC
-objective, at p = 389; the equal-shift diagonal at l = 1023; and a resized
-best shift at p = 4099.
+objective, at p = 389; the equal-shift diagonal at l = 1023 and, with the
+PSC objective, at p = 521; and a resized best shift at p = 4099.
 """
 
 from importlib import resources
@@ -51,6 +51,7 @@ CASES = {
     "pairs_half_legendre_503": (["pairs", "half_legendre", "--p", "503"], 0),
     "pairs_quartic_pair": (["pairs", "quartic_pair", "--p", "29"], 0),
     "pairs_quartic_pair_389": (["pairs", "quartic_pair", "--p", "389"], 0),
+    "pairs_quartic_pair_521": (["pairs", "quartic_pair", "--p", "521"], 0),
     "pairs_reversing_mseq_grid511": (["pairs", "reversing_mseq", "--n", "9", "--k", "2"], 0),
     "pairs_reversing_mseq_diag1023": (["pairs", "reversing_mseq", "--n", "10", "--k", "3"], 0),
     "pairs_legendre_plus_quartic": (["pairs", "legendre_plus_quartic", "--p", "101"], 0),
