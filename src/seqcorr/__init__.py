@@ -14,7 +14,6 @@ from .corr import (
     cdf,
     periodic_xcorr,
     psc,
-    psc_at_least_one,
 )
 from .families import (
     FamilySpec,
@@ -35,8 +34,6 @@ from .gf import (
     find_primitive_element,
     make_binary_field,
     make_prime_field,
-    quadratic_character,
-    quartic_coset_index,
     trace,
 )
 from .golay import (
@@ -47,10 +44,8 @@ from .golay import (
     deinterleave,
     golay_base,
     golay_compose,
-    interleave,
     is_golay_pair,
     is_optimal_seed,
-    random_pair_search,
     rsl_pair_stems,
     rsl_stem,
     search_golay_pairs,
@@ -69,14 +64,11 @@ __all__ = [
     "adf",
     "cdf",
     "psc",
-    "psc_at_least_one",
     "BinaryFieldContext",
     "PrimeFieldContext",
     "make_binary_field",
     "make_prime_field",
     "trace",
-    "quadratic_character",
-    "quartic_coset_index",
     "find_primitive_element",
     "FamilySpec",
     "parse_family",
@@ -96,12 +88,10 @@ __all__ = [
     "golay_base",
     "golay_compose",
     "compose_to_length",
-    "interleave",
     "deinterleave",
     "is_optimal_seed",
     "search_optimal_seeds",
     "search_golay_pairs",
-    "random_pair_search",
     "rsl_stem",
     "rsl_pair_stems",
     "__version__",

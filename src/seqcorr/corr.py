@@ -181,10 +181,3 @@ def psc(f: BinarySequence, g: BinarySequence) -> DemeritReport:
         return DemeritReport(af, ag, c, exact, float(exact))
     return DemeritReport(af, ag, c, None, math.sqrt(float(af * ag)) + float(c))
 
-
-def psc_at_least_one(report: DemeritReport) -> bool:
-    """Exact check that PSC >= 1, i.e. sqrt(adf_f*adf_g) >= 1 - cdf."""
-    gap = 1 - report.cdf
-    if gap <= 0:
-        return True
-    return report.adf_f * report.adf_g >= gap * gap

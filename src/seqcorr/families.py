@@ -40,7 +40,7 @@ def msequence(ctx: BinaryFieldContext, char_shift: int = 1) -> BinarySequence:
     for _ in range(ctx.order):
         terms.append(-1 if trace(ctx, cur) else 1)
         cur = ctx.mul(cur, ctx.generator)
-    return BinarySequence(tuple(terms))
+    return BinarySequence(terms)
 
 
 def decimate(f: BinarySequence, d: int) -> BinarySequence:
@@ -48,7 +48,7 @@ def decimate(f: BinarySequence, d: int) -> BinarySequence:
     ell = len(f)
     if math.gcd(d % ell, ell) != 1:
         raise ValueError(f"decimation {d} is not invertible mod {ell}")
-    return BinarySequence(tuple(f[d * j % ell] for j in range(ell)))
+    return BinarySequence(f.terms[d % ell * np.arange(ell) % ell])
 
 
 def power_of_two_residues(ell: int) -> set[int]:
@@ -70,16 +70,14 @@ def legendre(p: int) -> BinarySequence:
     terms = np.full(p, -1, dtype=np.int64)
     roots = np.arange(p // 2 + 1, dtype=np.int64)  # j and p - j share j^2
     terms[roots * roots % p] = 1
-    return BinarySequence(tuple(terms.tolist()))
+    return BinarySequence(terms)
 
 
 def _quartic(ctx: PrimeFieldContext, plus_cosets: tuple[int, int]) -> BinarySequence:
     if ctx.p % 4 != 1:
         raise ValueError(f"quartic sequences require p = 1 mod 4, got p = {ctx.p}")
-    terms = [1]
-    for j in range(1, ctx.p):
-        terms.append(1 if ctx.coset_index[j] in plus_cosets else -1)
-    return BinarySequence(tuple(terms))
+    # the table's unused slot 0 holds coset 0, so term 0 is +1
+    return BinarySequence(np.where(np.isin(ctx.coset_index, plus_cosets), 1, -1))
 
 
 def quartic_f(ctx: PrimeFieldContext) -> BinarySequence:
@@ -94,22 +92,19 @@ def quartic_g(ctx: PrimeFieldContext) -> BinarySequence:
 
 def cyclic_shift(f: BinarySequence, r: int) -> BinarySequence:
     """Term j of the output is term (j + r mod l) of the input."""
-    ell = len(f)
-    r %= ell
+    r %= len(f)
     if r == 0:
         return f
-    return BinarySequence(f.terms[r:] + f.terms[:r])
+    return BinarySequence(np.roll(f.terms, -r))
 
 
 def resize(f: BinarySequence, m: int) -> BinarySequence:
     """Truncate (m < l) or periodically append (m > l) to length m."""
     if m < 1:
         raise ValueError(f"target length must be >= 1, got {m}")
-    ell = len(f)
-    if m == ell:
+    if m == len(f):
         return f
-    reps = -(-m // ell)
-    return BinarySequence((f.terms * reps)[:m])
+    return BinarySequence(np.resize(f.terms, m))
 
 
 def half_legendre_pair(p: int, r: int = 0) -> tuple[BinarySequence, BinarySequence]:

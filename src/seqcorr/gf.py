@@ -9,7 +9,10 @@ every derived sequence is reproducible across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -163,24 +166,16 @@ def find_primitive_element(p: int) -> int:
     raise AssertionError("every prime has a primitive root")
 
 
-def quadratic_character(p: int, j: int) -> int:
-    """Legendre symbol (j|p) in {+1, -1, 0}, via Euler's criterion."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    j %= p
-    if j == 0:
-        return 0
-    e = pow(j, (p - 1) // 2, p)
-    return 1 if e == 1 else -1
-
-
 @dataclass(frozen=True)
 class PrimeFieldContext:
-    """GF(p) with its least primitive root; quartic coset table for p = 1 mod 4."""
+    """GF(p) with its least primitive root; for p = 1 mod 4 also the quartic
+    coset table, a read-only int8 array whose entry j is the k in {0,1,2,3}
+    with j in R_k = generator^k * (fourth powers).  The table follows from p
+    and is left out of comparisons."""
 
     p: int
     generator: int
-    coset_index: tuple = field(default=(), repr=False)
+    coset_index: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __str__(self) -> str:
         return f"GF({self.p}) generator {self.generator}"
@@ -192,26 +187,30 @@ def check_prime_size(p: int) -> None:
         raise ValueError(f"prime {p} exceeds the field-size limit {MAX_PRIME}")
 
 
+def _powers(x: int, count: int, p: int) -> np.ndarray:
+    """x^e mod p for e = 0 .. count-1, by doubling the known block; each
+    product of two residues is below p^2 <= 2^48, exact in int64."""
+    out = np.ones(1, dtype=np.int64)
+    while len(out) < count:
+        out = np.concatenate((out, out * pow(x, len(out), p) % p))
+    return out[:count]
+
+
 def make_prime_field(p: int) -> PrimeFieldContext:
     check_prime_size(p)
     g = find_primitive_element(p)
-    cosets = ()
+    cosets = None
     if p % 4 == 1:
-        # coset_index[j] = discrete log of j base g, mod 4 (0 slot unused)
-        table = [0] * p
-        acc = 1
-        for e in range(p - 1):
-            table[acc] = e & 3
-            acc = acc * g % p
-        cosets = tuple(table)
+        # cosets[j] = discrete log of j base g, mod 4 (slot 0 holds 0).  Row k,
+        # column i of the blocked powers is g^(i + B k) = g^i g^(B k) mod p.
+        # With 4 | B the log mod 4 of column i is i mod 4, and exponents past
+        # p - 2 wrap onto g^(e - (p - 1)), whose log mod 4 is the same since
+        # 4 | p - 1.
+        block = 4 * -(-math.isqrt(p) // 4)
+        rows = -(-(p - 1) // block)
+        powers = np.multiply.outer(_powers(pow(g, block, p), rows, p), _powers(g, block, p))
+        powers %= p
+        cosets = np.zeros(p, dtype=np.int8)
+        cosets[powers] = np.arange(block) & 3
+        cosets.flags.writeable = False
     return PrimeFieldContext(p=p, generator=g, coset_index=cosets)
-
-
-def quartic_coset_index(ctx: PrimeFieldContext, j: int) -> int:
-    """The k in {0,1,2,3} with j in R_k = generator^k * (fourth powers)."""
-    if ctx.p % 4 != 1:
-        raise ValueError(f"quartic cosets require p = 1 mod 4, got p = {ctx.p}")
-    j %= ctx.p
-    if j == 0:
-        raise ValueError("quartic coset index is undefined at 0")
-    return ctx.coset_index[j]

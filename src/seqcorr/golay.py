@@ -9,7 +9,10 @@ f_n with alternating signs, scaled by the step's sign sigma_n.
 
 A pair (a, b) is Golay complementary when the autocorrelations cancel at
 every nonzero shift.  Certification is always re-checked from scratch; no
-constructed pair is trusted without it.
+constructed pair is trusted without it.  Turyn composition reaches every
+length 2^a * 10^b up to corr.MAX_EXACT_LEN from the base pairs of length 2
+and 10.  Stems, compositions and census masks are built on the int64 term
+arrays of BinarySequence, with no per-term Python loop.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from importlib import resources
 
 import numpy as np
 
-from .corr import _corr
-from .sequence import BinarySequence, from_array, parse_sequences
+from .corr import MAX_EXACT_LEN, _corr
+from .sequence import BinarySequence, parse_sequences
 
 STEM_LENGTH_LIMIT = 1 << 24
 
@@ -31,7 +34,7 @@ class CertificationError(RuntimeError):
 
 def _check_signs(signs) -> tuple[int, ...]:
     signs = tuple(signs)
-    if any(s not in (1, -1) for s in signs):
+    if not set(signs) <= {1, -1}:
         raise ValueError("sign sequence entries must be +1 or -1")
     return signs
 
@@ -43,13 +46,12 @@ def rsl_stem(seed: BinarySequence, signs, depth: int) -> list[BinarySequence]:
         raise ValueError(f"depth {depth} exceeds supply of {len(signs)} signs")
     if len(seed) << depth > STEM_LENGTH_LIMIT:
         raise ValueError(f"stem would exceed length limit {STEM_LENGTH_LIMIT}")
-    cur = list(seed.terms)
     out = [seed]
     for n in range(depth):
-        ln = len(cur)
-        block = [signs[n] * (1 if k % 2 == 0 else -1) * cur[ln - 1 - k] for k in range(ln)]
-        cur = cur + block
-        out.append(BinarySequence(tuple(cur)))
+        cur = out[-1].terms
+        block = signs[n] * cur[::-1]
+        block[1::2] *= -1
+        out.append(BinarySequence(np.concatenate((cur, block))))
     return out
 
 
@@ -93,16 +95,6 @@ def certify(a: BinarySequence, b: BinarySequence) -> GolayPair:
     return GolayPair(a, b, certified=True)
 
 
-def interleave(a: BinarySequence, b: BinarySequence) -> BinarySequence:
-    if len(a) != len(b):
-        raise ValueError("interleave requires equal lengths")
-    terms = []
-    for x, y in zip(a.terms, b.terms):
-        terms.append(x)
-        terms.append(y)
-    return BinarySequence(tuple(terms))
-
-
 def deinterleave(f: BinarySequence) -> tuple[BinarySequence, BinarySequence]:
     if len(f) % 2:
         raise ValueError("deinterleave requires even length")
@@ -122,7 +114,7 @@ def is_optimal_seed(seed: BinarySequence) -> bool:
 
 def _mask_to_sequence(mask: int, length: int) -> BinarySequence:
     """Bit j set means term j is +1; this fixes the enumeration order."""
-    return BinarySequence(tuple(1 if (mask >> j) & 1 else -1 for j in range(length)))
+    return BinarySequence(2 * (mask >> np.arange(length) & 1) - 1)
 
 
 def search_optimal_seeds(length: int, exemplar_cap: int = 10):
@@ -180,7 +172,7 @@ def _compose_once(pa: GolayPair, pb: GolayPair) -> GolayPair:
     v = (ac - ad) // 2
     f = np.outer(u, aa) + np.outer(v, ab[::-1])
     g = np.outer(u, ab) - np.outer(v, aa[::-1])
-    return GolayPair(from_array(f.ravel()), from_array(g.ravel()))
+    return GolayPair(BinarySequence(f.ravel()), BinarySequence(g.ravel()))
 
 
 def golay_compose(pa: GolayPair, pb: GolayPair) -> GolayPair:
@@ -199,8 +191,7 @@ def _load_pair_asset(name: str) -> tuple[BinarySequence, BinarySequence]:
     path = resources.files("seqcorr").joinpath(f"data/{name}")
     if not path.is_file():
         raise FileNotFoundError(
-            f"base pair asset {name} is not installed; populate src/seqcorr/data/{name} "
-            "(random_pair_search can find one offline)"
+            f"base pair asset {name} is not installed; populate src/seqcorr/data/{name}"
         )
     seqs = parse_sequences(path.read_text(encoding="ascii"))
     if len(seqs) != 2:
@@ -209,55 +200,44 @@ def _load_pair_asset(name: str) -> tuple[BinarySequence, BinarySequence]:
 
 
 def golay_base(length: int) -> GolayPair:
-    """A certified base pair of length 2, 10, or 26.
+    """A certified base pair of length 2 or 10.
 
     Length 2 is built in; length 10 was found once by exhaustive search and
-    is shipped as a data file; length 26 is loaded from an optional data
-    file and raises if absent.  Every asset is re-certified at load time.
+    is shipped as a data file, re-certified at load time.
     """
     if length == 2:
         return certify(*_BASE2)
     if length == 10:
         return certify(*_load_pair_asset("golay10.txt"))
-    if length == 26:
-        return certify(*_load_pair_asset("golay26.txt"))
-    raise ValueError(f"base pair lengths are 2, 10, and 26; got {length}")
+    raise ValueError(f"base pair lengths are 2 and 10; got {length}")
 
 
-def base_factorization(length: int) -> tuple[int, int, int] | None:
-    """Exponents (a, b, c) with length = 2^a * 10^b * 26^c, or None."""
-    best = None
-    c = 0
-    p26 = 1
-    while p26 <= length:
-        if length % p26 == 0:
-            rest = length // p26
-            b = 0
-            p10 = 1
-            while p10 <= rest:
-                if rest % p10 == 0:
-                    rem = rest // p10
-                    if rem & (rem - 1) == 0:
-                        cand = (rem.bit_length() - 1, b, c)
-                        if best is None or (cand[2], cand[1]) > (best[2], best[1]):
-                            best = cand
-                b += 1
-                p10 *= 10
-        c += 1
-        p26 *= 26
-    return best
+def base_factorization(length: int) -> tuple[int, int] | None:
+    """Exponents (a, b) with length = 2^a * 10^b and b largest, or None."""
+    if length < 1:
+        return None
+    b = 0
+    while length % 10 == 0:
+        length //= 10
+        b += 1
+    if length & (length - 1):
+        return None
+    return length.bit_length() - 1, b
 
 
 def compose_to_length(length: int) -> GolayPair:
     """Certified pair of the given length: Turyn steps from the base pairs,
-    certified once at the end."""
+    certified once at the end.  Lengths above MAX_EXACT_LEN, which
+    certification could not check, are refused before any work."""
     if length < 2:
         raise ValueError("composed pair length must be at least 2")
+    if length > MAX_EXACT_LEN:
+        raise ValueError(f"Golay length {length} exceeds exact-arithmetic budget {MAX_EXACT_LEN}")
     expo = base_factorization(length)
     if expo is None:
-        raise ValueError(f"{length} is not of the form 2^a * 10^b * 26^c")
-    a, b, c = expo
-    factors = [2] * a + [10] * b + [26] * c
+        raise ValueError(f"{length} is not of the form 2^a * 10^b")
+    a, b = expo
+    factors = [2] * a + [10] * b
     bases = {fac: golay_base(fac) for fac in dict.fromkeys(factors)}
     pair = bases[factors[0]]
     for fac in factors[1:]:
@@ -278,86 +258,14 @@ def search_golay_pairs(length: int) -> GolayPair | None:
     """
     if not 2 <= length <= 16:
         raise ValueError(f"exhaustive pair search supports lengths 2..16, got {length}")
-    seqs = [_mask_to_sequence(m, length) for m in range(1 << length)]
-    tails = [tuple(_acorr_tail(s.as_array()).tolist()) for s in seqs]
+    rows = 2 * (np.arange(1 << length)[:, None] >> np.arange(length) & 1) - 1
+    tails = [_acorr_tail(row) for row in rows]
     first = {}
     for m, tail in enumerate(tails):
-        first.setdefault(tail, m)
+        first.setdefault(tail.tobytes(), m)
     for m, tail in enumerate(tails):
-        partner = first.get(tuple(-v for v in tail))
+        partner = first.get((-tail).tobytes())
         if partner is not None:
-            return certify(seqs[m], seqs[partner])
+            return certify(BinarySequence(rows[m]), BinarySequence(rows[partner]))
     return None
 
-
-def random_pair_search(
-    length: int, rng_seed: int = 0, restarts: int = 2000, steps: int = 3000
-) -> GolayPair | None:
-    """Randomized local search for a Golay pair of the given even length.
-
-    Iterated steepest descent on the energy sum((C_aa(s)+C_bb(s))^2, s>0)
-    with sideways moves and small random perturbations at local minima.
-    Intended for offline population of the length-26 base asset; returns the
-    first certified pair found, or None when the budget is exhausted.
-    """
-    if length % 2 or length < 2:
-        raise ValueError("Golay pairs have even length")
-    rng = np.random.default_rng(rng_seed)
-    ell = length
-    ks = np.arange(ell)[:, None]
-    ss = np.arange(1, ell)[None, :]
-    up_ok = ks + ss < ell
-    dn_ok = ks - ss >= 0
-    up_ix = np.where(up_ok, ks + ss, 0)
-    dn_ix = np.where(dn_ok, ks - ss, 0)
-
-    def tail(v):
-        return np.array(
-            [int(np.dot(v[s:], v[: ell - s])) for s in range(1, ell)], dtype=np.int64
-        )
-
-    def flip_deltas(v):
-        up = np.where(up_ok, v[up_ix], 0)
-        dn = np.where(dn_ok, v[dn_ix], 0)
-        return -2 * v[:, None] * (up + dn)
-
-    for _ in range(restarts):
-        a = rng.choice((-1, 1), size=ell).astype(np.int64)
-        b = rng.choice((-1, 1), size=ell).astype(np.int64)
-        c = tail(a) + tail(b)
-        energy = int(np.dot(c, c))
-        sideways = 0
-        for _ in range(steps):
-            if energy == 0:
-                return certify(from_array(a), from_array(b))
-            da, db = flip_deltas(a), flip_deltas(b)
-            gain = np.concatenate(
-                [
-                    (2 * c[None, :] * da + da * da).sum(axis=1),
-                    (2 * c[None, :] * db + db * db).sum(axis=1),
-                ]
-            )
-            best = int(gain.min())
-            if best > 0 or (best == 0 and sideways > 4 * ell):
-                sideways = 0
-                for k in rng.integers(0, 2 * ell, size=3):
-                    k = int(k)
-                    if k < ell:
-                        c += flip_deltas(a)[k]
-                        a[k] = -a[k]
-                    else:
-                        c += flip_deltas(b)[k - ell]
-                        b[k - ell] = -b[k - ell]
-                energy = int(np.dot(c, c))
-                continue
-            sideways = sideways + 1 if best == 0 else 0
-            choices = np.flatnonzero(gain == best)
-            k = int(choices[rng.integers(0, len(choices))])
-            if k < ell:
-                c += da[k]
-                a[k] = -a[k]
-            else:
-                c += db[k - ell]
-                b[k - ell] = -b[k - ell]
-            energy += best
-    return None

@@ -1,6 +1,9 @@
 """Binary (+1/-1) sequences and the shared text format.
 
-A sequence is serialized as one line of '+' and '-' characters; lines
+BinarySequence is the one representation of a sequence in the package: a
+read-only int64 array, validated once on construction, which the
+correlation kernel and every transform use as it is.  A sequence is
+serialized as one line of '+' and '-' characters; lines
 starting with '#' are comments.  A pair file is two non-comment lines.
 """
 
@@ -10,51 +13,70 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_PLUS, _MINUS = ord("+"), ord("-")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class BinarySequence:
-    """Finite vector of +1/-1 terms, read as a polynomial's coefficients."""
+    """Finite vector of +1/-1 terms, read as a polynomial's coefficients.
 
-    terms: tuple[int, ...]
+    terms is a read-only 1-D int64 array: the dtype the correlation kernel
+    computes in and states its exactness bound for (int8 terms would
+    overflow silently in np.correlate).  The constructor takes any +-1
+    iterable or array and always stores its own copy.
+    """
+
+    terms: np.ndarray
 
     def __post_init__(self):
-        if len(self.terms) < 1:
-            raise ValueError("sequence must have at least one term")
-        if any(t not in (1, -1) for t in self.terms):
+        raw = self.terms
+        arr = np.asarray(raw if isinstance(raw, np.ndarray) else list(raw))
+        if arr.ndim != 1 or len(arr) < 1:
+            raise ValueError("sequence must be a 1-D array of at least one term")
+        if arr.dtype.kind not in "biuf" or not (np.abs(arr) == 1).all():
             raise ValueError("sequence terms must be +1 or -1")
+        terms = arr.astype(np.int64)  # a copy, so no caller holds a writeable alias
+        terms.flags.writeable = False
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, BinarySequence):
+            return NotImplemented
+        return np.array_equal(self.terms, other.terms)
+
+    def __hash__(self) -> int:
+        return hash(self.terms.tobytes())
 
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __getitem__(self, j: int) -> int:
+    def __getitem__(self, j):
         return self.terms[j]
 
     def __iter__(self):
-        return iter(self.terms)
+        return iter(self.terms.tolist())
 
     def __neg__(self) -> "BinarySequence":
-        return BinarySequence(tuple(-t for t in self.terms))
+        return BinarySequence(-self.terms)
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.terms, dtype=np.int64)
+        """The stored read-only int64 terms themselves, not a copy."""
+        return self.terms
 
     def to_line(self) -> str:
-        return "".join("+" if t > 0 else "-" for t in self.terms)
+        return np.where(self.terms > 0, _PLUS, _MINUS).astype(np.uint8).tobytes().decode("ascii")
 
     def __str__(self) -> str:
         return self.to_line()
 
 
-def from_array(arr) -> BinarySequence:
-    return BinarySequence(tuple(1 if int(x) > 0 else -1 for x in arr))
-
-
 def parse_line(line: str) -> BinarySequence:
     line = line.strip()
-    bad = set(line) - set("+-")
-    if not line or bad:
+    codes = np.frombuffer(line.encode(), dtype=np.uint8)
+    plus = codes == _PLUS
+    if not line or not (plus | (codes == _MINUS)).all():
         raise ValueError(f"sequence line must be nonempty '+'/'-' text, got {line!r}")
-    return BinarySequence(tuple(1 if c == "+" else -1 for c in line))
+    return BinarySequence(np.where(plus, 1, -1))
 
 
 def parse_sequences(text: str) -> list[BinarySequence]:

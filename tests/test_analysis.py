@@ -40,7 +40,7 @@ from seqcorr.analysis import (
     trial_seed,
 )
 from seqcorr.families import parse_family
-from seqcorr.sequence import from_array, parse_line
+from seqcorr.sequence import parse_line
 
 from oracles import oracle_adf, oracle_cdf, random_sequence
 

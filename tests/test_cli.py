@@ -297,6 +297,18 @@ class TestGolayCommand:
         code, _, _ = run(capsys, "golay", "compose", "--length", "6")
         assert code == 2
 
+    def test_compose_length_26_exits_2(self, capsys):
+        code, out, err = run(capsys, "golay", "compose", "--length", "26")
+        assert code == 2 and out == ""
+        assert "2^a * 10^b" in err
+
+    def test_compose_over_exact_budget_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "golay", "compose", "--length", "20000000")
+        assert code == 2 and out == ""
+        assert "exact-arithmetic budget" in err
+        assert time.perf_counter() - start < 10
+
     def test_search10(self, capsys):
         code, out, _ = run(capsys, "golay", "search10")
         assert code == 0
@@ -309,7 +321,6 @@ class TestGolayCommand:
         assert code == 0
         assert "length  2: available, certified" in out
         assert "length 10: available, certified" in out
-        assert "length 26:" in out
 
 
 class TestBaselineAndRoots:

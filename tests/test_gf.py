@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from seqcorr.gf import (
@@ -6,10 +7,10 @@ from seqcorr.gf import (
     make_binary_field,
     make_prime_field,
     prime_factors,
-    quadratic_character,
-    quartic_coset_index,
     trace,
 )
+
+from oracles import oracle_coset_table, oracle_quadratic_character, oracle_quartic_coset_index
 
 
 class TestPrimality:
@@ -97,52 +98,72 @@ class TestPrimeField:
                 find_primitive_element(bad)
 
     def test_quadratic_character_examples(self):
-        assert quadratic_character(7, 2) == 1
-        assert quadratic_character(7, 3) == -1
-        assert quadratic_character(7, 0) == 0
+        assert oracle_quadratic_character(7, 2) == 1
+        assert oracle_quadratic_character(7, 3) == -1
+        assert oracle_quadratic_character(7, 0) == 0
 
     def test_quadratic_character_multiplicative(self):
         p = 13
         for a in range(1, p):
             for b in range(1, p):
-                assert quadratic_character(p, a * b % p) == quadratic_character(
+                assert oracle_quadratic_character(p, a * b % p) == oracle_quadratic_character(
                     p, a
-                ) * quadratic_character(p, b)
+                ) * oracle_quadratic_character(p, b)
 
     def test_quadratic_character_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
-            quadratic_character(9, 2)
+            oracle_quadratic_character(9, 2)
         with pytest.raises(ValueError):
-            quadratic_character(2, 1)
+            oracle_quadratic_character(2, 1)
 
     def test_quartic_cosets_p13(self):
         ctx = make_prime_field(13)
         assert ctx.generator == 2
-        assert quartic_coset_index(ctx, 3) == 0
-        assert quartic_coset_index(ctx, 6) == 1
-        assert quartic_coset_index(ctx, 11) == 3
+        assert ctx.coset_index[3] == oracle_quartic_coset_index(ctx, 3) == 0
+        assert ctx.coset_index[6] == oracle_quartic_coset_index(ctx, 6) == 1
+        assert ctx.coset_index[11] == oracle_quartic_coset_index(ctx, 11) == 3
         # fourth powers mod 13 are {1, 3, 9}
-        assert {j for j in range(1, 13) if quartic_coset_index(ctx, j) == 0} == {1, 3, 9}
+        assert {j for j in range(1, 13) if ctx.coset_index[j] == 0} == {1, 3, 9}
 
     def test_quartic_coset_sizes_and_product_law(self):
         for p in (13, 17, 29, 37):
             ctx = make_prime_field(p)
             sizes = [0, 0, 0, 0]
             for j in range(1, p):
-                sizes[quartic_coset_index(ctx, j)] += 1
+                sizes[ctx.coset_index[j]] += 1
             assert sizes == [(p - 1) // 4] * 4
             for a in range(1, p, 3):
                 for b in range(1, p, 5):
-                    lhs = (quartic_coset_index(ctx, a) + quartic_coset_index(ctx, b)) % 4
-                    assert lhs == quartic_coset_index(ctx, a * b % p)
+                    lhs = (ctx.coset_index[a] + ctx.coset_index[b]) % 4
+                    assert lhs == ctx.coset_index[a * b % p]
 
     def test_quartic_requires_one_mod_four(self):
         ctx = make_prime_field(7)
+        assert ctx.coset_index is None
         with pytest.raises(ValueError):
-            quartic_coset_index(ctx, 3)
+            oracle_quartic_coset_index(ctx, 3)
         ctx13 = make_prime_field(13)
         with pytest.raises(ValueError):
-            quartic_coset_index(ctx13, 0)
+            oracle_quartic_coset_index(ctx13, 0)
+
+    def test_blocked_coset_table_matches_power_walk(self):
+        """The blocked-powers table equals the one-power-at-a-time walk and
+        the quartic Euler criterion, for single and many blocks."""
+        primes = [p for p in range(5, 1200, 4) if is_prime(p)] + [4129, 65537, 1000033]
+        for p in primes:
+            ctx = make_prime_field(p)
+            table = ctx.coset_index
+            assert table.dtype == np.int8 and len(table) == p
+            assert not table.flags.writeable
+            assert table.tolist() == oracle_coset_table(p, ctx.generator)
+        for p in (5, 13, 4129):
+            ctx = make_prime_field(p)
+            assert all(ctx.coset_index[j] == oracle_quartic_coset_index(ctx, j) for j in range(1, p))
+
+    def test_context_equality_ignores_table(self):
+        assert make_prime_field(13) == make_prime_field(13)
+        assert hash(make_prime_field(13)) == hash(make_prime_field(13))
+        assert make_prime_field(13) != make_prime_field(17)
 
     def test_context_printable(self):
         assert "13" in str(make_prime_field(13))

@@ -31,6 +31,8 @@ CASES = {
     "generate_legendre_4099_best_resize": (
         ["generate", "legendre:p=4099,shift=best,resize=1.0578"], 0),
     "generate_quartic_g": (["generate", "quartic_g:p=101,shift=7"], 0),
+    "generate_mseq_shift_resize": (["generate", "mseq:n=5,shift=3,resize=1.5"], 0),
+    "generate_quartic_f_4129": (["generate", "quartic_f:p=4129,shift=17"], 0),
     "correlate_golay10": (["correlate", GOLAY10], 0),
     "correlate_golay10_periodic": (["correlate", GOLAY10, "--periodic"], 0),
     "correlate_pair7": (["correlate", PAIR7], 0),
@@ -57,11 +59,14 @@ CASES = {
     "pairs_legendre_plus_quartic": (["pairs", "legendre_plus_quartic", "--p", "101"], 0),
     "pairs_rsl_pair": (
         ["pairs", "rsl_pair", "--seeds", SEEDS, "--signs", "+-+-", "--depth", "4"], 0),
+    "pairs_rsl_pair_depth8": (
+        ["pairs", "rsl_pair", "--seeds", SEEDS, "--signs", "+-+-+--+", "--depth", "8"], 0),
     "pairs_golay": (["pairs", "golay", "--lengths", "2,4,8,10,20,40,80,160,640"], 0),
     "pairs_golay_json": (["pairs", "golay", "--lengths", "10,20", "--json"], 0),
     "seed_search": (["seed-search", "--max-len", "10"], 0),
     "golay_compose_160": (["golay", "compose", "--length", "160"], 0),
     "golay_compose_2560": (["golay", "compose", "--length", "2560"], 0),
+    "golay_compose_1000": (["golay", "compose", "--length", "1000"], 0),
     "golay_verify": (["golay", "verify", GOLAY10], 0),
     "golay_search10": (["golay", "search10"], 0),
     "golay_bases": (["golay", "bases"], 0),
