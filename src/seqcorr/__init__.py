@@ -43,7 +43,6 @@ from .golay import (
     compose_to_length,
     deinterleave,
     golay_base,
-    golay_compose,
     is_golay_pair,
     is_optimal_seed,
     rsl_pair_stems,
@@ -86,7 +85,6 @@ __all__ = [
     "certify",
     "is_golay_pair",
     "golay_base",
-    "golay_compose",
     "compose_to_length",
     "deinterleave",
     "is_optimal_seed",

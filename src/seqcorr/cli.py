@@ -94,8 +94,7 @@ def _cmd_pairs(args) -> int:
 
 
 def _cmd_seed_search(args) -> int:
-    if args.max_len < 1:
-        raise ValueError("--max-len must be >= 1")
+    golay.check_census_length(args.max_len)
     for length in range(1, args.max_len + 1):
         count, exemplars = golay.search_optimal_seeds(length)
         shown = " ".join(e.to_line() for e in exemplars)

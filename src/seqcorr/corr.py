@@ -64,13 +64,18 @@ def _fft_corr(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     la, lb = len(a), len(b)
     size = 1 << (la + lb - 2).bit_length()  # >= la + lb - 1: no wraparound
     fa = fft.rfft(a, size)
-    fb = fa if b is a else fft.rfft(b, size)
-    circ = fft.irfft(fa * fb.conj(), size)
+    prod = fa.conj() if b is a else fft.rfft(b, size).conj()
+    prod *= fa
+    del fa
+    circ = fft.irfft(prod, size)
+    del prod
     # circ[k] = C(k) for k < la and C(k - size) for k > size - lb
     x = np.concatenate((circ[size - lb + 1 :], circ[:la]))
-    del fa, fb, circ
+    del circ
     c = np.rint(x)
-    if not np.abs(x - c).max() < 0.25:  # fails on NaN too
+    x -= c
+    np.abs(x, out=x)
+    if not x.max() < 0.25:  # fails on NaN too
         return None
     c = c.astype(np.int64)
     if int(c.sum()) != int(a.sum()) * int(b.sum()):

@@ -155,10 +155,17 @@ def trace(ctx: BinaryFieldContext, x: int) -> int:
 # ---------------------------------------------------------------------------
 # GF(p)
 
+def check_prime_size(p: int) -> None:
+    """Raise ValueError for p above MAX_PRIME, before any p-sized work."""
+    if p > MAX_PRIME:
+        raise ValueError(f"prime {p} exceeds the field-size limit {MAX_PRIME}")
+
+
 def find_primitive_element(p: int) -> int:
-    """Least primitive root of the odd prime p."""
-    if p >= 1 << 64 or not is_prime(p) or p == 2:
-        raise ValueError(f"{p} is not an odd prime below 2^64")
+    """Least primitive root of the odd prime p <= MAX_PRIME."""
+    check_prime_size(p)
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"{p} is not an odd prime")
     qs = prime_factors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
@@ -179,12 +186,6 @@ class PrimeFieldContext:
 
     def __str__(self) -> str:
         return f"GF({self.p}) generator {self.generator}"
-
-
-def check_prime_size(p: int) -> None:
-    """Raise ValueError for p above MAX_PRIME, before any p-sized work."""
-    if p > MAX_PRIME:
-        raise ValueError(f"prime {p} exceeds the field-size limit {MAX_PRIME}")
 
 
 def _powers(x: int, count: int, p: int) -> np.ndarray:

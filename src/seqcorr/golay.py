@@ -11,8 +11,10 @@ A pair (a, b) is Golay complementary when the autocorrelations cancel at
 every nonzero shift.  Certification is always re-checked from scratch; no
 constructed pair is trusted without it.  Turyn composition reaches every
 length 2^a * 10^b up to corr.MAX_EXACT_LEN from the base pairs of length 2
-and 10.  Stems, compositions and census masks are built on the int64 term
-arrays of BinarySequence, with no per-term Python loop.
+and 10.  Stems and compositions work on int64 term arrays.  The seed
+census and the pair search share one enumerator of the 2^k rows of length
+k keyed by autocorrelation tail: a Golay pair of length k (the halves of an
+optimal seed of length 2k) has opposite tails.
 """
 
 from __future__ import annotations
@@ -32,16 +34,11 @@ class CertificationError(RuntimeError):
     """A pair that was required to be Golay complementary is not."""
 
 
-def _check_signs(signs) -> tuple[int, ...]:
+def rsl_stem(seed: BinarySequence, signs, depth: int) -> list[BinarySequence]:
+    """Stem f_0 ... f_depth of the doubling recursion; f_0 is the seed."""
     signs = tuple(signs)
     if not set(signs) <= {1, -1}:
         raise ValueError("sign sequence entries must be +1 or -1")
-    return signs
-
-
-def rsl_stem(seed: BinarySequence, signs, depth: int) -> list[BinarySequence]:
-    """Stem f_0 ... f_depth of the doubling recursion; f_0 is the seed."""
-    signs = _check_signs(signs)
     if depth > len(signs):
         raise ValueError(f"depth {depth} exceeds supply of {len(signs)} signs")
     if len(seed) << depth > STEM_LENGTH_LIMIT:
@@ -66,16 +63,13 @@ def rsl_pair_stems(seed_f: BinarySequence, seed_g: BinarySequence, signs, depth:
 # Golay pairs
 
 
-def _acorr_tail(arr: np.ndarray) -> np.ndarray:
-    """Autocorrelations at shifts 1 .. len-1 (the rest follow by symmetry)."""
-    return _corr(arr, arr)[len(arr) :]
-
-
 def is_golay_pair(a: BinarySequence, b: BinarySequence) -> bool:
-    """True iff C_{a,a}(s) + C_{b,b}(s) = 0 for every s != 0."""
+    """True iff C_{a,a}(s) + C_{b,b}(s) = 0 for every s != 0 (checked at
+    s > 0; the rest follow by symmetry)."""
     if len(a) != len(b):
         raise ValueError("Golay check requires equal lengths")
-    return not (_acorr_tail(a.as_array()) + _acorr_tail(b.as_array())).any()
+    fa, fb = a.as_array(), b.as_array()
+    return not (_corr(fa, fa) + _corr(fb, fb))[len(a) :].any()
 
 
 @dataclass(frozen=True)
@@ -117,41 +111,58 @@ def _mask_to_sequence(mask: int, length: int) -> BinarySequence:
     return BinarySequence(2 * (mask >> np.arange(length) & 1) - 1)
 
 
-def search_optimal_seeds(length: int, exemplar_cap: int = 10):
-    """Exhaustively classify all 2^length seeds; returns (count, exemplars).
+# Tail keys are below k!, which fits int64 for k <= 20: the census reaches
+# seed length 2 * MAX_HALF_LENGTH and the pair search MAX_HALF_LENGTH.
+MAX_HALF_LENGTH = 20
 
-    Seeds are enumerated in increasing order of their sign bitmask (bit j
-    set = +1 at position j), so exemplars are deterministic.  Odd lengths
-    above 1 are known to contain no optimal seeds, so they short-circuit.
-    """
-    if not 1 <= length <= 22:
-        raise ValueError(f"census length must be in [1, 22], got {length}")
+
+def _tail_keys(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys of the autocorrelation tails C(1..k-1) of the 2^k sign rows of
+    length k in mask order, and keys of the negated tails.  C(s) has the
+    parity of k-s and |C(s)| <= k-s, so (C(s)+k-s)/2 is a digit in [0, k-s]
+    and the mixed-radix key is exact and below k!."""
+    rows = np.empty((k, 1 << k), dtype=np.int8)  # int8 suffices: |C(s)| < 2^7
+    for j in range(k):
+        rows[j] = 2 * (np.arange(1 << k) >> j & 1) - 1
+    keys, negated = np.zeros((2, 1 << k), dtype=np.int64)
+    for s in range(1, k):
+        tail = (rows[s:] * rows[: k - s]).sum(axis=0, dtype=np.int8).astype(np.int64)
+        keys = keys * (k - s + 1) + (k - s + tail) // 2
+        negated = negated * (k - s + 1) + (k - s - tail) // 2
+    return keys, negated
+
+
+def _golay_masks(k: int) -> list[tuple[int, int]]:
+    """Masks (a, b) of every Golay pair of length k, by a and then b.  The
+    partners of a have a's negated key: one run of the sorted keys."""
+    keys, negated = _tail_keys(k)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    lo = np.searchsorted(keys, negated, side="left")
+    hi = np.searchsorted(keys, negated, side="right")
+    return [(int(a), int(b)) for a in np.flatnonzero(hi > lo) for b in order[lo[a] : hi[a]]]
+
+
+def check_census_length(length: int) -> None:
+    """Raise ValueError for a census length outside [1, 2 * MAX_HALF_LENGTH]."""
+    if not 1 <= length <= 2 * MAX_HALF_LENGTH:
+        raise ValueError(f"census length must be in [1, {2 * MAX_HALF_LENGTH}], got {length}")
+
+
+def search_optimal_seeds(length: int, exemplar_cap: int = 10):
+    """(count, exemplars) of the optimal seeds among all 2^length: for length
+    2k, the Golay pairs of length k interleaved; none for odd lengths above 1.
+    Exemplars are the first seeds in increasing bitmask order."""
+    check_census_length(length)
     if length == 1:
         return 2, [_mask_to_sequence(0, 1), _mask_to_sequence(1, 1)]
     if length % 2:
         return 0, []
-
-    half = length // 2
-    count = 0
-    exemplars: list[BinarySequence] = []
-    block_bits = min(length, 16)
-    block = 1 << block_bits
-    for start in range(0, 1 << length, block):
-        masks = np.arange(start, start + block, dtype=np.int64)
-        bits = (masks[:, None] >> np.arange(length)[None, :]) & 1
-        signs = (2 * bits - 1).astype(np.int16)
-        a = signs[:, 0::2]
-        b = signs[:, 1::2]
-        ok = np.ones(block, dtype=bool)
-        for s in range(1, half):
-            tail = (a[:, s:] * a[:, : half - s]).sum(axis=1, dtype=np.int32)
-            tail += (b[:, s:] * b[:, : half - s]).sum(axis=1, dtype=np.int32)
-            ok &= tail == 0
-        count += int(ok.sum())
-        if len(exemplars) < exemplar_cap:
-            for m in masks[ok][: exemplar_cap - len(exemplars)]:
-                exemplars.append(_mask_to_sequence(int(m), length))
-    return count, exemplars
+    seeds = sorted(
+        sum((a >> j & 1) << 2 * j | (b >> j & 1) << 2 * j + 1 for j in range(length // 2))
+        for a, b in _golay_masks(length // 2)
+    )
+    return len(seeds), [_mask_to_sequence(m, length) for m in seeds[:exemplar_cap]]
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +184,6 @@ def _compose_once(pa: GolayPair, pb: GolayPair) -> GolayPair:
     f = np.outer(u, aa) + np.outer(v, ab[::-1])
     g = np.outer(u, ab) - np.outer(v, aa[::-1])
     return GolayPair(BinarySequence(f.ravel()), BinarySequence(g.ravel()))
-
-
-def golay_compose(pa: GolayPair, pb: GolayPair) -> GolayPair:
-    """Compose two certified pairs into a pair of product length by one
-    Turyn step (Turyn 1974), then certify the result once."""
-    if not (pa.certified and pb.certified):
-        raise ValueError("composition inputs must be certified Golay pairs")
-    pair = _compose_once(pa, pb)
-    return certify(pair.a, pair.b)
 
 
 _BASE2 = (BinarySequence((1, 1)), BinarySequence((1, -1)))
@@ -250,22 +252,12 @@ def compose_to_length(length: int) -> GolayPair:
 
 
 def search_golay_pairs(length: int) -> GolayPair | None:
-    """First Golay pair of the given length in bitmask enumeration order.
-
-    Groups all 2^length sequences by autocorrelation tail, then scans a in
-    increasing mask order for a partner b whose tail is the negation.  Used
-    once to produce the length-10 asset; practical through length ~16.
-    """
-    if not 2 <= length <= 16:
-        raise ValueError(f"exhaustive pair search supports lengths 2..16, got {length}")
-    rows = 2 * (np.arange(1 << length)[:, None] >> np.arange(length) & 1) - 1
-    tails = [_acorr_tail(row) for row in rows]
-    first = {}
-    for m, tail in enumerate(tails):
-        first.setdefault(tail.tobytes(), m)
-    for m, tail in enumerate(tails):
-        partner = first.get((-tail).tobytes())
-        if partner is not None:
-            return certify(BinarySequence(rows[m]), BinarySequence(rows[partner]))
-    return None
-
+    """First Golay pair of the given length in bitmask enumeration order:
+    the smallest a that has a partner, with its smallest partner b.  Used
+    once to produce the length-10 asset."""
+    if not 2 <= length <= MAX_HALF_LENGTH:
+        raise ValueError(
+            f"exhaustive pair search supports lengths 2..{MAX_HALF_LENGTH}, got {length}"
+        )
+    pairs = _golay_masks(length)
+    return certify(*(_mask_to_sequence(m, length) for m in pairs[0])) if pairs else None

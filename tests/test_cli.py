@@ -262,6 +262,13 @@ class TestSeedSearch:
         code, _, _ = run(capsys, "seed-search", "--max-len", "0")
         assert code == 2
 
+    def test_over_census_bound_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "seed-search", "--max-len", "41")
+        assert code == 2 and out == ""
+        assert "census length" in err
+        assert time.perf_counter() - start < 10
+
 
 class TestGolayCommand:
     def test_verify_good_pair(self, capsys, tmp_path):

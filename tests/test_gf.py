@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,12 @@ class TestPrimeField:
         for bad in (2, 8, 15, 1):
             with pytest.raises(ValueError):
                 find_primitive_element(bad)
+
+    def test_primitive_element_refuses_primes_above_field_limit(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="field-size limit"):
+            find_primitive_element(4611686018427377339)  # 62-bit safe prime
+        assert time.perf_counter() - start < 10
 
     def test_quadratic_character_examples(self):
         assert oracle_quadratic_character(7, 2) == 1

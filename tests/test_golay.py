@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from seqcorr import (
@@ -12,7 +13,6 @@ from seqcorr import (
     compose_to_length,
     deinterleave,
     golay_base,
-    golay_compose,
     is_golay_pair,
     is_optimal_seed,
     psc,
@@ -22,7 +22,7 @@ from seqcorr import (
     search_optimal_seeds,
 )
 from seqcorr.corr import MAX_EXACT_LEN
-from seqcorr.golay import GolayPair, base_factorization
+from seqcorr.golay import MAX_HALF_LENGTH, _tail_keys, base_factorization
 from seqcorr.sequence import parse_line
 
 from oracles import oracle_interleave, random_sequence
@@ -145,7 +145,7 @@ class TestSeedCensus:
         assert count6 == 0
 
     def test_census_matches_direct_classification(self):
-        for length in (2, 4, 5, 6, 8):
+        for length in (2, 4, 5, 6, 8, 10, 12):
             count, exemplars = search_optimal_seeds(length)
             direct = []
             for mask in range(1 << length):
@@ -157,27 +157,41 @@ class TestSeedCensus:
             assert count == len(direct)
             assert exemplars == direct[:10]
 
+    def test_counts_match_borwein_ferguson(self):
+        # Golay pairs of lengths 16 and 20 (Borwein & Ferguson 2003).
+        assert search_optimal_seeds(32)[0] == 1536
+        assert search_optimal_seeds(40)[0] == 1088
+
+    def test_tail_keys_encode_tails_exactly(self):
+        for k in range(1, 9):
+            keys, negated = _tail_keys(k)
+            tails = []
+            for mask in range(1 << k):
+                row = [1 if (mask >> j) & 1 else -1 for j in range(k)]
+                tails.append(tuple(np.correlate(row, row, mode="full")[k:].tolist()))
+            key_of = {}
+            for tail, key in zip(tails, keys.tolist()):
+                assert key_of.setdefault(tail, key) == key
+            tail_of = {key: tail for tail, key in key_of.items()}
+            assert len(tail_of) == len(key_of)
+            for tail, neg in zip(tails, negated.tolist()):
+                opposite = tuple(-c for c in tail)
+                assert tail_of.get(neg) == (opposite if opposite in key_of else None)
+
     def test_budget(self):
+        assert 2 * MAX_HALF_LENGTH == 40
         with pytest.raises(ValueError):
-            search_optimal_seeds(23)
+            search_optimal_seeds(41)
         with pytest.raises(ValueError):
             search_optimal_seeds(0)
 
 
 class TestComposition:
     def test_double_and_mixed_lengths(self):
-        p2 = golay_base(2)
-        p4 = golay_compose(p2, p2)
-        assert p4.length == 4 and p4.certified
-        p10 = golay_base(10)
-        assert golay_compose(p2, p10).length == 20
-        assert golay_compose(p10, p2).length == 20
-        assert golay_compose(p10, p10).length == 100
-
-    def test_compose_requires_certified_inputs(self):
-        raw = GolayPair(seq("++"), seq("+-"), certified=False)
-        with pytest.raises(ValueError):
-            golay_compose(raw, raw)
+        for length in (4, 20, 100):
+            pair = compose_to_length(length)
+            assert pair.length == length and pair.certified
+            assert is_golay_pair(pair.a, pair.b)
 
     def test_composed_pairs_have_equal_adf_and_unit_psc(self):
         for length in (4, 8, 20, 40):
@@ -236,5 +250,10 @@ class TestSearches:
     def test_exhaustive_small_lengths(self):
         pair2 = search_golay_pairs(2)
         assert pair2.certified and pair2.length == 2
+        assert search_golay_pairs(5) is None
         with pytest.raises(ValueError):
-            search_golay_pairs(17)
+            search_golay_pairs(21)
+
+    def test_exhaustive_reaches_half_length_bound(self):
+        pair = search_golay_pairs(MAX_HALF_LENGTH)
+        assert pair.certified and pair.length == MAX_HALF_LENGTH
