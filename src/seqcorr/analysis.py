@@ -7,7 +7,7 @@ resize(cyclic_shift(f, r), m) is taken once from corr._corr at r = 0 and then
 updated in O(m) per step to r + 1.  ADF numerators are 2 sum C^2 per shift;
 CDF numerators follow from sum_s C_fg(s)^2 = sum_t C_ff(t) C_gg(t), a dot
 product per shift on the diagonal and one integer matrix product for the
-full shift grid.
+full shift grid.  Size limits come from budget.
 
 The RNG is SplitMix64, fixed by its constants so that any implementation
 can reproduce the streams:
@@ -32,12 +32,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import corr, families, golay
+from . import budget, corr, families, golay
 from .families import FamilySpec, cyclic_shift, resize
 from .sequence import BinarySequence
-
-SHIFT_SEARCH_LIMIT = 1 << 14
-PAIR_GRID_LIMIT = 512
 
 # ---------------------------------------------------------------------------
 # SplitMix64
@@ -219,8 +216,8 @@ def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarr
         m = ell
     if m < 1:
         raise ValueError(f"resized length {m} must be >= 1")
-    if ell > SHIFT_SEARCH_LIMIT or m > 2 * SHIFT_SEARCH_LIMIT:
-        raise ValueError("shift-search budget exceeded")
+    budget.check("shift-search length", ell)
+    budget.check("shift-search window", m)
     return 2 * np.fromiter((c @ c for c in _rotation_acorrs(arr, m)), np.int64, ell)
 
 
@@ -231,13 +228,12 @@ def cdf_numerators_grid(af: np.ndarray, ag: np.ndarray) -> np.ndarray:
     For equal lengths sum_s C_fg(s)^2 = sum_t C_ff(t) C_gg(t), so with the
     rotation walks stacked as rows R_f and R_g (l x (l-1), lags 1 .. l-1)
     the grid is l^2 + 2 R_f R_g^T, one integer matrix product.  Every entry
-    is below l^3 <= 2^27 at PAIR_GRID_LIMIT, so int64 is exact.
+    is below l^3, so int64 is exact within the pair-grid budget.
     """
     ell = len(af)
     if len(ag) != ell:
         raise ValueError("pair shift grid requires equal lengths")
-    if ell > PAIR_GRID_LIMIT:
-        raise ValueError(f"pair shift grid supports lengths up to {PAIR_GRID_LIMIT}")
+    budget.check("pair-grid length", ell)
     rows_f, rows_g = (np.stack([c.copy() for c in _rotation_acorrs(a, ell)]) for a in (af, ag))
     return ell * ell + 2 * (rows_f @ rows_g.T)
 
@@ -257,8 +253,7 @@ def cdf_numerators_diagonal(af: np.ndarray, ag: np.ndarray, m: int | None = None
         m = ell
     if not 1 <= m <= ell:
         raise ValueError(f"window length {m} must be in [1, {ell}]")
-    if ell > SHIFT_SEARCH_LIMIT:
-        raise ValueError("shift-search budget exceeded")
+    budget.check("shift-search length", ell)
     walks = zip(_rotation_acorrs(af, m), _rotation_acorrs(ag, m))
     return m * m + 2 * np.fromiter((cf @ cg for cf, cg in walks), np.int64, ell)
 
@@ -285,9 +280,9 @@ def best_pair_shifts(
 ) -> tuple[tuple[int, int], float]:
     """Shift pair minimizing cdf or psc.
 
-    Lengths up to 512 search the full (rf, rg) grid; longer sequences use
-    the equal-shift diagonal heuristic.  Ties break to the first (smallest
-    rf, then rg) candidate.
+    Lengths within the pair-grid budget search the full (rf, rg) grid;
+    longer sequences use the equal-shift diagonal heuristic.  Ties break to
+    the first (smallest rf, then rg) candidate.
     """
     if len(f) != len(g):
         raise ValueError("pair shift search requires equal lengths")
@@ -297,7 +292,7 @@ def best_pair_shifts(
     af, ag = f.as_array(), g.as_array()
     if objective == "psc":
         adf_f, adf_g = (adf_numerators_all_shifts(a).astype(np.float64) for a in (af, ag))
-    if ell <= PAIR_GRID_LIMIT:
+    if ell <= budget.BUDGETS["pair-grid length"].limit:
         grid = cdf_numerators_grid(af, ag).astype(np.float64)
         if objective == "psc":
             grid = grid + np.sqrt(np.outer(adf_f, adf_g))
@@ -311,13 +306,23 @@ def best_pair_shifts(
     return (r, r), float(diag[r]) / (ell * ell)
 
 
+def _realized_length(spec: FamilySpec) -> int:
+    """Length of realize(spec), from the spec alone, with realize's budgets checked."""
+    ell = families.base_length(spec)
+    m = families.resized_length(spec, ell)
+    if spec.shift == "best":
+        budget.check("shift-search length", ell)
+        budget.check("shift-search window", m)
+    return m
+
+
 def realize(spec: FamilySpec) -> tuple[BinarySequence, int]:
     """Build the sequence for a family spec, searching when shift='best'.
 
     Returns (sequence, shift actually used).
     """
+    m = _realized_length(spec)
     base = families.build_base(spec)
-    m = families.resized_length(spec, len(base))
     if spec.shift == "best":
         r, _ = best_shift(base, "adf", resize_len=m)
     else:
@@ -368,7 +373,10 @@ def rows_to_json(rows) -> str:
 
 
 def convergence_sweep(spec: FamilySpec, sizes, target: AsymptoticTarget | None) -> list[SweepRow]:
-    """One row per size: realize the family, measure ADF, compare to target."""
+    """One row per size: realize the family, measure ADF, compare to target.
+    Every size is checked against every budget before the first one runs."""
+    for size in sizes:
+        budget.check("exact length", _realized_length(families.with_size(spec, size)))
     rows = []
     for size in sizes:
         spec_i = families.with_size(spec, size)
@@ -402,6 +410,8 @@ def monte_carlo_baseline(length: int, trials: int, rng_seed: int) -> tuple[Fract
         raise ValueError("trials must be >= 1")
     if length < 1:
         raise ValueError("length must be >= 1")
+    budget.check("exact length", length)
+    budget.check("baseline work", trials * max(length, 64))
     adf_num = 0
     cdf_num = 0
     for t in range(trials):
@@ -437,6 +447,7 @@ def _half_legendre(p):
     sequence starting at r and at r + half, so the all-shift engines give
     every ADF and CDF numerator at once.
     """
+    budget.check("shift-search length", p)
     arr = families.legendre(p).as_array()
     half = (p - 1) // 2
     n = half * half
@@ -450,6 +461,7 @@ def _half_legendre(p):
 def _golay(lengths):
     if not lengths:
         raise ValueError("lengths must list at least one length")
+    budget.check("exact length", max(lengths))
     for ell in lengths:
         pair = golay.compose_to_length(ell)
         yield "composed", pair.a, pair.b
@@ -458,6 +470,7 @@ def _golay(lengths):
 def _typical_mseq(n, d):
     ctx = families.make_binary_field(n)
     ell = ctx.order
+    budget.check("exact length", ell)
     pows = families.power_of_two_residues(ell)
     if d % ell in pows or (-d) % ell in pows:
         raise ValueError(f"typical construction requires |d| not a power of 2 mod {ell}")
@@ -468,12 +481,14 @@ def _reversing_mseq(n, k):
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     ctx = families.make_binary_field(n)
+    budget.check("shift-search length", ctx.order)
     f0, g0 = families.msequence_pair(ctx, -pow(2, k, ctx.order) % ctx.order)
     (rf, rg), _ = best_pair_shifts(f0, g0, "cdf")
     yield f"n={n} d=-2^{k} shifts={rf}/{rg}", cyclic_shift(f0, rf), cyclic_shift(g0, rg)
 
 
 def _quartic_pair(p):
+    budget.check("shift-search length", p)
     ctx = families.make_prime_field(p)
     f0, g0 = families.quartic_f(ctx), families.quartic_g(ctx)
     (rf, rg), _ = best_pair_shifts(f0, g0, "psc")
@@ -481,6 +496,7 @@ def _quartic_pair(p):
 
 
 def _legendre_plus_quartic(p):
+    budget.check("shift-search length", p)
     ctx = families.make_prime_field(p)
     hf, qf = families.legendre(p), families.quartic_f(ctx)
     (rf, _), (rg, _) = best_shift(hf), best_shift(qf)
@@ -490,8 +506,6 @@ def _legendre_plus_quartic(p):
 def _rsl_pair(seed_f, seed_g, signs, depth):
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    if (ell := len(seed_f) << depth) > corr.MAX_EXACT_LEN:
-        raise ValueError(f"rsl_pair length {ell} exceeds exact-arithmetic budget {corr.MAX_EXACT_LEN}")
     f, g = golay.rsl_pair_stems(seed_f, seed_g, signs, depth)[-1]
     yield f"seed_len={len(seed_f)} depth={depth}", f, g
 

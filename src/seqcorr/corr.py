@@ -16,9 +16,8 @@ transform fewer for autocorrelations, rounded to int64.  That result is
 checked on every call: each value must lie within 0.25 of its integer
 and the integers must satisfy sum_s C(s) = (sum a)(sum b) exactly;
 otherwise the kernel returns the direct result instead.  Either way it
-refuses lengths above MAX_EXACT_LEN = 2^20.  Below that bound |C(s)| <= l
-and sum_s C(s)^2 <= 2l^3/3 < 2^63, so the squared sums are exact in int64
-as well.
+refuses lengths over the exact-length budget (see budget), within which
+the values and their squared sums are exact in int64.
 """
 
 from __future__ import annotations
@@ -29,11 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import budget
 from .sequence import BinarySequence
-
-# int64 correlations of +-1 terms and their squared sums cannot overflow
-# below this length
-MAX_EXACT_LEN = 1 << 20
 
 # _corr takes the FFT path when both lengths reach this.  Measured on two
 # cores the FFT overtakes the direct correlation near l = 300; the margin
@@ -47,9 +43,7 @@ def _corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Direct below the crossover; above it the FFT result, returned only
     when it passes the exactness checks (see the module docstring).
     """
-    for n in (len(a), len(b)):
-        if n > MAX_EXACT_LEN:
-            raise ValueError(f"sequence length {n} exceeds exact-arithmetic budget {MAX_EXACT_LEN}")
+    budget.check("exact length", max(len(a), len(b)))
     if min(len(a), len(b)) >= _FFT_MIN_LEN:
         c = _fft_corr(a, b)
         if c is not None:

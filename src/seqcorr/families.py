@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import budget
 from .gf import (
     BinaryFieldContext,
     PrimeFieldContext,
-    check_prime_size,
+    binary_field_order,
     is_prime,
     make_binary_field,
     make_prime_field,
@@ -64,7 +65,7 @@ def power_of_two_residues(ell: int) -> set[int]:
 
 def legendre(p: int) -> BinarySequence:
     """Length-p sequence: +1 at 0 and at nonzero squares, -1 at nonsquares."""
-    check_prime_size(p)
+    budget.check("sequence length", p)
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     terms = np.full(p, -1, dtype=np.int64)
@@ -128,6 +129,8 @@ def msequence_pair(
     ell = ctx.order
     if d % ell in power_of_two_residues(ell):
         raise ValueError(f"degenerate decimation: {d} is a power of 2 mod {ell}")
+    if math.gcd(d % ell, ell) != 1:
+        raise ValueError(f"decimation {d} is not invertible mod {ell}")
     base = msequence(ctx, 1)
     return cyclic_shift(base, shift_f), cyclic_shift(decimate(base, d), shift_g)
 
@@ -194,8 +197,8 @@ def parse_family(text: str) -> FamilySpec:
             ratio = float(kv.pop("resize"))
         except ValueError:
             raise ValueError("descriptor key resize must be a number") from None
-        if ratio <= 0:
-            raise ValueError("resize ratio must be positive")
+        if not 0 < ratio < math.inf:  # refuses NaN too
+            raise ValueError(f"resize ratio {ratio} must be positive and finite")
 
     if kind == "mseq":
         n = take_int("n")
@@ -221,14 +224,23 @@ def with_size(spec: FamilySpec, size: int) -> FamilySpec:
     return FamilySpec(spec.kind, p=size, shift=spec.shift, resize_ratio=spec.resize_ratio)
 
 
-def build_base(spec: FamilySpec) -> BinarySequence:
-    """The family's base sequence, before shift/resize transforms."""
+def base_length(spec: FamilySpec) -> int:
+    """The base sequence's length, from the spec alone and within budget."""
     if spec.kind == "mseq":
         if spec.n is None:
             raise ValueError("mseq family needs an extension degree n")
-        return msequence(make_binary_field(spec.n), spec.char_shift)
+        return binary_field_order(spec.n)
     if spec.p is None:
         raise ValueError(f"{spec.kind} family needs a prime p")
+    budget.check("sequence length", spec.p)
+    return spec.p
+
+
+def build_base(spec: FamilySpec) -> BinarySequence:
+    """The family's base sequence, before shift/resize transforms."""
+    base_length(spec)
+    if spec.kind == "mseq":
+        return msequence(make_binary_field(spec.n), spec.char_shift)
     if spec.kind == "legendre":
         return legendre(spec.p)
     ctx = make_prime_field(spec.p)
@@ -238,5 +250,6 @@ def build_base(spec: FamilySpec) -> BinarySequence:
 def resized_length(spec: FamilySpec, base_len: int) -> int:
     if spec.resize_ratio is None:
         return base_len
-    m = round(spec.resize_ratio * base_len)
-    return max(m, 1)
+    m = spec.resize_ratio * base_len  # checked before round(), which fails on inf
+    budget.check("sequence length", m, f"{spec.resize_ratio:g} * {base_len}")
+    return max(round(m), 1)

@@ -4,7 +4,7 @@ GF(2^n) elements are bitmask polynomials over GF(2); multiplication is
 shift-and-reduce against an irreducible modulus.  The modulus is chosen
 deterministically as the lexicographically least primitive polynomial of
 the requested degree, and the generator is the residue class of x, so
-every derived sequence is reproducible across runs.
+every derived sequence is reproducible across runs.  Size limits come from budget.
 """
 
 from __future__ import annotations
@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+from . import budget
 
-# Largest prime field order accepted; GF(p) tables and length-p sequences
-# hold p entries, as GF(2^n) stops at n = 24
-MAX_PRIME = 1 << 24
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
@@ -122,9 +120,17 @@ class BinaryFieldContext:
         return f"GF(2^{self.n}) modulus {self.modulus:#x} generator {self.generator}"
 
 
+def binary_field_order(n: int) -> int:
+    """2^n - 1 for a degree n >= 2, checked against the sequence-length budget."""
+    if n < 2:
+        raise ValueError(f"extension degree must be >= 2, got {n}")
+    # every n past 64 is over budget; the cap keeps 1 << n small
+    budget.check("sequence length", (1 << min(n, 64)) - 1, f"2^{n} - 1")
+    return (1 << n) - 1
+
+
 def make_binary_field(n: int) -> BinaryFieldContext:
-    if not 2 <= n <= 24:
-        raise ValueError(f"extension degree must be in [2, 24], got {n}")
+    binary_field_order(n)
     modulus = None
     for cand in range((1 << n) + 1, 1 << (n + 1), 2):
         if _x_is_primitive(cand, n):
@@ -155,15 +161,9 @@ def trace(ctx: BinaryFieldContext, x: int) -> int:
 # ---------------------------------------------------------------------------
 # GF(p)
 
-def check_prime_size(p: int) -> None:
-    """Raise ValueError for p above MAX_PRIME, before any p-sized work."""
-    if p > MAX_PRIME:
-        raise ValueError(f"prime {p} exceeds the field-size limit {MAX_PRIME}")
-
-
 def find_primitive_element(p: int) -> int:
-    """Least primitive root of the odd prime p <= MAX_PRIME."""
-    check_prime_size(p)
+    """Least primitive root of the odd prime p, budget checked before any work."""
+    budget.check("sequence length", p)
     if not is_prime(p) or p == 2:
         raise ValueError(f"{p} is not an odd prime")
     qs = prime_factors(p - 1)
@@ -190,7 +190,7 @@ class PrimeFieldContext:
 
 def _powers(x: int, count: int, p: int) -> np.ndarray:
     """x^e mod p for e = 0 .. count-1, by doubling the known block; each
-    product of two residues is below p^2 <= 2^48, exact in int64."""
+    product of two residues is below p^2, exact in int64 within budget."""
     out = np.ones(1, dtype=np.int64)
     while len(out) < count:
         out = np.concatenate((out, out * pow(x, len(out), p) % p))
@@ -198,7 +198,6 @@ def _powers(x: int, count: int, p: int) -> np.ndarray:
 
 
 def make_prime_field(p: int) -> PrimeFieldContext:
-    check_prime_size(p)
     g = find_primitive_element(p)
     cosets = None
     if p % 4 == 1:

@@ -10,11 +10,11 @@ f_n with alternating signs, scaled by the step's sign sigma_n.
 A pair (a, b) is Golay complementary when the autocorrelations cancel at
 every nonzero shift.  Certification is always re-checked from scratch; no
 constructed pair is trusted without it.  Turyn composition reaches every
-length 2^a * 10^b up to corr.MAX_EXACT_LEN from the base pairs of length 2
+length 2^a * 10^b up to the exact-length budget from the base pairs of length 2
 and 10.  Stems and compositions work on int64 term arrays.  The seed
 census and the pair search share one enumerator of the 2^k rows of length
 k keyed by autocorrelation tail: a Golay pair of length k (the halves of an
-optimal seed of length 2k) has opposite tails.
+optimal seed of length 2k) has opposite tails.  Size limits come from budget.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from importlib import resources
 
 import numpy as np
 
-from .corr import MAX_EXACT_LEN, _corr
+from . import budget
+from .corr import _corr
 from .sequence import BinarySequence, parse_sequences
-
-STEM_LENGTH_LIMIT = 1 << 24
 
 
 class CertificationError(RuntimeError):
@@ -41,8 +40,7 @@ def rsl_stem(seed: BinarySequence, signs, depth: int) -> list[BinarySequence]:
         raise ValueError("sign sequence entries must be +1 or -1")
     if depth > len(signs):
         raise ValueError(f"depth {depth} exceeds supply of {len(signs)} signs")
-    if len(seed) << depth > STEM_LENGTH_LIMIT:
-        raise ValueError(f"stem would exceed length limit {STEM_LENGTH_LIMIT}")
+    budget.check("exact length", len(seed) << depth)
     out = [seed]
     for n in range(depth):
         cur = out[-1].terms
@@ -111,11 +109,6 @@ def _mask_to_sequence(mask: int, length: int) -> BinarySequence:
     return BinarySequence(2 * (mask >> np.arange(length) & 1) - 1)
 
 
-# Tail keys are below k!, which fits int64 for k <= 20: the census reaches
-# seed length 2 * MAX_HALF_LENGTH and the pair search MAX_HALF_LENGTH.
-MAX_HALF_LENGTH = 20
-
-
 def _tail_keys(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Keys of the autocorrelation tails C(1..k-1) of the 2^k sign rows of
     length k in mask order, and keys of the negated tails.  C(s) has the
@@ -144,9 +137,10 @@ def _golay_masks(k: int) -> list[tuple[int, int]]:
 
 
 def check_census_length(length: int) -> None:
-    """Raise ValueError for a census length outside [1, 2 * MAX_HALF_LENGTH]."""
-    if not 1 <= length <= 2 * MAX_HALF_LENGTH:
-        raise ValueError(f"census length must be in [1, {2 * MAX_HALF_LENGTH}], got {length}")
+    """Raise ValueError for a census length below 1 or halves over budget."""
+    if length < 1:
+        raise ValueError(f"census length must be >= 1, got {length}")
+    budget.check("census half-length", (length + 1) // 2)
 
 
 def search_optimal_seeds(length: int, exemplar_cap: int = 10):
@@ -229,12 +223,11 @@ def base_factorization(length: int) -> tuple[int, int] | None:
 
 def compose_to_length(length: int) -> GolayPair:
     """Certified pair of the given length: Turyn steps from the base pairs,
-    certified once at the end.  Lengths above MAX_EXACT_LEN, which
+    certified once at the end.  Lengths over the exact-length budget, which
     certification could not check, are refused before any work."""
     if length < 2:
         raise ValueError("composed pair length must be at least 2")
-    if length > MAX_EXACT_LEN:
-        raise ValueError(f"Golay length {length} exceeds exact-arithmetic budget {MAX_EXACT_LEN}")
+    budget.check("exact length", length)
     expo = base_factorization(length)
     if expo is None:
         raise ValueError(f"{length} is not of the form 2^a * 10^b")
@@ -255,9 +248,8 @@ def search_golay_pairs(length: int) -> GolayPair | None:
     """First Golay pair of the given length in bitmask enumeration order:
     the smallest a that has a partner, with its smallest partner b.  Used
     once to produce the length-10 asset."""
-    if not 2 <= length <= MAX_HALF_LENGTH:
-        raise ValueError(
-            f"exhaustive pair search supports lengths 2..{MAX_HALF_LENGTH}, got {length}"
-        )
+    if length < 2:
+        raise ValueError(f"exhaustive pair search needs length >= 2, got {length}")
+    budget.check("census half-length", length)
     pairs = _golay_masks(length)
     return certify(*(_mask_to_sequence(m, length) for m in pairs[0])) if pairs else None

@@ -356,6 +356,32 @@ class TestBaselineAndRoots:
         assert "residual" in out
 
 
+FAIL_FAST = [
+    ("pairs reversing_mseq --n 24 --k 1", "shift-search budget"),
+    ("pairs typical_mseq --n 20 --d 5", "not invertible"),
+    ("pairs typical_mseq --n 21 --d 11", "exact-arithmetic budget"),
+    ("sweep mseq:n=2 --sizes 24", "exact-arithmetic budget"),
+    ("generate mseq:n=24,shift=best", "shift-search budget"),
+    ("sweep legendre:p=3,shift=best --sizes 16381,8191,16411", "shift-search budget"),
+    ("pairs golay --lengths 1048576,2097152", "exact-arithmetic budget"),
+    ("generate legendre:p=1019,resize=1e12", "field-size limit"),
+    ("generate legendre:p=1019,resize=1e300", "field-size limit"),
+    ("generate legendre:p=1019,resize=inf", "resize ratio inf must be positive and finite"),
+    ("generate legendre:p=1019,resize=nan", "resize ratio nan must be positive and finite"),
+    ("generate legendre:p=1000003,resize=20", "field-size limit"),
+    ("baseline --len 1024 --trials 1000000000", "baseline budget"),
+]
+
+
+@pytest.mark.parametrize("argv,phrase", FAIL_FAST)
+def test_over_budget_input_fails_fast(capsys, argv, phrase):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert phrase in err and "Traceback" not in err
+    assert time.perf_counter() - start < 10
+
+
 class TestArgparseBehavior:
     def test_no_args_is_usage_error(self, capsys):
         assert main([]) == 2

@@ -14,6 +14,7 @@ from seqcorr import (
     psc,
 )
 from seqcorr import corr
+from seqcorr.budget import BUDGETS
 from seqcorr.sequence import dump_sequences, parse_line, parse_sequences
 
 from oracles import (
@@ -158,7 +159,7 @@ class TestKernel:
         assert cdf(f, g) == oracle_cdf(f, g)
 
     def test_length_budget_checked_first(self):
-        big = np.ones(corr.MAX_EXACT_LEN + 1, dtype=np.int64)
+        big = np.ones(BUDGETS["exact length"].limit + 1, dtype=np.int64)
         with pytest.raises(ValueError, match="exact-arithmetic budget"):
             corr._corr(big, big[:X])
 

@@ -21,8 +21,11 @@ from seqcorr import (
     search_golay_pairs,
     search_optimal_seeds,
 )
-from seqcorr.corr import MAX_EXACT_LEN
-from seqcorr.golay import MAX_HALF_LENGTH, _tail_keys, base_factorization
+from seqcorr.budget import BUDGETS
+from seqcorr.golay import _tail_keys, base_factorization
+
+MAX_EXACT_LEN = BUDGETS["exact length"].limit
+MAX_HALF_LENGTH = BUDGETS["census half-length"].limit
 from seqcorr.sequence import parse_line
 
 from oracles import oracle_interleave, random_sequence
