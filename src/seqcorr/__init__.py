@@ -41,10 +41,8 @@ from .golay import (
     GolayPair,
     certify,
     compose_to_length,
-    deinterleave,
     golay_base,
     is_golay_pair,
-    is_optimal_seed,
     rsl_pair_stems,
     rsl_stem,
     search_golay_pairs,
@@ -86,8 +84,6 @@ __all__ = [
     "is_golay_pair",
     "golay_base",
     "compose_to_length",
-    "deinterleave",
-    "is_optimal_seed",
     "search_optimal_seeds",
     "search_golay_pairs",
     "rsl_stem",

@@ -80,8 +80,8 @@ def random_pm1(gen: SplitMix64, length: int) -> np.ndarray:
 def cubic_root(c3: int, c2: int, c1: int, c0: int, selector: str) -> float:
     """A real root of c3 x^3 + c2 x^2 + c1 x + c0, Newton-polished.
 
-    selector is smallest_real, middle_real, or largest_real; middle_real
-    requires all three roots to be real.
+    selector is smallest_real or middle_real; middle_real requires all
+    three roots to be real.
     """
     if c3 == 0:
         raise ValueError("cubic leading coefficient must be nonzero")
@@ -94,8 +94,6 @@ def cubic_root(c3: int, c2: int, c1: int, c0: int, selector: str) -> float:
         x = real[1]
     elif selector == "smallest_real":
         x = real[0]
-    elif selector == "largest_real":
-        x = real[-1]
     else:
         raise ValueError(f"unknown root selector {selector!r}")
     for _ in range(8):
@@ -167,13 +165,16 @@ TARGETS: dict[str, AsymptoticTarget] = {
 
 
 def lookup_target(text: str) -> AsymptoticTarget:
-    """A registry name, or a bare float for ad hoc targets."""
+    """A registry name, or a finite number for ad hoc targets."""
     if text in TARGETS:
         return TARGETS[text]
     try:
-        return AsymptoticTarget(text, float(text), "user-supplied constant")
+        value = float(text)
     except ValueError:
         raise ValueError(f"unknown target {text!r}; known: {', '.join(sorted(TARGETS))}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"target {text} must be a finite number")
+    return AsymptoticTarget(text, value, "user-supplied constant")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 validation error (bad arguments, malformed input),
-3 certification failure (a pair required to be Golay complementary is not,
-or an asset fails its load-time check).
+3 certification failure (a pair required to be Golay complementary is not).
 """
 
 from __future__ import annotations
@@ -48,6 +47,10 @@ def _cmd_demerit(args) -> int:
     else:
         print(f"psc   = {rep.psc:.15g}")
     return 0
+
+
+def _write_pair(pair, comment: str):
+    sys.stdout.write(dump_sequences([pair.a, pair.b], comment=comment))
 
 
 def _emit(rows, as_json: bool):
@@ -116,26 +119,15 @@ def _cmd_golay(args) -> int:
         if args.length is None:
             raise ValueError("golay compose needs --length")
         pair = golay.compose_to_length(args.length)
-        sys.stdout.write(
-            dump_sequences([pair.a, pair.b], comment=f"certified Golay pair, length {pair.length}")
-        )
+        _write_pair(pair, f"certified Golay pair, length {pair.length}")
         return 0
     if args.action == "search10":
-        pair = golay.search_golay_pairs(10)
-        sys.stdout.write(
-            dump_sequences(
-                [pair.a, pair.b],
-                comment="first length-10 Golay pair in enumeration order",
-            )
-        )
+        _write_pair(golay.search_golay_pairs(10), "first length-10 Golay pair in enumeration order")
         return 0
     if args.action == "bases":
         for length in (2, 10):
-            try:
-                golay.golay_base(length)
-                print(f"length {length:2d}: available, certified")
-            except FileNotFoundError:
-                print(f"length {length:2d}: asset not installed")
+            golay.golay_base(length)
+            print(f"length {length:2d}: available, certified")
         return 0
     raise ValueError(f"unknown golay action {args.action!r}")
 
@@ -227,7 +219,7 @@ def main(argv=None) -> int:
     except golay.CertificationError as e:
         print(f"certification failure: {e}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

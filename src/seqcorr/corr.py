@@ -164,9 +164,6 @@ class DemeritReport:
     psc_exact: Fraction | None
     psc: float
 
-    def is_exact(self) -> bool:
-        return self.psc_exact is not None
-
 
 def psc(f: BinarySequence, g: BinarySequence) -> DemeritReport:
     if len(f) != len(g):

@@ -18,7 +18,7 @@ from .gf import (
     BinaryFieldContext,
     PrimeFieldContext,
     binary_field_order,
-    is_prime,
+    check_odd_prime,
     make_binary_field,
     make_prime_field,
     trace,
@@ -32,16 +32,20 @@ def msequence(ctx: BinaryFieldContext, char_shift: int = 1) -> BinarySequence:
     char_shift = 1 gives the naturally shifted (Galois) form; any other
     nonzero value only rotates it cyclically.
     """
-    if char_shift == 0:
-        raise ValueError("character shift 0 gives the trivial character")
-    if not 0 < char_shift < (1 << ctx.n):
-        raise ValueError(f"character shift {char_shift} is not a nonzero field element")
+    _check_char_shift(char_shift, ctx.order)
     cur = char_shift
     terms = []
     for _ in range(ctx.order):
         terms.append(-1 if trace(ctx, cur) else 1)
         cur = ctx.mul(cur, ctx.generator)
     return BinarySequence(terms)
+
+
+def _check_char_shift(char_shift: int, order: int) -> None:
+    if char_shift == 0:
+        raise ValueError("character shift 0 gives the trivial character")
+    if not 0 < char_shift <= order:
+        raise ValueError(f"character shift {char_shift} is not a nonzero field element")
 
 
 def decimate(f: BinarySequence, d: int) -> BinarySequence:
@@ -65,18 +69,20 @@ def power_of_two_residues(ell: int) -> set[int]:
 
 def legendre(p: int) -> BinarySequence:
     """Length-p sequence: +1 at 0 and at nonzero squares, -1 at nonsquares."""
-    budget.check("sequence length", p)
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+    check_odd_prime(p)
     terms = np.full(p, -1, dtype=np.int64)
     roots = np.arange(p // 2 + 1, dtype=np.int64)  # j and p - j share j^2
     terms[roots * roots % p] = 1
     return BinarySequence(terms)
 
 
+def _check_quartic(p: int) -> None:
+    if p % 4 != 1:
+        raise ValueError(f"quartic sequences require p = 1 mod 4, got p = {p}")
+
+
 def _quartic(ctx: PrimeFieldContext, plus_cosets: tuple[int, int]) -> BinarySequence:
-    if ctx.p % 4 != 1:
-        raise ValueError(f"quartic sequences require p = 1 mod 4, got p = {ctx.p}")
+    _check_quartic(ctx.p)
     # the table's unused slot 0 holds coset 0, so term 0 is +1
     return BinarySequence(np.where(np.isin(ctx.coset_index, plus_cosets), 1, -1))
 
@@ -225,14 +231,19 @@ def with_size(spec: FamilySpec, size: int) -> FamilySpec:
 
 
 def base_length(spec: FamilySpec) -> int:
-    """The base sequence's length, from the spec alone and within budget."""
+    """The base sequence's length from the spec alone, after refusing every
+    parameter its builder would refuse, so that nothing is built first."""
     if spec.kind == "mseq":
         if spec.n is None:
             raise ValueError("mseq family needs an extension degree n")
-        return binary_field_order(spec.n)
+        order = binary_field_order(spec.n)
+        _check_char_shift(spec.char_shift, order)
+        return order
     if spec.p is None:
         raise ValueError(f"{spec.kind} family needs a prime p")
-    budget.check("sequence length", spec.p)
+    check_odd_prime(spec.p)
+    if spec.kind != "legendre":
+        _check_quartic(spec.p)
     return spec.p
 
 

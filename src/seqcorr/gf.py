@@ -113,9 +113,6 @@ class BinaryFieldContext:
     def mul(self, a: int, b: int) -> int:
         return gf2_mul(a, b, self.modulus, self.n)
 
-    def pow(self, a: int, e: int) -> int:
-        return gf2_pow(a, e, self.modulus, self.n)
-
     def __str__(self) -> str:
         return f"GF(2^{self.n}) modulus {self.modulus:#x} generator {self.generator}"
 
@@ -161,11 +158,16 @@ def trace(ctx: BinaryFieldContext, x: int) -> int:
 # ---------------------------------------------------------------------------
 # GF(p)
 
-def find_primitive_element(p: int) -> int:
-    """Least primitive root of the odd prime p, budget checked before any work."""
+def check_odd_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime within the sequence-length budget."""
     budget.check("sequence length", p)
-    if not is_prime(p) or p == 2:
+    if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
+
+
+def find_primitive_element(p: int) -> int:
+    """Least primitive root of the odd prime p, checked before any work."""
+    check_odd_prime(p)
     qs = prime_factors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in qs):

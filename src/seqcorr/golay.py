@@ -10,23 +10,23 @@ f_n with alternating signs, scaled by the step's sign sigma_n.
 A pair (a, b) is Golay complementary when the autocorrelations cancel at
 every nonzero shift.  Certification is always re-checked from scratch; no
 constructed pair is trusted without it.  Turyn composition reaches every
-length 2^a * 10^b up to the exact-length budget from the base pairs of length 2
-and 10.  Stems and compositions work on int64 term arrays.  The seed
-census and the pair search share one enumerator of the 2^k rows of length
-k keyed by autocorrelation tail: a Golay pair of length k (the halves of an
-optimal seed of length 2k) has opposite tails.  Size limits come from budget.
+length 2^a * 10^b up to the exact-length budget from the built-in base
+pairs of length 2 and 10.  Stems and compositions work on int64 term
+arrays.  The seed census and the pair search share one enumerator of the
+2^k rows of length k keyed by autocorrelation tail: a Golay pair of length
+k (the halves of an optimal seed of length 2k) has opposite tails.  Size
+limits come from budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
 from . import budget
 from .corr import _corr
-from .sequence import BinarySequence, parse_sequences
+from .sequence import BinarySequence, parse_line
 
 
 class CertificationError(RuntimeError):
@@ -87,23 +87,6 @@ def certify(a: BinarySequence, b: BinarySequence) -> GolayPair:
     return GolayPair(a, b, certified=True)
 
 
-def deinterleave(f: BinarySequence) -> tuple[BinarySequence, BinarySequence]:
-    if len(f) % 2:
-        raise ValueError("deinterleave requires even length")
-    return BinarySequence(f.terms[0::2]), BinarySequence(f.terms[1::2])
-
-
-def is_optimal_seed(seed: BinarySequence) -> bool:
-    """Length-1 seeds are optimal; longer seeds are optimal exactly when
-    they deinterleave into a Golay complementary pair (impossible for odd
-    lengths)."""
-    if len(seed) == 1:
-        return True
-    if len(seed) % 2:
-        return False
-    return is_golay_pair(*deinterleave(seed))
-
-
 def _mask_to_sequence(mask: int, length: int) -> BinarySequence:
     """Bit j set means term j is +1; this fixes the enumeration order."""
     return BinarySequence(2 * (mask >> np.arange(length) & 1) - 1)
@@ -143,10 +126,10 @@ def check_census_length(length: int) -> None:
     budget.check("census half-length", (length + 1) // 2)
 
 
-def search_optimal_seeds(length: int, exemplar_cap: int = 10):
+def search_optimal_seeds(length: int):
     """(count, exemplars) of the optimal seeds among all 2^length: for length
     2k, the Golay pairs of length k interleaved; none for odd lengths above 1.
-    Exemplars are the first seeds in increasing bitmask order."""
+    Exemplars are the first ten seeds in increasing bitmask order."""
     check_census_length(length)
     if length == 1:
         return 2, [_mask_to_sequence(0, 1), _mask_to_sequence(1, 1)]
@@ -156,7 +139,7 @@ def search_optimal_seeds(length: int, exemplar_cap: int = 10):
         sum((a >> j & 1) << 2 * j | (b >> j & 1) << 2 * j + 1 for j in range(length // 2))
         for a, b in _golay_masks(length // 2)
     )
-    return len(seeds), [_mask_to_sequence(m, length) for m in seeds[:exemplar_cap]]
+    return len(seeds), [_mask_to_sequence(m, length) for m in seeds[:10]]
 
 
 # ---------------------------------------------------------------------------
@@ -180,32 +163,17 @@ def _compose_once(pa: GolayPair, pb: GolayPair) -> GolayPair:
     return GolayPair(BinarySequence(f.ravel()), BinarySequence(g.ravel()))
 
 
-_BASE2 = (BinarySequence((1, 1)), BinarySequence((1, -1)))
-
-
-def _load_pair_asset(name: str) -> tuple[BinarySequence, BinarySequence]:
-    path = resources.files("seqcorr").joinpath(f"data/{name}")
-    if not path.is_file():
-        raise FileNotFoundError(
-            f"base pair asset {name} is not installed; populate src/seqcorr/data/{name}"
-        )
-    seqs = parse_sequences(path.read_text(encoding="ascii"))
-    if len(seqs) != 2:
-        raise CertificationError(f"asset {name} must contain exactly two sequences")
-    return seqs[0], seqs[1]
+# The base pairs by length, built once.  Length 10 is the first pair in
+# bitmask order: search_golay_pairs(10) finds it again.
+_BASES = {len(a): (parse_line(a), parse_line(b))
+          for a, b in (("++", "+-"), ("-++-+-----", "+-+---++--"))}
 
 
 def golay_base(length: int) -> GolayPair:
-    """A certified base pair of length 2 or 10.
-
-    Length 2 is built in; length 10 was found once by exhaustive search and
-    is shipped as a data file, re-certified at load time.
-    """
-    if length == 2:
-        return certify(*_BASE2)
-    if length == 10:
-        return certify(*_load_pair_asset("golay10.txt"))
-    raise ValueError(f"base pair lengths are 2 and 10; got {length}")
+    """The built-in base pair of length 2 or 10, certified on every call."""
+    if length not in _BASES:
+        raise ValueError(f"base pair lengths are 2 and 10; got {length}")
+    return certify(*_BASES[length])
 
 
 def base_factorization(length: int) -> tuple[int, int] | None:
@@ -246,8 +214,8 @@ def compose_to_length(length: int) -> GolayPair:
 
 def search_golay_pairs(length: int) -> GolayPair | None:
     """First Golay pair of the given length in bitmask enumeration order:
-    the smallest a that has a partner, with its smallest partner b.  Used
-    once to produce the length-10 asset."""
+    the smallest a that has a partner, with its smallest partner b.  At
+    length 10 it reproduces the built-in base pair."""
     if length < 2:
         raise ValueError(f"exhaustive pair search needs length >= 2, got {length}")
     budget.check("census half-length", length)

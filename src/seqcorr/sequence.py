@@ -90,13 +90,9 @@ def parse_sequences(text: str) -> list[BinarySequence]:
     return out
 
 
-def load_sequences(path) -> list[BinarySequence]:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_sequences(fh.read())
-
-
 def load_pair(path) -> tuple[BinarySequence, BinarySequence]:
-    seqs = load_sequences(path)
+    with open(path, "r", encoding="ascii") as fh:
+        seqs = parse_sequences(fh.read())
     if len(seqs) != 2:
         raise ValueError(f"pair file must contain exactly 2 sequences, found {len(seqs)}")
     return seqs[0], seqs[1]

@@ -149,6 +149,19 @@ def oracle_deinterleave(terms) -> tuple[tuple, tuple]:
     return terms[0::2], terms[1::2]
 
 
+def oracle_is_optimal_seed(seed) -> bool:
+    """Length-1 seeds are optimal; longer seeds are optimal exactly when their
+    even- and odd-indexed terms form a Golay complementary pair (impossible
+    for odd lengths)."""
+    terms = list(seed)
+    if len(terms) == 1:
+        return True
+    if len(terms) % 2:
+        return False
+    a, b = oracle_deinterleave(terms)
+    return all(oracle_xcorr(a, a, s) + oracle_xcorr(b, b, s) == 0 for s in range(1, len(a)))
+
+
 def oracle_rsl_stem(seed, signs, depth: int) -> list[tuple]:
     """f_0 .. f_depth of f_{n+1} = f_n + sigma_n z^len(f_n) f_n*(-z)."""
     cur = list(seed)

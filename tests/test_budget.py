@@ -126,6 +126,12 @@ REFUSED_BEFORE_BUILDING = {
         parse_family("legendre:p=3,shift=best"), [101, 16411], None), "shift-search budget"),
     "sweep_exact": (lambda: analysis.convergence_sweep(parse_family("mseq:n=2"), [3, 24], None),
                     "exact-arithmetic budget"),
+    "sweep_not_prime": (lambda: analysis.convergence_sweep(
+        parse_family("legendre:p=3,shift=best"), [16381, 16382], None), "not an odd prime"),
+    "sweep_quartic_residue": (lambda: analysis.convergence_sweep(
+        parse_family("quartic_f:p=5"), [13, 7], None), "p = 1 mod 4"),
+    "sweep_char_shift": (lambda: analysis.convergence_sweep(
+        parse_family("mseq:n=3,char=40"), [18, 5], None), "not a nonzero field element"),
     "typical_exact": (lambda: analysis.report_pairs("typical_mseq", n=21, d=11),
                       "exact-arithmetic budget"),
     "typical_decimation": (lambda: analysis.report_pairs("typical_mseq", n=20, d=5),

@@ -370,6 +370,13 @@ FAIL_FAST = [
     ("generate legendre:p=1019,resize=nan", "resize ratio nan must be positive and finite"),
     ("generate legendre:p=1000003,resize=20", "field-size limit"),
     ("baseline --len 1024 --trials 1000000000", "baseline budget"),
+    ("sweep legendre:p=3,shift=best --sizes 16381,16382", "16382 is not an odd prime"),
+    ("sweep legendre:p=3 --sizes 1000003,1000004", "1000004 is not an odd prime"),
+    ("sweep mseq:n=3,char=40 --sizes 18,5", "character shift 40 is not a nonzero field element"),
+    ("sweep legendre:p=3 --sizes 7 --target nan", "target nan must be a finite number"),
+    ("sweep legendre:p=3 --sizes 7 --target inf --json", "target inf must be a finite number"),
+    ("sweep legendre:p=3 --sizes 7 --target=-inf", "target -inf must be a finite number"),
+    ("sweep legendre:p=3 --sizes 7 --target 1e999", "target 1e999 must be a finite number"),
 ]
 
 

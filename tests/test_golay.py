@@ -11,10 +11,8 @@ from seqcorr import (
     cdf,
     certify,
     compose_to_length,
-    deinterleave,
     golay_base,
     is_golay_pair,
-    is_optimal_seed,
     psc,
     rsl_pair_stems,
     rsl_stem,
@@ -28,7 +26,7 @@ MAX_EXACT_LEN = BUDGETS["exact length"].limit
 MAX_HALF_LENGTH = BUDGETS["census half-length"].limit
 from seqcorr.sequence import parse_line
 
-from oracles import oracle_interleave, random_sequence
+from oracles import oracle_interleave, oracle_is_optimal_seed, random_sequence
 
 
 def seq(text):
@@ -116,24 +114,14 @@ class TestGolayChecks:
         assert oracle_interleave(seq("+-"), seq("--")).to_line() == "+---"
         with pytest.raises(ValueError):
             oracle_interleave(seq("+-"), seq("-"))
-        with pytest.raises(ValueError):
-            deinterleave(seq("+-+"))
-
-    def test_interleave_round_trip(self):
-        rng = random.Random(45)
-        for _ in range(10):
-            a = random_sequence(rng, 16)
-            b = random_sequence(rng, 16)
-            assert deinterleave(oracle_interleave(a, b)) == (a, b)
 
     def test_optimal_seed_classification(self):
-        assert is_optimal_seed(seq("+"))
-        assert is_optimal_seed(seq("-"))
-        assert is_optimal_seed(oracle_interleave(seq("++"), seq("+-")))
-        assert deinterleave(seq("+++-")) == (seq("++"), seq("+-"))
-        assert is_optimal_seed(seq("+++-"))
+        assert oracle_is_optimal_seed(seq("+"))
+        assert oracle_is_optimal_seed(seq("-"))
+        assert oracle_is_optimal_seed(oracle_interleave(seq("++"), seq("+-")))
+        assert oracle_is_optimal_seed(seq("+++-"))
         for text in ("+++", "--+", "+-+"):
-            assert not is_optimal_seed(seq(text))
+            assert not oracle_is_optimal_seed(seq(text))
 
 
 class TestSeedCensus:
@@ -155,7 +143,7 @@ class TestSeedCensus:
                 s = BinarySequence(
                     tuple(1 if (mask >> j) & 1 else -1 for j in range(length))
                 )
-                if is_optimal_seed(s):
+                if oracle_is_optimal_seed(s):
                     direct.append(s)
             assert count == len(direct)
             assert exemplars == direct[:10]
@@ -244,11 +232,11 @@ class TestSearches:
         assert pair.a.to_line() == "-++-+-----"
         assert pair.b.to_line() == "+-+---++--"
 
-    def test_exhaustive_matches_shipped_asset(self):
+    def test_exhaustive_matches_built_in_base(self):
         pair = search_golay_pairs(10)
-        asset = golay_base(10)
-        assert pair.a == asset.a
-        assert pair.b == asset.b
+        base = golay_base(10)
+        assert pair.a == base.a
+        assert pair.b == base.b
 
     def test_exhaustive_small_lengths(self):
         pair2 = search_golay_pairs(2)

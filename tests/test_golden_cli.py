@@ -2,24 +2,31 @@
 
 Each expected file under tests/golden/ holds the stdout of one command,
 recorded once from the CLI; a refactor that changes any byte of them
-changes user-visible output.  The input files beside them (non-Golay pairs
-of lengths 7 and 1021, the longer one above the correlation kernel's FFT
-crossover, and two recursion seeds) and the shipped length-10 Golay asset
-are the pair files the cases read.  Some cases run the shift-search
+changes user-visible output.  The input files beside them (the length-10
+Golay base pair, non-Golay pairs of lengths 7 and 1021, the longer one
+above the correlation kernel's FFT crossover, and two recursion seeds) are
+the pair files the cases read.  Some cases run the shift-search
 engines near their limits: the full pair grid at l = 511 and, with the PSC
 objective, at p = 389; the equal-shift diagonal at l = 1023 and, with the
 PSC objective, at p = 521; and a resized best shift at p = 4099.
+
+The package needs no data files: a copy of its .py files alone, run as a
+fresh interpreter, prints the same Golay bases, compositions and reports.
 """
 
-from importlib import resources
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import seqcorr
 from seqcorr.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-GOLAY10 = str(resources.files("seqcorr").joinpath("data/golay10.txt"))
+GOLAY10 = str(GOLDEN / "golay10.txt")
 PAIR7 = str(GOLDEN / "pair7.txt")
 PAIR1021 = str(GOLDEN / "pair1021.txt")
 SEEDS = str(GOLDEN / "seeds2.txt")
@@ -82,3 +89,23 @@ def test_golden_stdout(name, capsys):
     out = capsys.readouterr().out
     assert code == expected_code
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="ascii")
+
+
+def test_python_files_alone_run_the_golay_commands(tmp_path):
+    (tmp_path / "seqcorr").mkdir()
+    for source in Path(seqcorr.__file__).parent.glob("*.py"):
+        shutil.copy(source, tmp_path / "seqcorr")
+    golden = {name: (GOLDEN / f"{name}.out").read_text(encoding="ascii")
+              for name in ("golay_bases", "golay_compose_1000", "pairs_golay")}
+    header, *rows = golden["pairs_golay"].splitlines(keepends=True)
+    expected = {
+        "golay bases": golden["golay_bases"],
+        "golay compose --length 1000": golden["golay_compose_1000"],
+        "pairs golay --lengths 20": header + next(r for r in rows if r.startswith("golay,20,")),
+    }
+    # With -m the working directory leads sys.path, so the copy is what runs.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    for argv, stdout in expected.items():
+        run = subprocess.run([sys.executable, "-m", "seqcorr.cli", *argv.split()], cwd=tmp_path,
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (0, stdout, ""), argv

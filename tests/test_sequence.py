@@ -12,14 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcorr import BinarySequence, cyclic_shift, decimate, deinterleave, resize, rsl_stem
+from seqcorr import BinarySequence, cyclic_shift, decimate, resize, rsl_stem
 from seqcorr.golay import _mask_to_sequence
 from seqcorr.sequence import parse_line
 
 from oracles import (
     oracle_cyclic_shift,
     oracle_decimate,
-    oracle_deinterleave,
     oracle_mask_terms,
     oracle_neg,
     oracle_resize,
@@ -105,12 +104,6 @@ class TestTransformsMatchTupleFormulas:
                 decimate(f, d)
             return
         assert decimate(f, d).terms.tolist() == list(oracle_decimate(terms, d))
-
-    @settings(max_examples=60, deadline=None)
-    @given(terms=_TERMS.filter(lambda t: len(t) % 2 == 0))
-    def test_deinterleave(self, terms):
-        a, b = deinterleave(BinarySequence(terms))
-        assert (tuple(a), tuple(b)) == oracle_deinterleave(terms)
 
     @settings(max_examples=40, deadline=None)
     @given(terms=_TERMS)
