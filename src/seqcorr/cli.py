@@ -21,7 +21,7 @@ def _frac(q: Fraction) -> str:
 def _cmd_generate(args) -> int:
     spec = families.parse_family(args.family)
     seq, shift_used = analysis.realize(spec)
-    print(f"# {spec.descriptor or spec.kind}  shift={shift_used}  length={len(seq)}")
+    print(f"# {spec}  shift={shift_used}  length={len(seq)}")
     print(seq.to_line())
     return 0
 
@@ -29,9 +29,8 @@ def _cmd_generate(args) -> int:
 def _cmd_correlate(args) -> int:
     f, g = load_pair(args.pairfile)
     spec = corr.periodic_xcorr(f, g) if args.periodic else corr.aperiodic_xcorr(f, g)
-    print("shift,value")
-    for s in spec.shifts():
-        print(f"{s},{spec[s]}")
+    rows = "".join(f"{s},{v}\n" for s, v in spec.values.items())  # values are in shift order
+    sys.stdout.write("shift,value\n" + rows)
     return 0
 
 

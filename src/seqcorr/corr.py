@@ -97,17 +97,11 @@ class CorrelationSpectrum:
     def shifts(self) -> list[int]:
         return sorted(self.values)
 
-    def __str__(self) -> str:
-        body = ", ".join(f"{s}: {self.values[s]}" for s in self.shifts())
-        return f"{self.kind} spectrum ({self.len_f}x{self.len_g}) {{{body}}}"
-
 
 def aperiodic_xcorr(f: BinarySequence, g: BinarySequence) -> CorrelationSpectrum:
-    vals = xcorr_values(f, g)
-    lo = -(len(g) - 1)
     return CorrelationSpectrum(
         kind="aperiodic",
-        values={lo + i: v for i, v in enumerate(vals)},
+        values=dict(zip(range(1 - len(g), len(f)), xcorr_values(f, g))),
         len_f=len(f),
         len_g=len(g),
     )
@@ -117,9 +111,13 @@ def periodic_xcorr(f: BinarySequence, g: BinarySequence) -> CorrelationSpectrum:
     if len(f) != len(g):
         raise ValueError("periodic crosscorrelation requires equal lengths")
     ell = len(f)
-    ap = aperiodic_xcorr(f, g)
-    vals = {s: ap[s] + ap[s - ell] for s in range(ell)}
-    return CorrelationSpectrum(kind="periodic", values=vals, len_f=ell, len_g=ell)
+    # c[k] = C(k - (ell-1)): PC(s) = C(s) + C(s - ell) is c[ell-1+s] + c[s-1]
+    c = _corr(f.as_array(), g.as_array())
+    pc = c[ell - 1 :]
+    pc[1:] += c[: ell - 1]
+    return CorrelationSpectrum(
+        kind="periodic", values=dict(zip(range(ell), pc.tolist())), len_f=ell, len_g=ell
+    )
 
 
 def adf(f: BinarySequence) -> Fraction:

@@ -31,14 +31,36 @@ def msequence(ctx: BinaryFieldContext, char_shift: int = 1) -> BinarySequence:
 
     char_shift = 1 gives the naturally shifted (Galois) form; any other
     nonzero value only rotates it cyclically.
+
+    The powers alpha^j are built as bitmasks by doubling a block: alpha^(j+B)
+    = alpha^j * alpha^B, and multiplying by the fixed element alpha^B is
+    GF(2)-linear, so it is the XOR over the set bits i of alpha^j of
+    x^i * alpha^B: n vector XORs over the block already built.  The trace is
+    linear too: Tr(c * alpha^j) = parity(alpha^j & mask), where bit i of mask
+    is Tr(c * x^i), so n scalar traces serve every term.
     """
     _check_char_shift(char_shift, ctx.order)
-    cur = char_shift
-    terms = []
-    for _ in range(ctx.order):
-        terms.append(-1 if trace(ctx, cur) else 1)
-        cur = ctx.mul(cur, ctx.generator)
-    return BinarySequence(terms)
+    n, order = ctx.n, ctx.order
+    powers = np.ones(order, dtype=np.int32)  # int32: the sequence budget keeps n <= 24
+    done, alpha_done = 1, ctx.generator  # alpha_done = alpha^done
+    while done < order:
+        out = powers[done : 2 * done]
+        src, bit = powers[: len(out)], np.empty_like(out)
+        out[:] = 0
+        for i in range(n):  # out ^= (bit i of src) * x^i * alpha^done
+            np.right_shift(src, i, out=bit)
+            bit &= 1
+            bit *= ctx.mul(1 << i, alpha_done)
+            out ^= bit
+        done *= 2
+        alpha_done = ctx.mul(alpha_done, alpha_done)
+    powers &= sum(trace(ctx, ctx.mul(char_shift, 1 << i)) << i for i in range(n))
+    for k in reversed(range((n - 1).bit_length())):  # parity of the n low bits into bit 0
+        powers ^= powers >> (1 << k)
+    powers &= 1
+    powers *= -2
+    powers += 1
+    return BinarySequence(powers)
 
 
 def _check_char_shift(char_shift: int, order: int) -> None:

@@ -10,6 +10,7 @@ are the tuple formulas the package used before its terms became arrays.
 
 from fractions import Fraction
 
+from seqcorr.gf import trace
 from seqcorr.sequence import BinarySequence
 
 
@@ -71,7 +72,18 @@ def oracle_psc_at_least_one(report) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Characters of GF(p)
+# Characters of GF(2^n) and GF(p)
+
+
+def oracle_msequence(ctx, c: int) -> tuple:
+    """Term j = (-1)^Tr(c * alpha^j), stepping one field multiplication and
+    one trace per term."""
+    cur = c
+    terms = []
+    for _ in range(ctx.order):
+        terms.append(-1 if trace(ctx, cur) else 1)
+        cur = ctx.mul(cur, ctx.generator)
+    return tuple(terms)
 
 
 def oracle_quadratic_character(p: int, j: int) -> int:

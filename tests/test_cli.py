@@ -29,6 +29,13 @@ class TestGenerate:
         assert "length=7" in lines[0]
         assert lines[1] == "-++-+--"
 
+    def test_mseq_n20_is_built_by_array(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "generate", "mseq:n=20")
+        assert code == 0
+        assert len(out.splitlines()[1]) == (1 << 20) - 1
+        assert time.perf_counter() - start < 10
+
     def test_legendre_best_shift_header(self, capsys):
         code, out, _ = run(capsys, "generate", "legendre:p=31,shift=best")
         assert code == 0

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqcorr import (
     BinarySequence,
@@ -21,6 +23,7 @@ from oracles import (
     oracle_adf,
     oracle_cdf,
     oracle_l4l2_adf,
+    oracle_periodic,
     oracle_psc_at_least_one,
     oracle_spectrum,
     random_sequence,
@@ -222,6 +225,20 @@ class TestPeriodicXcorr:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             periodic_xcorr(seq("++"), seq("+"))
+
+    @settings(max_examples=30, deadline=None)
+    @given(ell=st.one_of(st.integers(1, 40),
+                         st.integers(corr._FFT_MIN_LEN - 24, corr._FFT_MIN_LEN + 24)),
+           seed=st.integers(0, 2**32))
+    def test_matches_oracle_across_kernel_crossover(self, ell, seed):
+        rng = random.Random(seed)
+        f = random_sequence(rng, ell)
+        g = random_sequence(rng, ell)
+        if g == f:
+            g = BinarySequence(np.concatenate(([-g.terms[0]], g.terms[1:])))
+        spec = periodic_xcorr(f, g)
+        assert list(spec.values) == list(range(ell))
+        assert spec.values == oracle_periodic(f, g)
 
 
 class TestDemeritFactors:

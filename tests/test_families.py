@@ -1,6 +1,9 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqcorr import (
     BinarySequence,
@@ -27,7 +30,9 @@ from seqcorr.families import (
 )
 from seqcorr.gf import is_prime
 
-from oracles import oracle_quadratic_character, random_sequence
+from oracles import oracle_msequence, oracle_quadratic_character, random_sequence
+
+_field = functools.cache(make_binary_field)
 
 
 def all_rotations(f):
@@ -49,6 +54,15 @@ class TestMSequence:
         base = msequence(ctx, 1)
         for c in (2, 3, 7, 11):
             assert msequence(ctx, c) in all_rotations(base)
+
+    @settings(max_examples=40, deadline=None)
+    @given(nc=st.integers(2, 14).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, (1 << n) - 1))))
+    def test_matches_per_term_walk(self, nc):
+        n, c = nc
+        ctx = _field(n)
+        for char in {1, c, ctx.order}:
+            assert tuple(msequence(ctx, char)) == oracle_msequence(ctx, char)
 
     def test_trivial_character_rejected(self):
         ctx = make_binary_field(3)

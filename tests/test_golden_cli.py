@@ -4,7 +4,8 @@ Each expected file under tests/golden/ holds the stdout of one command,
 recorded once from the CLI; a refactor that changes any byte of them
 changes user-visible output.  The input files beside them (the length-10
 Golay base pair, non-Golay pairs of lengths 7 and 1021, the longer one
-above the correlation kernel's FFT crossover, and two recursion seeds) are
+above the correlation kernel's FFT crossover, an m-sequence and its
+decimation by 5 at length 1023, and two recursion seeds) are
 the pair files the cases read.  Some cases run the shift-search
 engines near their limits: the full pair grid at l = 511 and, with the PSC
 objective, at p = 389; the equal-shift diagonal at l = 1023 and, with the
@@ -29,6 +30,7 @@ GOLDEN = Path(__file__).parent / "golden"
 GOLAY10 = str(GOLDEN / "golay10.txt")
 PAIR7 = str(GOLDEN / "pair7.txt")
 PAIR1021 = str(GOLDEN / "pair1021.txt")
+MSEQ1023 = str(GOLDEN / "mseq_pair1023.txt")
 SEEDS = str(GOLDEN / "seeds2.txt")
 
 # name -> (argv, exit code); stdout is compared with golden/<name>.out
@@ -40,6 +42,7 @@ CASES = {
     "generate_quartic_g": (["generate", "quartic_g:p=101,shift=7"], 0),
     "generate_mseq_shift_resize": (["generate", "mseq:n=5,shift=3,resize=1.5"], 0),
     "generate_quartic_f_4129": (["generate", "quartic_f:p=4129,shift=17"], 0),
+    "generate_mseq_13_char8191": (["generate", "mseq:n=13,char=8191"], 0),
     "correlate_golay10": (["correlate", GOLAY10], 0),
     "correlate_golay10_periodic": (["correlate", GOLAY10, "--periodic"], 0),
     "correlate_pair7": (["correlate", PAIR7], 0),
@@ -47,6 +50,7 @@ CASES = {
     "demerit_pair7": (["demerit", PAIR7], 0),
     "correlate_pair1021": (["correlate", PAIR1021], 0),
     "correlate_pair1021_periodic": (["correlate", PAIR1021, "--periodic"], 0),
+    "correlate_mseq_pair1023_periodic": (["correlate", MSEQ1023, "--periodic"], 0),
     "demerit_pair1021": (["demerit", PAIR1021], 0),
     "sweep_legendre_csv": (
         ["sweep", "legendre:p=3,shift=best", "--sizes", "101,211",
