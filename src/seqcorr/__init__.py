@@ -43,7 +43,6 @@ from .golay import (
     compose_to_length,
     golay_base,
     is_golay_pair,
-    rsl_pair_stems,
     rsl_stem,
     search_golay_pairs,
     search_optimal_seeds,
@@ -87,6 +86,5 @@ __all__ = [
     "search_optimal_seeds",
     "search_golay_pairs",
     "rsl_stem",
-    "rsl_pair_stems",
     "__version__",
 ]

@@ -271,7 +271,7 @@ def best_shift(
     if objective != "adf":
         raise ValueError("single-sequence shift search minimizes adf only")
     m = resize_len if resize_len is not None else len(f)
-    nums = adf_numerators_all_shifts(f.as_array(), m)
+    nums = adf_numerators_all_shifts(f.terms, m)
     r = int(np.argmin(nums))
     return r, Fraction(int(nums[r]), m * m)
 
@@ -290,7 +290,7 @@ def best_pair_shifts(
     if objective not in ("cdf", "psc"):
         raise ValueError("pair objective must be cdf or psc")
     ell = len(f)
-    af, ag = f.as_array(), g.as_array()
+    af, ag = f.terms, g.terms
     if objective == "psc":
         adf_f, adf_g = (adf_numerators_all_shifts(a).astype(np.float64) for a in (af, ag))
     if ell <= budget.BUDGETS["pair-grid length"].limit:
@@ -449,7 +449,7 @@ def _half_legendre(p):
     every ADF and CDF numerator at once.
     """
     budget.check("shift-search length", p)
-    arr = families.legendre(p).as_array()
+    arr = families.legendre(p).terms
     half = (p - 1) // 2
     n = half * half
     adf_a = adf_numerators_all_shifts(arr, half) / n
@@ -507,7 +507,9 @@ def _legendre_plus_quartic(p):
 def _rsl_pair(seed_f, seed_g, signs, depth):
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    f, g = golay.rsl_pair_stems(seed_f, seed_g, signs, depth)[-1]
+    if len(seed_f) != len(seed_g):
+        raise ValueError("seed lengths must match")
+    f, g = (golay.rsl_stem(seed, signs, depth) for seed in (seed_f, seed_g))
     yield f"seed_len={len(seed_f)} depth={depth}", f, g
 
 

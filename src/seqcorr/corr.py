@@ -79,32 +79,19 @@ def _fft_corr(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 
 def xcorr_values(f: BinarySequence, g: BinarySequence) -> list[int]:
     """C_{f,g}(s) for s = -(len(g)-1) .. len(f)-1, as Python ints."""
-    return _corr(f.as_array(), g.as_array()).tolist()
+    return _corr(f.terms, g.terms).tolist()
 
 
 @dataclass(frozen=True)
 class CorrelationSpectrum:
-    """Dense map shift -> integer correlation over the full shift support."""
+    """Dense map shift -> integer correlation over the full shift support,
+    in increasing shift order."""
 
-    kind: str  # "aperiodic" | "periodic"
     values: dict
-    len_f: int
-    len_g: int
-
-    def __getitem__(self, s: int) -> int:
-        return self.values.get(s, 0)
-
-    def shifts(self) -> list[int]:
-        return sorted(self.values)
 
 
 def aperiodic_xcorr(f: BinarySequence, g: BinarySequence) -> CorrelationSpectrum:
-    return CorrelationSpectrum(
-        kind="aperiodic",
-        values=dict(zip(range(1 - len(g), len(f)), xcorr_values(f, g))),
-        len_f=len(f),
-        len_g=len(g),
-    )
+    return CorrelationSpectrum(dict(zip(range(1 - len(g), len(f)), xcorr_values(f, g))))
 
 
 def periodic_xcorr(f: BinarySequence, g: BinarySequence) -> CorrelationSpectrum:
@@ -112,17 +99,15 @@ def periodic_xcorr(f: BinarySequence, g: BinarySequence) -> CorrelationSpectrum:
         raise ValueError("periodic crosscorrelation requires equal lengths")
     ell = len(f)
     # c[k] = C(k - (ell-1)): PC(s) = C(s) + C(s - ell) is c[ell-1+s] + c[s-1]
-    c = _corr(f.as_array(), g.as_array())
+    c = _corr(f.terms, g.terms)
     pc = c[ell - 1 :]
     pc[1:] += c[: ell - 1]
-    return CorrelationSpectrum(
-        kind="periodic", values=dict(zip(range(ell), pc.tolist())), len_f=ell, len_g=ell
-    )
+    return CorrelationSpectrum(dict(zip(range(ell), pc.tolist())))
 
 
 def adf(f: BinarySequence) -> Fraction:
     """Autocorrelation demerit factor: sum of C(s)^2 over s != 0, divided by l^2."""
-    arr = f.as_array()
+    arr = f.terms
     c = _corr(arr, arr)
     ell = len(f)
     return Fraction(int(np.dot(c, c)) - ell * ell, ell * ell)
@@ -132,7 +117,7 @@ def cdf(f: BinarySequence, g: BinarySequence) -> Fraction:
     """Crosscorrelation demerit factor: sum of C(s)^2 over all s, divided by lf*lg."""
     if len(f) != len(g):
         raise ValueError("crosscorrelation demerit factor requires equal lengths")
-    c = _corr(f.as_array(), g.as_array())
+    c = _corr(f.terms, g.terms)
     return Fraction(int(np.dot(c, c)), len(f) * len(g))
 
 

@@ -203,7 +203,10 @@ def parse_family(text: str) -> FamilySpec:
             key, eq, value = item.partition("=")
             if not eq:
                 raise ValueError(f"malformed descriptor item {item!r}; expected key=value")
-            kv[key.strip()] = value.strip()
+            key = key.strip()
+            if key in kv:
+                raise ValueError(f"descriptor key {key} is given more than once")
+            kv[key] = value.strip()
 
     def take_int(key, default=None):
         if key not in kv:

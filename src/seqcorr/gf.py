@@ -9,6 +9,7 @@ every derived sequence is reproducible across runs.  Size limits come from budge
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -113,9 +114,6 @@ class BinaryFieldContext:
     def mul(self, a: int, b: int) -> int:
         return gf2_mul(a, b, self.modulus, self.n)
 
-    def __str__(self) -> str:
-        return f"GF(2^{self.n}) modulus {self.modulus:#x} generator {self.generator}"
-
 
 def binary_field_order(n: int) -> int:
     """2^n - 1 for a degree n >= 2, checked against the sequence-length budget."""
@@ -126,6 +124,7 @@ def binary_field_order(n: int) -> int:
     return (1 << n) - 1
 
 
+@functools.cache  # at most 23 degrees fit the budget, and the context is frozen
 def make_binary_field(n: int) -> BinaryFieldContext:
     binary_field_order(n)
     modulus = None
@@ -185,9 +184,6 @@ class PrimeFieldContext:
     p: int
     generator: int
     coset_index: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __str__(self) -> str:
-        return f"GF({self.p}) generator {self.generator}"
 
 
 def _powers(x: int, count: int, p: int) -> np.ndarray:

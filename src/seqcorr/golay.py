@@ -33,28 +33,21 @@ class CertificationError(RuntimeError):
     """A pair that was required to be Golay complementary is not."""
 
 
-def rsl_stem(seed: BinarySequence, signs, depth: int) -> list[BinarySequence]:
-    """Stem f_0 ... f_depth of the doubling recursion; f_0 is the seed."""
+def rsl_stem(seed: BinarySequence, signs, depth: int) -> BinarySequence:
+    """Stem f_depth of the doubling recursion; f_0 is the seed.  Only the
+    current stem is kept while it doubles."""
     signs = tuple(signs)
     if not set(signs) <= {1, -1}:
         raise ValueError("sign sequence entries must be +1 or -1")
     if depth > len(signs):
         raise ValueError(f"depth {depth} exceeds supply of {len(signs)} signs")
     budget.check("exact length", len(seed) << depth)
-    out = [seed]
+    cur = seed.terms
     for n in range(depth):
-        cur = out[-1].terms
         block = signs[n] * cur[::-1]
         block[1::2] *= -1
-        out.append(BinarySequence(np.concatenate((cur, block))))
-    return out
-
-
-def rsl_pair_stems(seed_f: BinarySequence, seed_g: BinarySequence, signs, depth: int):
-    """Run the recursion on two seeds with a shared sign sequence."""
-    if len(seed_f) != len(seed_g):
-        raise ValueError("seed lengths must match")
-    return list(zip(rsl_stem(seed_f, signs, depth), rsl_stem(seed_g, signs, depth)))
+        cur = np.concatenate((cur, block))
+    return BinarySequence(cur)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +59,7 @@ def is_golay_pair(a: BinarySequence, b: BinarySequence) -> bool:
     s > 0; the rest follow by symmetry)."""
     if len(a) != len(b):
         raise ValueError("Golay check requires equal lengths")
-    fa, fb = a.as_array(), b.as_array()
+    fa, fb = a.terms, b.terms
     return not (_corr(fa, fa) + _corr(fb, fb))[len(a) :].any()
 
 
@@ -154,8 +147,8 @@ def _compose_once(pa: GolayPair, pb: GolayPair) -> GolayPair:
     u_i*b - v_i*a~ (second), where ~ is reversal, u = (c+d)/2 and
     v = (c-d)/2.  Exactly one of u_i, v_i is nonzero, so every term is +-1.
     """
-    aa, ab = pa.a.as_array(), pa.b.as_array()
-    ac, ad = pb.a.as_array(), pb.b.as_array()
+    aa, ab = pa.a.terms, pa.b.terms
+    ac, ad = pb.a.terms, pb.b.terms
     u = (ac + ad) // 2
     v = (ac - ad) // 2
     f = np.outer(u, aa) + np.outer(v, ab[::-1])

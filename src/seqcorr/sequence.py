@@ -59,10 +59,6 @@ class BinarySequence:
     def __neg__(self) -> "BinarySequence":
         return BinarySequence(-self.terms)
 
-    def as_array(self) -> np.ndarray:
-        """The stored read-only int64 terms themselves, not a copy."""
-        return self.terms
-
     def to_line(self) -> str:
         return np.where(self.terms > 0, _PLUS, _MINUS).astype(np.uint8).tobytes().decode("ascii")
 

@@ -52,10 +52,9 @@ def test_criterion_1_exact_stem_adf():
     ok = True
     for _ in range(50):
         signs = [rng.choice((-1, 1)) for _ in range(12)]
-        stems = rsl_stem(seed, signs, 12)
-        for n, f in enumerate(stems):
+        for n in range(13):
             expected = (1 - Fraction(-1, 2) ** n) / 3
-            if adf(f) != expected:
+            if adf(rsl_stem(seed, signs, n)) != expected:
                 ok = False
     _report(1, "exact stem ADF formula", ok)
 
@@ -160,23 +159,23 @@ def test_criterion_9_property_suite():
         ell = rng.randint(1, 48)
         f = _random_seq(rng, ell)
         g = _random_seq(rng, ell)
-        fg = aperiodic_xcorr(f, g)
-        gf = aperiodic_xcorr(g, f)
-        if any(fg[s] != gf[-s] for s in fg.shifts()):
+        fg = aperiodic_xcorr(f, g).values
+        gf = aperiodic_xcorr(g, f).values
+        if any(v != gf[-s] for s, v in fg.items()):
             ok = False
-        pc = periodic_xcorr(f, g)
-        if any(pc[s] != fg[s] + fg[s - ell] for s in range(ell)):
+        pc = periodic_xcorr(f, g).values
+        if any(pc[s] != fg[s] + fg.get(s - ell, 0) for s in range(ell)):
             ok = False
         if not oracle_psc_at_least_one(psc(f, g)):
             ok = False
 
     for n in range(3, 9):
         f = msequence(make_binary_field(n))
-        pc = periodic_xcorr(f, f)
+        pc = periodic_xcorr(f, f).values
         ok &= all(pc[s] == -1 for s in range(1, len(f)))
     for p in (7, 11, 19, 23):
         f = legendre(p)
-        pc = periodic_xcorr(f, f)
+        pc = periodic_xcorr(f, f).values
         ok &= all(pc[s] == -1 for s in range(1, p))
 
     f = legendre(31)

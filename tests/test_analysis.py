@@ -134,7 +134,7 @@ class TestEngines:
             ell = rng.randrange(2, 13)
             f = random_sequence(rng, ell)
             for m in (ell, max(1, ell - 2), ell + 4, 2 * ell + 1):
-                nums = adf_numerators_all_shifts(f.as_array(), m)
+                nums = adf_numerators_all_shifts(f.terms, m)
                 for r in range(ell):
                     variant = resize(cyclic_shift(f, r), m)
                     assert Fraction(int(nums[r]), m * m) == oracle_adf(variant)
@@ -145,7 +145,7 @@ class TestEngines:
             ell = rng.randrange(2, 11)
             f = random_sequence(rng, ell)
             g = random_sequence(rng, ell)
-            grid = cdf_numerators_grid(f.as_array(), g.as_array())
+            grid = cdf_numerators_grid(f.terms, g.terms)
             for rf in range(ell):
                 for rg in range(ell):
                     expect = oracle_cdf(cyclic_shift(f, rf), cyclic_shift(g, rg))
@@ -157,8 +157,8 @@ class TestEngines:
             ell = rng.randrange(2, 14)
             f = random_sequence(rng, ell)
             g = random_sequence(rng, ell)
-            grid = cdf_numerators_grid(f.as_array(), g.as_array())
-            diag = cdf_numerators_diagonal(f.as_array(), g.as_array())
+            grid = cdf_numerators_grid(f.terms, g.terms)
+            diag = cdf_numerators_diagonal(f.terms, g.terms)
             assert np.array_equal(np.diag(grid), diag)
 
     def test_diagonal_window_matches_oracle(self):
@@ -168,12 +168,12 @@ class TestEngines:
             f = random_sequence(rng, ell)
             g = random_sequence(rng, ell)
             for m in range(1, ell):
-                diag = cdf_numerators_diagonal(f.as_array(), g.as_array(), m)
+                diag = cdf_numerators_diagonal(f.terms, g.terms, m)
                 for r in range(ell):
                     expect = oracle_cdf(resize(cyclic_shift(f, r), m), resize(cyclic_shift(g, r), m))
                     assert Fraction(int(diag[r]), m * m) == expect
         with pytest.raises(ValueError):
-            cdf_numerators_diagonal(f.as_array(), g.as_array(), ell + 1)
+            cdf_numerators_diagonal(f.terms, g.terms, ell + 1)
 
     def test_engine_input_validation(self):
         arr = np.ones(5, dtype=np.int64)
@@ -192,8 +192,8 @@ class TestEngines:
         f = random_sequence(rng, 600)
         g = random_sequence(rng, 600)
         assert 600 >= corr._FFT_MIN_LEN  # the first rotation is correlated on the FFT path
-        nums = adf_numerators_all_shifts(f.as_array(), 650)
-        diag = cdf_numerators_diagonal(f.as_array(), g.as_array(), 600)
+        nums = adf_numerators_all_shifts(f.terms, 650)
+        diag = cdf_numerators_diagonal(f.terms, g.terms, 600)
         for r in (0, 1, 2, 299, 598, 599):
             fr, gr = cyclic_shift(f, r), cyclic_shift(g, r)
             assert Fraction(int(nums[r]), 650 * 650) == adf(resize(fr, 650))
@@ -222,7 +222,7 @@ class TestEngineProperties:
     @example(case=(BinarySequence((1,)), 1))  # l = m = 1: the lag vector is empty
     def test_adf_all_shifts(self, case):
         f, m = case
-        nums = adf_numerators_all_shifts(f.as_array(), m)
+        nums = adf_numerators_all_shifts(f.terms, m)
         assert nums.shape == (len(f),) and nums.dtype == np.int64
         for r in range(len(f)):
             assert Fraction(int(nums[r]), m * m) == oracle_adf(resize(cyclic_shift(f, r), m))
@@ -233,7 +233,7 @@ class TestEngineProperties:
     @example(case=(BinarySequence((1,)), BinarySequence((-1,)), 1))
     def test_diagonal_windows(self, case):
         f, g, m = case
-        diag = cdf_numerators_diagonal(f.as_array(), g.as_array(), m)
+        diag = cdf_numerators_diagonal(f.terms, g.terms, m)
         assert diag.shape == (len(f),) and diag.dtype == np.int64
         for r in range(len(f)):
             expect = oracle_cdf(resize(cyclic_shift(f, r), m), resize(cyclic_shift(g, r), m))
@@ -244,7 +244,7 @@ class TestEngineProperties:
     def test_grid(self, fg):
         f, g = fg
         ell = len(f)
-        grid = cdf_numerators_grid(f.as_array(), g.as_array())
+        grid = cdf_numerators_grid(f.terms, g.terms)
         assert grid.shape == (ell, ell) and grid.dtype == np.int64
         for rf in range(ell):
             for rg in range(ell):

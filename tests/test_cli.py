@@ -384,6 +384,8 @@ FAIL_FAST = [
     ("sweep legendre:p=3 --sizes 7 --target inf --json", "target inf must be a finite number"),
     ("sweep legendre:p=3 --sizes 7 --target=-inf", "target -inf must be a finite number"),
     ("sweep legendre:p=3 --sizes 7 --target 1e999", "target 1e999 must be a finite number"),
+    ("generate legendre:p=7,p=11", "descriptor key p is given more than once"),
+    ("generate legendre:p=7,shift=1,shift=best", "descriptor key shift is given more than once"),
 ]
 
 

@@ -1,4 +1,3 @@
-import functools
 import random
 
 import pytest
@@ -32,8 +31,6 @@ from seqcorr.gf import is_prime
 
 from oracles import oracle_msequence, oracle_quadratic_character, random_sequence
 
-_field = functools.cache(make_binary_field)
-
 
 def all_rotations(f):
     return {cyclic_shift(f, r) for r in range(len(f))}
@@ -60,7 +57,7 @@ class TestMSequence:
         lambda n: st.tuples(st.just(n), st.integers(1, (1 << n) - 1))))
     def test_matches_per_term_walk(self, nc):
         n, c = nc
-        ctx = _field(n)
+        ctx = make_binary_field(n)
         for char in {1, c, ctx.order}:
             assert tuple(msequence(ctx, char)) == oracle_msequence(ctx, char)
 
@@ -74,8 +71,7 @@ class TestMSequence:
             seq = msequence(make_binary_field(n))
             assert sum(seq.terms) == -1
             spec = periodic_xcorr(seq, seq)
-            assert spec[0] == len(seq)
-            assert all(spec[s] == -1 for s in range(1, len(seq)))
+            assert spec.values == {0: len(seq), **dict.fromkeys(range(1, len(seq)), -1)}
 
 
 class TestDecimate:
@@ -137,7 +133,7 @@ class TestLegendre:
             assert p % 4 == 3 and is_prime(p)
             h = legendre(p)
             spec = periodic_xcorr(h, h)
-            assert all(spec[s] == -1 for s in range(1, p))
+            assert all(spec.values[s] == -1 for s in range(1, p))
 
 
 class TestQuartic:
@@ -265,6 +261,8 @@ class TestFamilySpec:
             "legendre:p=13,bogus=1",
             "mseq:char=1",
             "legendre:p=13,resize=-1",
+            "legendre:p=7,p=11",
+            "legendre:p=7,shift=1,shift=best",
         ):
             with pytest.raises(ValueError):
                 parse_family(bad)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import seqcorr
 from seqcorr import (
     BinarySequence,
     CertificationError,
@@ -14,12 +15,12 @@ from seqcorr import (
     golay_base,
     is_golay_pair,
     psc,
-    rsl_pair_stems,
     rsl_stem,
     search_golay_pairs,
     search_optimal_seeds,
 )
 from seqcorr.budget import BUDGETS
+from seqcorr.analysis import report_pairs
 from seqcorr.golay import _tail_keys, base_factorization
 
 MAX_EXACT_LEN = BUDGETS["exact length"].limit
@@ -33,16 +34,22 @@ def seq(text):
     return parse_line(text)
 
 
+def test_public_names_resolve_on_the_package():
+    for name in seqcorr.__all__:
+        assert hasattr(seqcorr, name), name
+    assert "rsl_pair_stems" not in seqcorr.__all__
+
+
 class TestStem:
     def test_classic_depth_two(self):
-        stems = rsl_stem(seq("+"), (1, 1), 2)
-        assert [s.to_line() for s in stems] == ["+", "++", "+++-"]
+        stems = [rsl_stem(seq("+"), (1, 1), n).to_line() for n in range(3)]
+        assert stems == ["+", "++", "+++-"]
 
     def test_lengths_double(self):
         rng = random.Random(41)
         seed = random_sequence(rng, 5)
-        stems = rsl_stem(seed, (1, -1, 1, -1), 4)
-        assert [len(s) for s in stems] == [5, 10, 20, 40, 80]
+        lengths = [len(rsl_stem(seed, (1, -1, 1, -1), n)) for n in range(5)]
+        assert lengths == [5, 10, 20, 40, 80]
 
     def test_depth_needs_signs(self):
         with pytest.raises(ValueError):
@@ -60,38 +67,39 @@ class TestStem:
         rng = random.Random(42)
         for _ in range(5):
             signs = tuple(rng.choice((1, -1)) for _ in range(9))
-            stems = rsl_stem(seq("+"), signs, 9)
-            for n, f in enumerate(stems):
-                assert adf(f) == (1 - Fraction(-1, 2) ** n) / 3
+            for n in range(10):
+                assert adf(rsl_stem(seq("+"), signs, n)) == (1 - Fraction(-1, 2) ** n) / 3
 
     def test_negating_seed_or_signs_preserves_magnitudes(self):
         rng = random.Random(43)
         seed = random_sequence(rng, 4)
         signs = (1, -1, 1)
-        base = rsl_stem(seed, signs, 3)
-        neg_seed = rsl_stem(-seed, signs, 3)
-        neg_signs = rsl_stem(seed, tuple(-s for s in signs), 3)
-        for a, b, c in zip(base, neg_seed, neg_signs):
-            assert adf(a) == adf(b) == adf(c)
+        for n in range(4):
+            base = rsl_stem(seed, signs, n)
+            neg_seed = rsl_stem(-seed, signs, n)
+            neg_signs = rsl_stem(seed, tuple(-s for s in signs), n)
+            assert adf(base) == adf(neg_seed) == adf(neg_signs)
 
     def test_pair_stems_share_signs(self):
         rng = random.Random(44)
         seed_f = random_sequence(rng, 8)
         seed_g = random_sequence(rng, 8)
-        pairs = rsl_pair_stems(seed_f, seed_g, (1, -1, 1, 1, -1, 1), 6)
-        assert len(pairs) == 7
-        f6, g6 = pairs[6]
-        assert len(f6) == len(g6) == 8 * 64
+        signs = (1, -1, 1, 1, -1, 1)
+        (row,) = report_pairs("rsl_pair", seed_f=seed_f, seed_g=seed_g, signs=signs, depth=6)
+        f6, g6 = rsl_stem(seed_f, signs, 6), rsl_stem(seed_g, signs, 6)
+        assert row.length == len(f6) == len(g6) == 8 * 64
+        assert (row.adf_f, row.adf_g, row.cdf) == tuple(map(float, (adf(f6), adf(g6), cdf(f6, g6))))
         # self-pair identity and negated-seed identity
-        for fn, gn in rsl_pair_stems(seed_f, seed_f, (1, -1, 1), 3):
-            assert cdf(fn, gn) == adf(fn) + 1
-        for fn, gn in rsl_pair_stems(seq("+"), seq("-"), (1, 1, -1), 3):
+        for n in range(4):
+            fn = rsl_stem(seed_f, (1, -1, 1), n)
+            assert cdf(fn, fn) == adf(fn) + 1
+            fn, gn = (rsl_stem(seq(text), (1, 1, -1), n) for text in "+-")
             assert gn == -fn
             assert cdf(fn, gn) == adf(fn) + 1
 
     def test_pair_stems_need_equal_seed_lengths(self):
-        with pytest.raises(ValueError):
-            rsl_pair_stems(seq("++"), seq("+"), (1,), 1)
+        with pytest.raises(ValueError, match="seed lengths must match"):
+            report_pairs("rsl_pair", seed_f=seq("++"), seed_g=seq("+"), signs=(1,), depth=1)
 
 
 class TestGolayChecks:
@@ -179,10 +187,13 @@ class TestSeedCensus:
 
 class TestComposition:
     def test_double_and_mixed_lengths(self):
-        for length in (4, 20, 100):
+        lengths = {2**a * 10**b for a in range(15) for b in range(5)} & set(range(2, 2**14 + 1))
+        assert len(lengths) == 39  # every 2^a * 10^b from 2 to 2^14
+        for length in sorted(lengths):
             pair = compose_to_length(length)
             assert pair.length == length and pair.certified
             assert is_golay_pair(pair.a, pair.b)
+            assert psc(pair.a, pair.b).psc_exact == 1
 
     def test_composed_pairs_have_equal_adf_and_unit_psc(self):
         for length in (4, 8, 20, 40):
