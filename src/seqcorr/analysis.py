@@ -10,18 +10,17 @@ product per shift on the diagonal and one integer matrix product for the
 full shift grid.  Size limits come from budget.
 
 The RNG is SplitMix64, fixed by its constants so that any implementation
-can reproduce the streams:
+can reproduce the streams.  With G = 0x9E3779B97F4A7C15 and
 
-    next(state): state += 0x9E3779B97F4A7C15  (mod 2^64)
-                 z = state
-                 z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9  (mod 2^64)
-                 z = (z ^ (z >> 27)) * 0x94D049BB133111EB  (mod 2^64)
-                 return z ^ (z >> 31)
+    mix(z) = z2 ^ (z2 >> 31), where z1 = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+                                    z2 = (z1 ^ (z1 >> 27)) * 0x94D049BB133111EB
 
-Sequences draw their +-1 terms from the low bits of successive outputs,
-least significant bit first; bit 1 maps to +1.  Trial t of a run with seed
-S uses its own generator seeded with mix(mix(S) + t * 0x9E3779B97F4A7C15),
-so partitioning trials across workers cannot change the results.
+(all mod 2^64), word w = 1, 2, ... of the generator seeded s is
+mix(s + w * G), so no state is kept.  Draw i of a run with seed S is the
+generator seeded mix(mix(S) + i * G); its +-1 terms are the low bits of
+its successive words, least significant bit first, and bit 1 maps to +1.
+Trial t of the Monte Carlo baseline uses draws 2t and 2t+1, so
+partitioning trials into blocks or across workers cannot change the results.
 """
 
 from __future__ import annotations
@@ -39,38 +38,26 @@ from .sequence import BinarySequence
 # ---------------------------------------------------------------------------
 # SplitMix64
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
-def mix64(z: int) -> int:
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """mix of the module docstring on a uint64 array, which wraps mod 2^64."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-class SplitMix64:
-    """The 64-bit mixing generator fixed in the module docstring."""
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK64
-        return mix64(self.state)
-
-
-def trial_seed(run_seed: int, index: int) -> int:
-    return mix64((mix64(run_seed) + _GOLDEN * index) & _MASK64)
-
-
-def random_pm1(gen: SplitMix64, length: int) -> np.ndarray:
-    """length +-1 terms from the generator's bit stream (LSB first, 1 -> +1)."""
-    words = [gen.next_u64() for _ in range((length + 63) // 64)]
-    raw = np.array(words, dtype="<u8").tobytes()
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits[:length].astype(np.int64) * 2 - 1
+def random_rows(run_seed: int, first: int, count: int, length: int) -> np.ndarray:
+    """Draws first .. first+count-1 of the run seeded run_seed, as a
+    (count, length) int64 array of +-1 terms (see the module docstring)."""
+    # Arrays throughout: uint64 arrays wrap mod 2^64 silently, numpy scalars warn.
+    base = _mix64(np.array([run_seed % (1 << 64)], dtype=np.uint64))
+    seeds = _mix64(base + np.arange(first, first + count, dtype=np.uint64) * _GOLDEN)
+    steps = np.arange(1, (length + 63) // 64 + 1, dtype=np.uint64) * _GOLDEN
+    words = _mix64(seeds[:, None] + steps).astype("<u8", copy=False)
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :length]
+    return bits.astype(np.int64) * 2 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +386,19 @@ def convergence_sweep(spec: FamilySpec, sizes, target: AsymptoticTarget | None) 
     return rows
 
 
+# Trials per block of the Monte Carlo baseline are this many work units
+# (see budget) over the units of one trial, and at least one.
+_BASELINE_BLOCK = 1 << 16
+
+
 def monte_carlo_baseline(length: int, trials: int, rng_seed: int) -> tuple[Fraction, Fraction]:
     """Sample means of ADF(f) and CDF(f, g) over trials independent uniform
     random pairs (f, g) of the given length, as exact Fractions.
 
-    Trial t draws f from the generator seeded trial_seed(rng_seed, 2t) and
-    g from trial_seed(rng_seed, 2t+1), so any partitioning of the trial
-    range reproduces the same means.
+    Trial t takes f from draw 2t and g from draw 2t+1 of the run seeded
+    rng_seed, so any partitioning of the trial range reproduces the same
+    means.  Trials run in blocks: one draw and two stacked correlations
+    per block.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -413,15 +406,16 @@ def monte_carlo_baseline(length: int, trials: int, rng_seed: int) -> tuple[Fract
         raise ValueError("length must be >= 1")
     budget.check("exact length", length)
     budget.check("baseline work", trials * max(length, 64))
-    adf_num = 0
+    per_block = max(1, _BASELINE_BLOCK // max(length, 64))
+    adf_num = -trials * length * length
     cdf_num = 0
-    for t in range(trials):
-        f = random_pm1(SplitMix64(trial_seed(rng_seed, 2 * t)), length)
-        g = random_pm1(SplitMix64(trial_seed(rng_seed, 2 * t + 1)), length)
+    for t in range(0, trials, per_block):
+        rows = random_rows(rng_seed, 2 * t, 2 * min(per_block, trials - t), length)
+        f, g = rows[0::2], rows[1::2]
         cff = corr._corr(f, f)
         cfg = corr._corr(f, g)
-        adf_num += int(np.dot(cff, cff)) - length * length
-        cdf_num += int(np.dot(cfg, cfg))
+        adf_num += sum(np.einsum("ij,ij->i", cff, cff).tolist())
+        cdf_num += sum(np.einsum("ij,ij->i", cfg, cfg).tolist())
     denom = trials * length * length
     return Fraction(adf_num, denom), Fraction(cdf_num, denom)
 

@@ -22,7 +22,7 @@ BUDGETS = {
     "shift-search window": Budget(1 << 15, "shift-search budget", "the resized length m a shift search scores"),
     "pair-grid length": Budget(512, "pair-grid budget", "one l x l int64 matrix product, then diagonal"),
     "census half-length": Budget(20, "census length budget", "tail keys of 2^k sign rows are below k! < 2^63"),
-    "baseline work": Budget(1 << 26, "baseline budget", "trials * max(length, 64), 0.2-0.65 us a unit"),
+    "baseline work": Budget(1 << 26, "baseline budget", "trials * max(length, 64), 0.12-0.4 us a unit"),
 }
 
 

@@ -5,19 +5,23 @@ C_{f,g}(s) = sum_j f_{j+s} g_j with out-of-range terms treated as zero,
 so the support is -(len(g)-1) <= s <= len(f)-1.  Periodic correlation
 satisfies PC(s) = C(s) + C(s - l) for equal lengths l.
 
-All values are integers; demerit factors are Fractions.  The private
-kernel _corr is the only correlation site in the package: spectra, demerit
-factors, Golay checks, the pair census and the Monte Carlo baseline all go
-through it.  It has two paths.  While the shorter input is below the
-crossover _FFT_MIN_LEN = 512 it is numpy's direct integer correlation on
-int64 arrays, O(l^2) and free of floating point.  Above it, the spectrum is
-irfft(rfft(a) * conj(rfft(b))) over a power-of-two length, O(l log l), one
-transform fewer for autocorrelations, rounded to int64.  That result is
-checked on every call: each value must lie within 0.25 of its integer
-and the integers must satisfy sum_s C(s) = (sum a)(sum b) exactly;
-otherwise the kernel returns the direct result instead.  Either way it
-refuses lengths over the exact-length budget (see budget), within which
-the values and their squared sums are exact in int64.
+All values are integers; demerit factors are Fractions.  The private kernel
+_corr computes the correlations of spectra, demerit factors, Golay checks
+and the Monte Carlo baseline; only the rotation walk of analysis, which
+updates a spectrum from _corr one shift at a time, and golay._tail_keys,
+the autocorrelation tails of every sign row for the seed census and the
+pair search, compute correlations themselves.  While the shorter input is
+below the crossover _FFT_MIN_LEN = 512 the kernel is numpy's direct integer
+correlation on int64 arrays, O(l^2) and free of floating point.  Above it,
+the spectrum is irfft(rfft(a) * conj(rfft(b))) over a power-of-two length,
+O(l log l), one transform fewer for autocorrelations, rounded to int64.
+Two equal-shape stacks of rows are correlated row by row and always take
+the FFT path, since one transform call serves every row.  Every FFT result
+is checked: each value must lie within 0.25 of its integer and each row
+must satisfy sum_s C(s) = (sum a)(sum b) exactly; otherwise the kernel
+returns the direct result, row by row for a stack.  Either way it refuses
+lengths over the exact-length budget (see budget), within which the values
+and their squared sums are exact in int64.
 """
 
 from __future__ import annotations
@@ -38,24 +42,29 @@ _FFT_MIN_LEN = 512
 
 
 def _corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """C_{a,b}(s) for s = -(len(b)-1) .. len(a)-1, from int64 term arrays.
+    """C_{a,b}(s) for s = -(len(b)-1) .. len(a)-1, from int64 term arrays;
+    for two equal-shape stacks of rows, row i is C_{a_i,b_i}.
 
-    Direct below the crossover; above it the FFT result, returned only
-    when it passes the exactness checks (see the module docstring).
+    Direct below the crossover; above it, and for every stack, the FFT
+    result, returned only when it passes the exactness checks (see the
+    module docstring).
     """
-    budget.check("exact length", max(len(a), len(b)))
-    if min(len(a), len(b)) >= _FFT_MIN_LEN:
+    budget.check("exact length", max(a.shape[-1], b.shape[-1]))
+    if a.ndim == 2 or min(len(a), len(b)) >= _FFT_MIN_LEN:
         c = _fft_corr(a, b)
         if c is not None:
             return c
+    if a.ndim == 2:
+        return np.array([np.correlate(x, y, mode="full") for x, y in zip(a, b)])
     return np.correlate(a, b, mode="full")
 
 
 def _fft_corr(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """The FFT correlation as int64, or None if it fails an exactness check."""
+    """The FFT correlation along the last axis as int64, or None if it
+    fails an exactness check."""
     from numpy import fft  # loaded on first use, not at package import
 
-    la, lb = len(a), len(b)
+    la, lb = a.shape[-1], b.shape[-1]
     size = 1 << (la + lb - 2).bit_length()  # >= la + lb - 1: no wraparound
     fa = fft.rfft(a, size)
     prod = fa.conj() if b is a else fft.rfft(b, size).conj()
@@ -64,7 +73,7 @@ def _fft_corr(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     circ = fft.irfft(prod, size)
     del prod
     # circ[k] = C(k) for k < la and C(k - size) for k > size - lb
-    x = np.concatenate((circ[size - lb + 1 :], circ[:la]))
+    x = np.concatenate((circ[..., size - lb + 1 :], circ[..., :la]), axis=-1)
     del circ
     c = np.rint(x)
     x -= c
@@ -72,7 +81,8 @@ def _fft_corr(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     if not x.max() < 0.25:  # fails on NaN too
         return None
     c = c.astype(np.int64)
-    if int(c.sum()) != int(a.sum()) * int(b.sum()):
+    # |sum a|, |sum b| <= 2^20 within the exact-length budget: int64 products
+    if not np.array_equal(c.sum(axis=-1), a.sum(axis=-1) * b.sum(axis=-1)):
         return None
     return c
 

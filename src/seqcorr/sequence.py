@@ -53,17 +53,11 @@ class BinarySequence:
     def __getitem__(self, j):
         return self.terms[j]
 
-    def __iter__(self):
-        return iter(self.terms.tolist())
-
     def __neg__(self) -> "BinarySequence":
         return BinarySequence(-self.terms)
 
     def to_line(self) -> str:
         return np.where(self.terms > 0, _PLUS, _MINUS).astype(np.uint8).tobytes().decode("ascii")
-
-    def __str__(self) -> str:
-        return self.to_line()
 
 
 def parse_line(line: str) -> BinarySequence:

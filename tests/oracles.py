@@ -6,6 +6,8 @@ as lists of Python ints first), so the accelerated paths in the package
 have something honest to be compared against.  The
 sequence transforms take any iterable of +-1 terms and return tuples: they
 are the tuple formulas the package used before its terms became arrays.
+SplitMix64 is the stateful generator whose words the package's closed-form
+draws must reproduce.
 """
 
 from fractions import Fraction
@@ -14,9 +16,14 @@ from seqcorr.gf import trace
 from seqcorr.sequence import BinarySequence
 
 
+def _ints(terms) -> list[int]:
+    """The terms of a BinarySequence or of any +-1 iterable, as Python ints."""
+    return [int(t) for t in terms]
+
+
 def oracle_xcorr(f, g, s: int) -> int:
     """sum_j f_{j+s} g_j with out-of-range terms zero."""
-    f, g = list(f), list(g)
+    f, g = _ints(f), _ints(g)
     total = 0
     for j in range(len(g)):
         if 0 <= j + s < len(f):
@@ -25,12 +32,12 @@ def oracle_xcorr(f, g, s: int) -> int:
 
 
 def oracle_spectrum(f, g) -> dict:
-    f, g = list(f), list(g)
+    f, g = _ints(f), _ints(g)
     return {s: oracle_xcorr(f, g, s) for s in range(-(len(g) - 1), len(f))}
 
 
 def oracle_periodic(f, g) -> dict:
-    f, g = list(f), list(g)
+    f, g = _ints(f), _ints(g)
     ell = len(f)
     out = {}
     for s in range(ell):
@@ -39,14 +46,14 @@ def oracle_periodic(f, g) -> dict:
 
 
 def oracle_adf(f) -> Fraction:
-    f = list(f)
+    f = _ints(f)
     ell = len(f)
     total = sum(oracle_xcorr(f, f, s) ** 2 for s in range(-(ell - 1), ell) if s != 0)
     return Fraction(total, ell * ell)
 
 
 def oracle_cdf(f, g) -> Fraction:
-    f, g = list(f), list(g)
+    f, g = _ints(f), _ints(g)
     total = sum(oracle_xcorr(f, g, s) ** 2 for s in range(-(len(g) - 1), len(f)))
     return Fraction(total, len(f) * len(g))
 
@@ -55,7 +62,7 @@ def oracle_l4l2_adf(f) -> Fraction:
     """ADF via the norm identity ||f||_4^4 = sum_s C(s)^2, with ||f||_4^4
     taken from the coefficients of f(z) * f~(z) (f~ = reversed f)."""
     ell = len(f)
-    rev = list(f)[::-1]
+    rev = _ints(f)[::-1]
     prod = [0] * (2 * ell - 1)
     for i, x in enumerate(f):
         for j, y in enumerate(rev):
@@ -125,23 +132,23 @@ def oracle_coset_table(p: int, g: int) -> list[int]:
 
 
 def oracle_neg(terms) -> tuple:
-    return tuple(-t for t in terms)
+    return tuple(-t for t in _ints(terms))
 
 
 def oracle_cyclic_shift(terms, r: int) -> tuple:
-    terms = tuple(terms)
+    terms = tuple(_ints(terms))
     r %= len(terms)
     return terms[r:] + terms[:r]
 
 
 def oracle_resize(terms, m: int) -> tuple:
-    terms = tuple(terms)
+    terms = tuple(_ints(terms))
     reps = -(-m // len(terms))
     return (terms * reps)[:m]
 
 
 def oracle_decimate(terms, d: int) -> tuple:
-    terms = tuple(terms)
+    terms = tuple(_ints(terms))
     ell = len(terms)
     return tuple(terms[d * j % ell] for j in range(ell))
 
@@ -157,7 +164,7 @@ def oracle_interleave(a, b) -> BinarySequence:
 
 
 def oracle_deinterleave(terms) -> tuple[tuple, tuple]:
-    terms = tuple(terms)
+    terms = tuple(_ints(terms))
     return terms[0::2], terms[1::2]
 
 
@@ -165,7 +172,7 @@ def oracle_is_optimal_seed(seed) -> bool:
     """Length-1 seeds are optimal; longer seeds are optimal exactly when their
     even- and odd-indexed terms form a Golay complementary pair (impossible
     for odd lengths)."""
-    terms = list(seed)
+    terms = _ints(seed)
     if len(terms) == 1:
         return True
     if len(terms) % 2:
@@ -176,7 +183,7 @@ def oracle_is_optimal_seed(seed) -> bool:
 
 def oracle_rsl_stem(seed, signs, depth: int) -> list[tuple]:
     """f_0 .. f_depth of f_{n+1} = f_n + sigma_n z^len(f_n) f_n*(-z)."""
-    cur = list(seed)
+    cur = _ints(seed)
     out = [tuple(cur)]
     for n in range(depth):
         ln = len(cur)
@@ -193,3 +200,36 @@ def oracle_mask_terms(mask: int, length: int) -> tuple:
 
 def random_sequence(rng, length: int) -> BinarySequence:
     return BinarySequence(tuple(rng.choice((1, -1)) for _ in range(length)))
+
+
+class SplitMix64:
+    """The stateful SplitMix64 generator, one Python-int word at a time:
+    the reference for analysis.random_rows."""
+
+    MASK = (1 << 64) - 1
+    GOLDEN = 0x9E3779B97F4A7C15
+
+    def __init__(self, seed: int):
+        self.state = seed & self.MASK
+
+    @classmethod
+    def mix(cls, z: int) -> int:
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & cls.MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & cls.MASK
+        return z ^ (z >> 31)
+
+    def next_u64(self) -> int:
+        self.state = (self.state + self.GOLDEN) & self.MASK
+        return self.mix(self.state)
+
+    @classmethod
+    def draw(cls, run_seed: int, index: int, length: int) -> list[int]:
+        """Draw index of the run seeded run_seed: length +-1 terms from the
+        words of the generator seeded mix(mix(run_seed) + index * GOLDEN),
+        least significant bit first, bit 1 -> +1."""
+        gen = cls(cls.mix((cls.mix(run_seed & cls.MASK) + index * cls.GOLDEN) & cls.MASK))
+        terms = []
+        while len(terms) < length:
+            word = gen.next_u64()
+            terms.extend(1 if (word >> j) & 1 else -1 for j in range(64))
+        return terms[:length]

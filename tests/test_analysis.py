@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from seqcorr import (
     BinarySequence,
     adf,
+    analysis,
     cdf,
     corr,
     cyclic_shift,
@@ -20,8 +21,8 @@ from seqcorr import (
 )
 from seqcorr.analysis import (
     PAIR_CONSTRUCTIONS,
-    SplitMix64,
     TARGETS,
+    _mix64,
     adf_numerators_all_shifts,
     best_pair_shifts,
     best_shift,
@@ -30,19 +31,17 @@ from seqcorr.analysis import (
     convergence_sweep,
     cubic_root,
     lookup_target,
-    mix64,
     monte_carlo_baseline,
-    random_pm1,
+    random_rows,
     realize,
     report_pairs,
     rows_to_csv,
     rows_to_json,
-    trial_seed,
 )
 from seqcorr.families import parse_family
 from seqcorr.sequence import parse_line
 
-from oracles import oracle_adf, oracle_cdf, random_sequence
+from oracles import SplitMix64, oracle_adf, oracle_cdf, random_sequence
 
 
 class TestSplitMix:
@@ -55,21 +54,38 @@ class TestSplitMix:
         ]
 
     def test_mix_is_pure(self):
-        assert mix64(12345) == mix64(12345)
-        assert mix64(1) != mix64(2)
+        z = np.array([12345, 1, 2, 0, 2**64 - 1], dtype=np.uint64)
+        assert np.array_equal(_mix64(z), _mix64(z.copy()))
+        assert _mix64(z).tolist() == [SplitMix64.mix(int(v)) for v in z]
 
-    def test_trial_seeds_distinct_and_stable(self):
-        seeds = [trial_seed(99, i) for i in range(100)]
-        assert len(set(seeds)) == 100
-        assert seeds == [trial_seed(99, i) for i in range(100)]
+    def test_draws_equal_the_generator(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            seed = rng.choice([rng.randrange(-(2**70), 0), rng.randrange(2**64, 2**80),
+                               rng.randrange(2**64)])
+            length = rng.randrange(1, 301)
+            first = rng.randrange(2**40)
+            count = rng.randrange(1, 4)
+            rows = random_rows(seed, first, count, length)
+            assert rows.dtype == np.int64 and rows.shape == (count, length)
+            for i, row in enumerate(rows.tolist()):
+                assert row == SplitMix64.draw(seed, first + i, length)
 
-    def test_random_pm1_bit_convention(self):
-        gen = SplitMix64(0)
-        word = SplitMix64(0).next_u64()
-        arr = random_pm1(gen, 70)
-        assert set(np.unique(arr)) <= {-1, 1}
+    def test_draws_distinct_and_stable(self):
+        rows = random_rows(99, 0, 100, 64)
+        assert len({r.tobytes() for r in rows}) == 100
+        assert np.array_equal(rows, random_rows(99, 0, 100, 64))
+
+    def test_draws_partition(self):
+        whole = random_rows(-7, 0, 30, 150)
+        parts = [random_rows(-7, a, b - a, 150) for a, b in ((0, 1), (1, 12), (12, 30))]
+        assert np.array_equal(whole, np.concatenate(parts))
+
+    def test_draw_bit_convention(self):
+        word = SplitMix64(SplitMix64.mix(SplitMix64.mix(0))).next_u64()
+        row = random_rows(0, 0, 1, 70)[0]
         for j in range(64):
-            assert arr[j] == ((word >> j) & 1) * 2 - 1
+            assert row[j] == ((word >> j) & 1) * 2 - 1
 
 
 class TestCubicRoots:
@@ -323,6 +339,23 @@ class TestBaseline:
         assert isinstance(a1, Fraction) and isinstance(c1, Fraction)
         a3, _ = monte_carlo_baseline(16, 25, 10)
         assert a3 != a1
+
+    @pytest.mark.parametrize("length", [1, 40, 64, 700])  # 700 is above the FFT crossover
+    def test_partition_invariance(self, monkeypatch, length):
+        blocked = monte_carlo_baseline(length, 23, -3)
+        monkeypatch.setattr(analysis, "_BASELINE_BLOCK", 1)  # one trial per block
+        assert monte_carlo_baseline(length, 23, -3) == blocked
+
+    def test_means_from_the_generator(self):
+        length, trials, seed = 37, 6, 2**64 + 5
+        adf_num = cdf_num = 0
+        for t in range(trials):
+            f = BinarySequence(SplitMix64.draw(seed, 2 * t, length))
+            g = BinarySequence(SplitMix64.draw(seed, 2 * t + 1, length))
+            adf_num += oracle_adf(f) * length**2
+            cdf_num += oracle_cdf(f, g) * length**2
+        denom = trials * length**2
+        assert monte_carlo_baseline(length, trials, seed) == (adf_num / denom, cdf_num / denom)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -96,7 +96,7 @@ class TestEntryPointBoundaries:
             golay.search_golay_pairs(limit("census half-length") + 1)
 
     def test_baseline_work(self):
-        # a run at the limit takes tens of seconds; the first unit past it is refused at once
+        # a run at the limit takes seconds; the first unit past it is refused at once
         with pytest.raises(ValueError, match="baseline budget"):
             analysis.monte_carlo_baseline(1, limit("baseline work") // 64 + 1, 1)
         with pytest.raises(ValueError, match="baseline budget"):
@@ -111,7 +111,7 @@ def nothing_built(monkeypatch):
 
     for module, name in ((families, "msequence"), (families, "legendre"),
                          (families, "make_prime_field"), (golay, "compose_to_length"),
-                         (analysis, "random_pm1")):
+                         (analysis, "random_rows")):
         monkeypatch.setattr(module, name, built)
 
 

@@ -167,6 +167,19 @@ class TestKernel:
             corr._corr(big, big[:X])
 
 
+class TestStackedKernel:
+    @pytest.mark.parametrize("ell", [1, 2, 63, X - 1, X, 700])
+    @pytest.mark.parametrize("auto", [True, False])
+    def test_rows_equal_one_dimensional_calls(self, ell, auto):
+        rng = np.random.default_rng(ell)
+        a = rng.choice([-1, 1], (5, ell)).astype(np.int64)
+        b = a if auto else rng.choice([-1, 1], (5, ell)).astype(np.int64)
+        c = corr._corr(a, b)
+        assert c.dtype == np.int64 and c.shape == (5, 2 * ell - 1)
+        for x, y, row in zip(a, b, c):
+            assert np.array_equal(row, corr._corr(x, y))
+
+
 class TestKernelGuard:
     """A wrong FFT result is caught and replaced by the direct one."""
 
@@ -176,7 +189,11 @@ class TestKernelGuard:
 
         def irfft(*args, **kwargs):
             out = real(*args, **kwargs)
-            out[0] += delta  # the shift-0 value
+            if out.ndim == 1:
+                out[0] += delta  # the shift-0 value
+            else:  # rows 0 and 1 cancel, so only a per-row check sees them
+                out[0, 0] += delta
+                out[1, 0] -= delta
             return out
 
         monkeypatch.setattr(np.fft, "irfft", irfft)
@@ -188,6 +205,19 @@ class TestKernelGuard:
         a = rng.choice([-1, 1], 2 * X).astype(np.int64)
         b = a if auto else rng.choice([-1, 1], 2 * X).astype(np.int64)
         expected = np.correlate(a, b, mode="full")
+        self.perturb_irfft(monkeypatch, delta)
+        assert corr._fft_corr(a, b) is None
+        c = corr._corr(a, b)
+        assert c.dtype == np.int64
+        assert np.array_equal(c, expected)
+
+    @pytest.mark.parametrize("delta", [0.3, 1.0])
+    @pytest.mark.parametrize("auto", [True, False])
+    def test_perturbed_inverse_falls_back_on_a_stack(self, monkeypatch, delta, auto):
+        rng = np.random.default_rng(12)
+        a = rng.choice([-1, 1], (3, 40)).astype(np.int64)
+        b = a if auto else rng.choice([-1, 1], (3, 40)).astype(np.int64)
+        expected = np.array([np.correlate(x, y, mode="full") for x, y in zip(a, b)])
         self.perturb_irfft(monkeypatch, delta)
         assert corr._fft_corr(a, b) is None
         c = corr._corr(a, b)

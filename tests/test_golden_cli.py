@@ -9,7 +9,10 @@ decimation by 5 at length 1023, and two recursion seeds) are
 the pair files the cases read.  Some cases run the shift-search
 engines near their limits: the full pair grid at l = 511 and, with the PSC
 objective, at p = 389; the equal-shift diagonal at l = 1023 and, with the
-PSC objective, at p = 521; and a resized best shift at p = 4099.
+PSC objective, at p = 521; and a resized best shift at p = 4099.  Two
+baseline cases take the stacked FFT kernel at length 600 with a negative
+seed, and three words per draw with a seed past 2^64, which reads as
+seed 3.
 
 The package needs no data files: a copy of its .py files alone, run as a
 fresh interpreter, prints the same Golay bases, compositions and reports.
@@ -82,6 +85,10 @@ CASES = {
     "golay_search10": (["golay", "search10"], 0),
     "golay_bases": (["golay", "bases"], 0),
     "baseline": (["baseline", "--len", "64", "--trials", "50", "--seed", "3"], 0),
+    "baseline_600_negative_seed": (
+        ["baseline", "--len", "600", "--trials", "30", "--seed=-5"], 0),
+    "baseline_130_seed_past_2_64": (
+        ["baseline", "--len", "130", "--trials", "9", "--seed", "18446744073709551619"], 0),
     "roots": (["roots"], 0),
 }
 
