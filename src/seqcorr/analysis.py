@@ -26,7 +26,7 @@ partitioning trials into blocks or across workers cannot change the results.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -315,10 +315,7 @@ def realize(spec: FamilySpec) -> tuple[BinarySequence, int]:
         r, _ = best_shift(base, "adf", resize_len=m)
     else:
         r = int(spec.shift) % len(base)
-    out = cyclic_shift(base, r)
-    if m != len(out):
-        out = resize(out, m)
-    return out, r
+    return resize(cyclic_shift(base, r), m), r
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +335,7 @@ class SweepRow:
     abs_err: float | None = None
 
 
-CSV_COLUMNS = ("family", "length", "params", "adf_f", "adf_g", "cdf", "psc", "target", "abs_err")
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def _fmt(v) -> str:
@@ -499,8 +496,6 @@ def _legendre_plus_quartic(p):
 
 
 def _rsl_pair(seed_f, seed_g, signs, depth):
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
     if len(seed_f) != len(seed_g):
         raise ValueError("seed lengths must match")
     f, g = (golay.rsl_stem(seed, signs, depth) for seed in (seed_f, seed_g))

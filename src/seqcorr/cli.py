@@ -124,7 +124,7 @@ def _cmd_golay(args) -> int:
         _write_pair(golay.search_golay_pairs(10), "first length-10 Golay pair in enumeration order")
         return 0
     if args.action == "bases":
-        for length in (2, 10):
+        for length in golay._BASES:
             golay.golay_base(length)
             print(f"length {length:2d}: available, certified")
         return 0

@@ -3,13 +3,14 @@
 Families: m-sequences over GF(2^n) (additive character of traces), Legendre
 sequences (quadratic character), and the two quartic cyclotomic sequences
 for p = 1 mod 4.  Transforms: cyclic shift, decimation, truncation and
-periodic appending to an arbitrary length.
+periodic appending to an arbitrary length.  A FamilySpec is a kind and its
+size (n or p); one table holds each kind's descriptor key and builder.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -169,27 +170,36 @@ def msequence_pair(
 #   legendre:p=1019,shift=best,resize=1.0578
 #   quartic_f:p=1013,shift=5
 
-FAMILY_KINDS = ("mseq", "legendre", "quartic_f", "quartic_g")
-
 
 @dataclass(frozen=True)
 class FamilySpec:
     """A base family plus shift/resize transform parameters.
 
-    shift is an integer, or the string "best" to request a search;
-    resize_ratio scales the base length: m = round(ratio * l).
+    size is the degree n for mseq and the prime p otherwise; char_shift is
+    read for mseq only.  shift is an integer, or the string "best" to
+    request a search; resize_ratio scales the base length: m = round(ratio * l).
     """
 
     kind: str
-    n: int | None = None
+    size: int
     char_shift: int = 1
-    p: int | None = None
     shift: int | str = 0
     resize_ratio: float | None = None
     descriptor: str = field(default="", compare=False)
 
     def __str__(self) -> str:
         return self.descriptor or self.kind
+
+
+# kind -> (descriptor key of its size, what that key names, base builder).
+# The builders call module functions by name, so patches and wrappers apply.
+_KINDS = {
+    "mseq": ("n", "degree", lambda s: msequence(make_binary_field(s.size), s.char_shift)),
+    "legendre": ("p", "prime", lambda s: legendre(s.size)),
+    "quartic_f": ("p", "prime", lambda s: quartic_f(make_prime_field(s.size))),
+    "quartic_g": ("p", "prime", lambda s: quartic_g(make_prime_field(s.size))),
+}
+FAMILY_KINDS = tuple(_KINDS)
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -231,56 +241,39 @@ def parse_family(text: str) -> FamilySpec:
         if not 0 < ratio < math.inf:  # refuses NaN too
             raise ValueError(f"resize ratio {ratio} must be positive and finite")
 
-    if kind == "mseq":
-        n = take_int("n")
-        if n is None:
-            raise ValueError("mseq descriptor requires n=<degree>")
-        spec = FamilySpec(kind, n=n, char_shift=take_int("char", 1), shift=shift,
-                          resize_ratio=ratio, descriptor=text)
-    else:
-        p = take_int("p")
-        if p is None:
-            raise ValueError(f"{kind} descriptor requires p=<prime>")
-        spec = FamilySpec(kind, p=p, shift=shift, resize_ratio=ratio, descriptor=text)
+    size_key, noun, _ = _KINDS[kind]
+    size = take_int(size_key)
+    if size is None:
+        raise ValueError(f"{kind} descriptor requires {size_key}=<{noun}>")
+    char_shift = take_int("char", 1) if kind == "mseq" else 1
     if kv:
         raise ValueError(f"unknown descriptor keys {sorted(kv)} for {kind}")
-    return spec
+    return FamilySpec(kind, size, char_shift, shift, ratio, descriptor=text)
 
 
 def with_size(spec: FamilySpec, size: int) -> FamilySpec:
-    """Copy of spec with its size parameter (n or p) replaced."""
-    if spec.kind == "mseq":
-        return FamilySpec(spec.kind, n=size, char_shift=spec.char_shift,
-                          shift=spec.shift, resize_ratio=spec.resize_ratio)
-    return FamilySpec(spec.kind, p=size, shift=spec.shift, resize_ratio=spec.resize_ratio)
+    """Copy of spec with its size (n or p) replaced and no descriptor."""
+    return replace(spec, size=size, descriptor="")
 
 
 def base_length(spec: FamilySpec) -> int:
     """The base sequence's length from the spec alone, after refusing every
     parameter its builder would refuse, so that nothing is built first."""
     if spec.kind == "mseq":
-        if spec.n is None:
-            raise ValueError("mseq family needs an extension degree n")
-        order = binary_field_order(spec.n)
+        order = binary_field_order(spec.size)
         _check_char_shift(spec.char_shift, order)
         return order
-    if spec.p is None:
-        raise ValueError(f"{spec.kind} family needs a prime p")
-    check_odd_prime(spec.p)
+    check_odd_prime(spec.size)
     if spec.kind != "legendre":
-        _check_quartic(spec.p)
-    return spec.p
+        _check_quartic(spec.size)
+    return spec.size
 
 
 def build_base(spec: FamilySpec) -> BinarySequence:
     """The family's base sequence, before shift/resize transforms."""
     base_length(spec)
-    if spec.kind == "mseq":
-        return msequence(make_binary_field(spec.n), spec.char_shift)
-    if spec.kind == "legendre":
-        return legendre(spec.p)
-    ctx = make_prime_field(spec.p)
-    return quartic_f(ctx) if spec.kind == "quartic_f" else quartic_g(ctx)
+    _, _, build = _KINDS[spec.kind]
+    return build(spec)
 
 
 def resized_length(spec: FamilySpec, base_len: int) -> int:

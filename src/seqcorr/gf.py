@@ -4,7 +4,9 @@ GF(2^n) elements are bitmask polynomials over GF(2); multiplication is
 shift-and-reduce against an irreducible modulus.  The modulus is chosen
 deterministically as the lexicographically least primitive polynomial of
 the requested degree, and the generator is the residue class of x, so
-every derived sequence is reproducible across runs.  Size limits come from budget.
+every derived sequence is reproducible across runs.  Primality and the
+factors of p - 1 and 2^n - 1 come from one trial division, which the size
+limits of budget keep small.
 """
 
 from __future__ import annotations
@@ -17,36 +19,9 @@ import numpy as np
 
 from . import budget
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10^24."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors by trial division (desk-scale inputs)."""
+    """Distinct prime factors in increasing order, by trial division."""
     out = []
     d = 2
     while d * d <= n:
@@ -158,9 +133,11 @@ def trace(ctx: BinaryFieldContext, x: int) -> int:
 # GF(p)
 
 def check_odd_prime(p: int) -> None:
-    """Raise ValueError unless p is an odd prime within the sequence-length budget."""
+    """Raise ValueError unless p is an odd prime within the sequence-length
+    budget.  The budget is checked first, so trial division tries at most
+    2^11 odd divisors."""
     budget.check("sequence length", p)
-    if p == 2 or not is_prime(p):
+    if p == 2 or prime_factors(p) != [p]:
         raise ValueError(f"{p} is not an odd prime")
 
 

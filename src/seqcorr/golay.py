@@ -11,15 +11,16 @@ A pair (a, b) is Golay complementary when the autocorrelations cancel at
 every nonzero shift.  Certification is always re-checked from scratch; no
 constructed pair is trusted without it.  Turyn composition reaches every
 length 2^a * 10^b up to the exact-length budget from the built-in base
-pairs of length 2 and 10.  Stems and compositions work on int64 term
-arrays.  The seed census and the pair search share one enumerator of the
-2^k rows of length k keyed by autocorrelation tail: a Golay pair of length
-k (the halves of an optimal seed of length 2k) has opposite tails.  Size
-limits come from budget.
+pairs in _BASES, and each composed pair is certified once.  Stems and
+compositions work on int64 term arrays.  The seed census and the pair
+search share one enumerator of the 2^k rows of length k keyed by
+autocorrelation tail: a Golay pair of length k (the halves of an optimal
+seed of length 2k) has opposite tails.  Size limits come from budget.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,8 @@ class CertificationError(RuntimeError):
 def rsl_stem(seed: BinarySequence, signs, depth: int) -> BinarySequence:
     """Stem f_depth of the doubling recursion; f_0 is the seed.  Only the
     current stem is kept while it doubles."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     signs = tuple(signs)
     if not set(signs) <= {1, -1}:
         raise ValueError("sign sequence entries must be +1 or -1")
@@ -139,21 +142,20 @@ def search_optimal_seeds(length: int):
 # Composition and base pairs
 
 
-def _compose_once(pa: GolayPair, pb: GolayPair) -> GolayPair:
-    """Turyn's composition of pa = (a,b) of length m with pb = (c,d) of
-    length n, giving an uncertified pair of length m*n.
+def _compose_once(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Turyn's composition of the term arrays x = (a,b) of a pair of length
+    m with y = (c,d) of length n, giving the arrays of a pair of length m*n.
 
     Block i of the result is u_i*a + v_i*b~ (first sequence) and
     u_i*b - v_i*a~ (second), where ~ is reversal, u = (c+d)/2 and
     v = (c-d)/2.  Exactly one of u_i, v_i is nonzero, so every term is +-1.
     """
-    aa, ab = pa.a.terms, pa.b.terms
-    ac, ad = pb.a.terms, pb.b.terms
+    (aa, ab), (ac, ad) = x, y
     u = (ac + ad) // 2
     v = (ac - ad) // 2
     f = np.outer(u, aa) + np.outer(v, ab[::-1])
     g = np.outer(u, ab) - np.outer(v, aa[::-1])
-    return GolayPair(BinarySequence(f.ravel()), BinarySequence(g.ravel()))
+    return f.ravel(), g.ravel()
 
 
 # The base pairs by length, built once.  Length 10 is the first pair in
@@ -163,9 +165,9 @@ _BASES = {len(a): (parse_line(a), parse_line(b))
 
 
 def golay_base(length: int) -> GolayPair:
-    """The built-in base pair of length 2 or 10, certified on every call."""
+    """The built-in base pair of the given length, certified on every call."""
     if length not in _BASES:
-        raise ValueError(f"base pair lengths are 2 and 10; got {length}")
+        raise ValueError(f"base pair lengths are {' and '.join(map(str, _BASES))}; got {length}")
     return certify(*_BASES[length])
 
 
@@ -183,9 +185,10 @@ def base_factorization(length: int) -> tuple[int, int] | None:
 
 
 def compose_to_length(length: int) -> GolayPair:
-    """Certified pair of the given length: Turyn steps from the base pairs,
-    certified once at the end.  Lengths over the exact-length budget, which
-    certification could not check, are refused before any work."""
+    """Certified pair of the given length: Turyn steps on the term arrays of
+    the base pairs, certified once at the end.  Lengths over the
+    exact-length budget, which certification could not check, are refused
+    before any work."""
     if length < 2:
         raise ValueError("composed pair length must be at least 2")
     budget.check("exact length", length)
@@ -193,12 +196,8 @@ def compose_to_length(length: int) -> GolayPair:
     if expo is None:
         raise ValueError(f"{length} is not of the form 2^a * 10^b")
     a, b = expo
-    factors = [2] * a + [10] * b
-    bases = {fac: golay_base(fac) for fac in dict.fromkeys(factors)}
-    pair = bases[factors[0]]
-    for fac in factors[1:]:
-        pair = _compose_once(pair, bases[fac])
-    return pair if pair.certified else certify(pair.a, pair.b)
+    steps = ([s.terms for s in _BASES[fac]] for fac in [2] * a + [10] * b)
+    return certify(*map(BinarySequence, functools.reduce(_compose_once, steps)))
 
 
 # ---------------------------------------------------------------------------

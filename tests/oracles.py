@@ -93,6 +93,18 @@ def oracle_msequence(ctx, c: int) -> tuple:
     return tuple(terms)
 
 
+def oracle_odd_primes(limit: int) -> list[int]:
+    """The odd primes below limit, by the sieve of Eratosthenes."""
+    composite = [False] * limit
+    out = []
+    for n in range(2, limit):
+        if not composite[n]:
+            out.append(n)
+            for m in range(n * n, limit, n):
+                composite[m] = True
+    return out[1:]
+
+
 def oracle_quadratic_character(p: int, j: int) -> int:
     """Legendre symbol (j|p) in {+1, -1, 0}, via Euler's criterion."""
     if p == 2 or p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):

@@ -62,9 +62,9 @@ class TestEntryPointBoundaries:
 
     def test_resized_length(self):
         base = 1 << 20
-        at = FamilySpec("legendre", p=7, resize_ratio=limit("sequence length") / base)
+        at = FamilySpec("legendre", 7, resize_ratio=limit("sequence length") / base)
         assert families.resized_length(at, base) == limit("sequence length")
-        over = FamilySpec("legendre", p=7, resize_ratio=(limit("sequence length") + 1) / base)
+        over = FamilySpec("legendre", 7, resize_ratio=(limit("sequence length") + 1) / base)
         with pytest.raises(ValueError, match="field-size limit"):
             families.resized_length(over, base)
 

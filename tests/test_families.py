@@ -21,15 +21,15 @@ from seqcorr import (
 )
 from seqcorr.analysis import realize
 from seqcorr.families import (
+    FAMILY_KINDS,
     FamilySpec,
     build_base,
     parse_family,
     power_of_two_residues,
     with_size,
 )
-from seqcorr.gf import is_prime
 
-from oracles import oracle_msequence, oracle_quadratic_character, random_sequence
+from oracles import oracle_msequence, oracle_odd_primes, oracle_quadratic_character, random_sequence
 
 
 def all_rotations(f):
@@ -119,7 +119,7 @@ class TestLegendre:
                 legendre(bad)
 
     def test_matches_quadratic_character(self):
-        for p in [p for p in range(3, 700) if is_prime(p)] + [4099]:
+        for p in oracle_odd_primes(700) + [4099]:
             expected = [1] + [oracle_quadratic_character(p, j) for j in range(1, p)]
             assert list(legendre(p)) == expected
 
@@ -130,7 +130,7 @@ class TestLegendre:
     def test_two_level_periodic_autocorrelation_for_three_mod_four(self):
         for p in (7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83, 103, 107, 127, 131, 139,
                   151, 163, 167, 179, 191, 199):
-            assert p % 4 == 3 and is_prime(p)
+            assert p % 4 == 3 and p in oracle_odd_primes(200)
             h = legendre(p)
             spec = periodic_xcorr(h, h)
             assert all(spec.values[s] == -1 for s in range(1, p))
@@ -237,11 +237,11 @@ class TestMSequencePair:
 class TestFamilySpec:
     def test_parse_mseq(self):
         spec = parse_family("mseq:n=10,char=3")
-        assert spec.kind == "mseq" and spec.n == 10 and spec.char_shift == 3
+        assert spec.kind == "mseq" and spec.size == 10 and spec.char_shift == 3
 
     def test_parse_legendre_with_search_and_resize(self):
         spec = parse_family("legendre:p=1019,shift=best,resize=1.0578")
-        assert spec.p == 1019
+        assert spec.size == 1019
         assert spec.shift == "best"
         assert spec.resize_ratio == pytest.approx(1.0578)
 
@@ -270,5 +270,34 @@ class TestFamilySpec:
     def test_with_size_and_build_base(self):
         spec = parse_family("legendre:p=7")
         assert build_base(with_size(spec, 11)).to_line() == legendre(11).to_line()
-        mspec = FamilySpec("mseq", n=3)
+        mspec = FamilySpec("mseq", 3)
         assert build_base(mspec).to_line() == "-++-+--"
+
+    # kind -> (descriptor with every optional key set, its size, a second size)
+    DESCRIPTORS = {
+        "mseq": ("mseq:n=5,char=3,shift=2,resize=1.5", 5, 7),
+        "legendre": ("legendre:p=13,shift=best,resize=0.5", 13, 17),
+        "quartic_f": ("quartic_f:p=13,shift=4", 13, 29),
+        "quartic_g": ("quartic_g:p=17,resize=2", 17, 37),
+    }
+
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_size_and_with_size_per_kind(self, kind):
+        text, size, other = self.DESCRIPTORS[kind]
+        spec = parse_family(text)
+        assert (spec.kind, spec.size, str(spec)) == (kind, size, text)
+        resized = with_size(spec, other)
+        assert resized.size == other and resized.descriptor == "" and str(resized) == kind
+        kept = ("kind", "char_shift", "shift", "resize_ratio")
+        assert [getattr(resized, a) for a in kept] == [getattr(spec, a) for a in kept]
+
+    def test_build_base_equals_direct_builders(self):
+        direct = {
+            "mseq:n=5,char=3": msequence(make_binary_field(5), 3),
+            "legendre:p=13": legendre(13),
+            "quartic_f:p=13": quartic_f(make_prime_field(13)),
+            "quartic_g:p=17": quartic_g(make_prime_field(17)),
+        }
+        assert sorted({text.partition(":")[0] for text in direct}) == sorted(FAMILY_KINDS)
+        for text, expected in direct.items():
+            assert build_base(parse_family(text)) == expected

@@ -4,28 +4,45 @@ import numpy as np
 import pytest
 
 from seqcorr.gf import (
+    check_odd_prime,
     find_primitive_element,
-    is_prime,
     make_binary_field,
     make_prime_field,
     prime_factors,
     trace,
 )
 
-from oracles import oracle_coset_table, oracle_quadratic_character, oracle_quartic_coset_index
+from oracles import (
+    oracle_coset_table,
+    oracle_odd_primes,
+    oracle_quadratic_character,
+    oracle_quartic_coset_index,
+)
+
+
+def accepts_odd_prime(n: int) -> bool:
+    try:
+        check_odd_prime(n)
+    except ValueError:
+        return False
+    return True
 
 
 class TestPrimality:
     def test_small_values(self):
-        primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 997, 1009}
+        primes = {3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 997, 1009}
         for n in range(-2, 50):
-            assert is_prime(n) == (n in primes)
-        assert is_prime(997) and is_prime(1009)
-        assert not is_prime(1001) and not is_prime(2**16 + 1 - 2)
+            assert accepts_odd_prime(n) == (n in primes)
+        assert accepts_odd_prime(997) and accepts_odd_prime(1009)
+        assert not accepts_odd_prime(1001) and not accepts_odd_prime(2**16 + 1 - 2)
 
-    def test_large_composite_and_prime(self):
-        assert is_prime((1 << 61) - 1)  # Mersenne prime
-        assert not is_prime((1 << 61) - 3)
+    def test_trial_division_matches_sieve(self):
+        """Exactly the odd primes below 2^16 pass; so does the largest prime
+        below the 2^24 budget, 2^24 - 3, and the odd composite 2^24 - 1 fails."""
+        assert [n for n in range(1 << 16) if accepts_odd_prime(n)] == oracle_odd_primes(1 << 16)
+        assert accepts_odd_prime(16777213)
+        with pytest.raises(ValueError, match="16777215 is not an odd prime"):
+            check_odd_prime(16777215)
 
     def test_prime_factors(self):
         assert prime_factors(1) == []
@@ -159,7 +176,7 @@ class TestPrimeField:
     def test_blocked_coset_table_matches_power_walk(self):
         """The blocked-powers table equals the one-power-at-a-time walk and
         the quartic Euler criterion, for single and many blocks."""
-        primes = [p for p in range(5, 1200, 4) if is_prime(p)] + [4129, 65537, 1000033]
+        primes = [p for p in oracle_odd_primes(1200) if p % 4 == 1] + [4129, 65537, 1000033]
         for p in primes:
             ctx = make_prime_field(p)
             table = ctx.coset_index

@@ -55,6 +55,10 @@ class TestStem:
         with pytest.raises(ValueError):
             rsl_stem(seq("+"), (1,), 2)
 
+    def test_negative_depth_refused(self):
+        with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+            rsl_stem(seq("+"), (1,), -1)
+
     def test_sign_values_checked(self):
         with pytest.raises(ValueError):
             rsl_stem(seq("+"), (1, 0), 2)
@@ -227,8 +231,19 @@ class TestComposition:
         assert (p2.a.to_line(), p2.b.to_line()) == ("++", "+-")
         p10 = golay_base(10)
         assert p10.certified and p10.length == 10
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^base pair lengths are 2 and 10; got 4$"):
             golay_base(4)
+
+    def test_composition_certified_once(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append(len(a))
+            return is_golay_pair(a, b)
+
+        monkeypatch.setattr(seqcorr.golay, "is_golay_pair", counted)
+        pair = compose_to_length(20)
+        assert calls == [20] and pair.certified and pair.length == 20
 
     def test_compose_refuses_lengths_above_exact_budget(self):
         assert compose_to_length(MAX_EXACT_LEN).length == MAX_EXACT_LEN
