@@ -278,20 +278,14 @@ def best_pair_shifts(
         raise ValueError("pair objective must be cdf or psc")
     ell = len(f)
     af, ag = f.terms, g.terms
+    grid = ell <= budget.BUDGETS["pair-grid length"].limit
+    score = (cdf_numerators_grid if grid else cdf_numerators_diagonal)(af, ag).astype(np.float64)
     if objective == "psc":
         adf_f, adf_g = (adf_numerators_all_shifts(a).astype(np.float64) for a in (af, ag))
-    if ell <= budget.BUDGETS["pair-grid length"].limit:
-        grid = cdf_numerators_grid(af, ag).astype(np.float64)
-        if objective == "psc":
-            grid = grid + np.sqrt(np.outer(adf_f, adf_g))
-        k = int(np.argmin(grid))
-        rf, rg = divmod(k, ell)
-        return (rf, rg), float(grid[rf, rg]) / (ell * ell)
-    diag = cdf_numerators_diagonal(af, ag).astype(np.float64)
-    if objective == "psc":
-        diag = diag + np.sqrt(adf_f * adf_g)
-    r = int(np.argmin(diag))
-    return (r, r), float(diag[r]) / (ell * ell)
+        score = score + np.sqrt(np.outer(adf_f, adf_g) if grid else adf_f * adf_g)
+    k = int(np.argmin(score))
+    shifts = divmod(k, ell) if grid else (k, k)
+    return shifts, float(score.flat[k]) / (ell * ell)
 
 
 def _realized_length(spec: FamilySpec) -> int:
@@ -442,10 +436,9 @@ def _half_legendre(p):
     budget.check("shift-search length", p)
     arr = families.legendre(p).terms
     half = (p - 1) // 2
-    n = half * half
-    adf_a = adf_numerators_all_shifts(arr, half) / n
+    adf_a = adf_numerators_all_shifts(arr, half).astype(np.float64)
     adf_b = np.roll(adf_a, -half)
-    cross = cdf_numerators_diagonal(arr, np.roll(arr, -half), half) / n
+    cross = cdf_numerators_diagonal(arr, np.roll(arr, -half), half)
     r = int(np.argmin(np.sqrt(adf_a * adf_b) + cross))
     yield f"p={p} shift={r}", *families.half_legendre_pair(p, r)
 
@@ -453,9 +446,9 @@ def _half_legendre(p):
 def _golay(lengths):
     if not lengths:
         raise ValueError("lengths must list at least one length")
-    budget.check("exact length", max(lengths))
     for ell in lengths:
-        pair = golay.compose_to_length(ell)
+        golay.check_composable(ell)
+    for pair in map(golay.compose_to_length, lengths):
         yield "composed", pair.a, pair.b
 
 

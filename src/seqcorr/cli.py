@@ -2,6 +2,7 @@
 
 Exit codes: 0 success, 2 validation error (bad arguments, malformed input),
 3 certification failure (a pair required to be Golay complementary is not).
+The parser is built once, at import; the seqcorr package does not import cli.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ def _frac(q: Fraction) -> str:
 def _cmd_generate(args) -> int:
     spec = families.parse_family(args.family)
     seq, shift_used = analysis.realize(spec)
-    print(f"# {spec}  shift={shift_used}  length={len(seq)}")
+    print(f"# {args.family}  shift={shift_used}  length={len(seq)}")
     print(seq.to_line())
     return 0
 
@@ -41,10 +42,8 @@ def _cmd_demerit(args) -> int:
     print(f"adf_f = {_frac(rep.adf_f)}")
     print(f"adf_g = {_frac(rep.adf_g)}")
     print(f"cdf   = {_frac(rep.cdf)}")
-    if rep.psc_exact is not None:
-        print(f"psc   = {_frac(rep.psc_exact)} [exact]")
-    else:
-        print(f"psc   = {rep.psc:.15g}")
+    exact = rep.psc_exact
+    print(f"psc   = {_frac(exact)} [exact]" if exact is not None else f"psc   = {rep.psc:.15g}")
     return 0
 
 
@@ -123,12 +122,10 @@ def _cmd_golay(args) -> int:
     if args.action == "search10":
         _write_pair(golay.search_golay_pairs(10), "first length-10 Golay pair in enumeration order")
         return 0
-    if args.action == "bases":
-        for length in golay._BASES:
-            golay.golay_base(length)
-            print(f"length {length:2d}: available, certified")
-        return 0
-    raise ValueError(f"unknown golay action {args.action!r}")
+    for length in golay._BASES:  # the remaining action, bases
+        golay.golay_base(length)
+        print(f"length {length:2d}: available, certified")
+    return 0
 
 
 def _cmd_baseline(args) -> int:
@@ -207,10 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -5,7 +5,8 @@ C_{f,g}(s) = sum_j f_{j+s} g_j with out-of-range terms treated as zero,
 so the support is -(len(g)-1) <= s <= len(f)-1.  Periodic correlation
 satisfies PC(s) = C(s) + C(s - l) for equal lengths l.
 
-All values are integers; demerit factors are Fractions.  The private kernel
+All values are integers; demerit factors are Fractions, and a DemeritReport
+stores the three of a pair and derives PSC from them.  The private kernel
 _corr computes the correlations of spectra, demerit factors, Golay checks
 and the Monte Carlo baseline; only the rotation walk of analysis, which
 updates a spectrum from _corr one shift at a time, and golay._tail_keys,
@@ -131,42 +132,34 @@ def cdf(f: BinarySequence, g: BinarySequence) -> Fraction:
     return Fraction(int(np.dot(c, c)), len(f) * len(g))
 
 
-def _sqrt_exact(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 @dataclass(frozen=True)
 class DemeritReport:
-    """ADF(f), ADF(g), CDF(f,g), and the Pursley-Sarwate criterion
-    PSC = sqrt(ADF(f)*ADF(g)) + CDF(f,g).
-
-    psc_exact is a Fraction when sqrt(ADF(f)*ADF(g)) is rational, else None;
-    psc is always available as a float.
-    """
+    """ADF(f), ADF(g) and CDF(f,g); the Pursley-Sarwate criterion
+    PSC = sqrt(ADF(f)*ADF(g)) + CDF(f,g) is derived from them."""
 
     adf_f: Fraction
     adf_g: Fraction
     cdf: Fraction
-    psc_exact: Fraction | None
-    psc: float
+
+    @property
+    def psc_exact(self) -> Fraction | None:
+        """PSC when sqrt(ADF(f)*ADF(g)) is rational, else None.  In lowest
+        terms n/d is a square exactly when n*d is; its root is sqrt(n*d)/d."""
+        q = self.adf_f * self.adf_g
+        nd = q.numerator * q.denominator
+        root = math.isqrt(nd)
+        if root * root != nd:
+            return None
+        return Fraction(root, q.denominator) + self.cdf
+
+    @property
+    def psc(self) -> float:
+        if (exact := self.psc_exact) is not None:
+            return float(exact)
+        return math.sqrt(float(self.adf_f * self.adf_g)) + float(self.cdf)
 
 
 def psc(f: BinarySequence, g: BinarySequence) -> DemeritReport:
     if len(f) != len(g):
         raise ValueError("Pursley-Sarwate criterion requires equal lengths")
-    af = adf(f)
-    ag = adf(g)
-    c = cdf(f, g)
-    root = _sqrt_exact(af * ag)
-    if root is not None:
-        exact = root + c
-        return DemeritReport(af, ag, c, exact, float(exact))
-    return DemeritReport(af, ag, c, None, math.sqrt(float(af * ag)) + float(c))
-
+    return DemeritReport(adf(f), adf(g), cdf(f, g))

@@ -3,14 +3,15 @@
 Families: m-sequences over GF(2^n) (additive character of traces), Legendre
 sequences (quadratic character), and the two quartic cyclotomic sequences
 for p = 1 mod 4.  Transforms: cyclic shift, decimation, truncation and
-periodic appending to an arbitrary length.  A FamilySpec is a kind and its
-size (n or p); one table holds each kind's descriptor key and builder.
+periodic appending to an arbitrary length.  A FamilySpec holds parsed values
+only, a kind, its size (n or p) and the transforms, not the descriptor text.
+One table holds each kind's descriptor key and builder.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -185,10 +186,6 @@ class FamilySpec:
     char_shift: int = 1
     shift: int | str = 0
     resize_ratio: float | None = None
-    descriptor: str = field(default="", compare=False)
-
-    def __str__(self) -> str:
-        return self.descriptor or self.kind
 
 
 # kind -> (descriptor key of its size, what that key names, base builder).
@@ -248,12 +245,12 @@ def parse_family(text: str) -> FamilySpec:
     char_shift = take_int("char", 1) if kind == "mseq" else 1
     if kv:
         raise ValueError(f"unknown descriptor keys {sorted(kv)} for {kind}")
-    return FamilySpec(kind, size, char_shift, shift, ratio, descriptor=text)
+    return FamilySpec(kind, size, char_shift, shift, ratio)
 
 
 def with_size(spec: FamilySpec, size: int) -> FamilySpec:
-    """Copy of spec with its size (n or p) replaced and no descriptor."""
-    return replace(spec, size=size, descriptor="")
+    """Copy of spec with its size (n or p) replaced."""
+    return replace(spec, size=size)
 
 
 def base_length(spec: FamilySpec) -> int:

@@ -184,18 +184,24 @@ def base_factorization(length: int) -> tuple[int, int] | None:
     return length.bit_length() - 1, b
 
 
-def compose_to_length(length: int) -> GolayPair:
-    """Certified pair of the given length: Turyn steps on the term arrays of
-    the base pairs, certified once at the end.  Lengths over the
-    exact-length budget, which certification could not check, are refused
-    before any work."""
+def check_composable(length: int) -> tuple[int, int]:
+    """The exponents (a, b) of length = 2^a * 10^b, after refusing lengths
+    below 2, over the exact-length budget, or of any other form."""
     if length < 2:
         raise ValueError("composed pair length must be at least 2")
     budget.check("exact length", length)
     expo = base_factorization(length)
     if expo is None:
         raise ValueError(f"{length} is not of the form 2^a * 10^b")
-    a, b = expo
+    return expo
+
+
+def compose_to_length(length: int) -> GolayPair:
+    """Certified pair of the given length: Turyn steps on the term arrays of
+    the base pairs, certified once at the end.  Lengths over the
+    exact-length budget, which certification could not check, are refused
+    before any work."""
+    a, b = check_composable(length)
     steps = ([s.terms for s in _BASES[fac]] for fac in [2] * a + [10] * b)
     return certify(*map(BinarySequence, functools.reduce(_compose_once, steps)))
 

@@ -146,6 +146,8 @@ REFUSED_BEFORE_BUILDING = {
                               "shift-search budget"),
     "golay_lengths": (lambda: analysis.report_pairs("golay", lengths=[1 << 20, 1 << 21]),
                       "exact-arithmetic budget"),
+    "golay_form": (lambda: analysis.report_pairs("golay", lengths=[1 << 20, 3]),
+                   "not of the form"),
     "rsl_pair": (lambda: analysis.report_pairs("rsl_pair", seed_f=SEED, seed_g=SEED,
                                                signs=(1,) * 21, depth=21),
                  "exact-arithmetic budget"),

@@ -1,10 +1,16 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import seqcorr
 from seqcorr import analysis
 from seqcorr.cli import _PAIR_OPTIONS, main
 from seqcorr.sequence import parse_sequences
@@ -307,6 +313,11 @@ class TestGolayCommand:
         code2, _, _ = run(capsys, "golay", "verify", str(pf))
         assert code2 == 0
 
+    def test_compose_without_length_exits_2(self, capsys):
+        code, out, err = run(capsys, "golay", "compose")
+        assert code == 2 and out == ""
+        assert "needs --length" in err
+
     def test_compose_impossible_length_exits_2(self, capsys):
         code, _, _ = run(capsys, "golay", "compose", "--length", "6")
         assert code == 2
@@ -399,6 +410,24 @@ def test_over_budget_input_fails_fast(capsys, argv, phrase):
 
 
 class TestArgparseBehavior:
+    def test_calls_build_no_parser(self, capsys, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("main built an ArgumentParser")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", built)
+        for _ in range(2):
+            assert main(["roots"]) == 0
+        assert "psc-golay" in capsys.readouterr().out
+
+    def test_package_import_leaves_cli_out(self):
+        # The parser is built when seqcorr.cli is imported; the package must not import it.
+        probe = ("import sys, seqcorr; "
+                 "print(*(m for m in ('seqcorr.cli', 'argparse', 'numpy.fft') if m in sys.modules))")
+        env = {**os.environ, "PYTHONPATH": str(Path(seqcorr.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
     def test_no_args_is_usage_error(self, capsys):
         assert main([]) == 2
         capsys.readouterr()

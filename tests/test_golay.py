@@ -270,6 +270,8 @@ class TestSearches:
         assert search_golay_pairs(5) is None
         with pytest.raises(ValueError):
             search_golay_pairs(21)
+        with pytest.raises(ValueError, match="needs length >= 2, got 1"):
+            search_golay_pairs(1)
 
     def test_exhaustive_reaches_half_length_bound(self):
         pair = search_golay_pairs(MAX_HALF_LENGTH)

@@ -58,6 +58,7 @@ CASES = {
     "sweep_legendre_csv": (
         ["sweep", "legendre:p=3,shift=best", "--sizes", "101,211",
          "--target", "legendre-shifted-adf"], 0),
+    "sweep_legendre_resize": (["sweep", "legendre:p=3,resize=1.5", "--sizes", "7,11"], 0),
     "sweep_legendre_json": (
         ["sweep", "legendre:p=3,shift=best", "--sizes", "101,211",
          "--target", "legendre-shifted-adf", "--json"], 0),
