@@ -1,13 +1,26 @@
 """Sweeps, shift searches, Monte Carlo baselines, and asymptotic targets.
 
-All demerit-factor numerators here are exact int64 sums; division by the
-squared length happens only at the edge (Fraction or float).  The all-shift
-engines share one rotation walk: the off-peak autocorrelation C(1..m-1) of
-resize(cyclic_shift(f, r), m) is taken once from corr._corr at r = 0 and then
-updated in O(m) per step to r + 1.  ADF numerators are 2 sum C^2 per shift;
-CDF numerators follow from sum_s C_fg(s)^2 = sum_t C_ff(t) C_gg(t), a dot
-product per shift on the diagonal and one integer matrix product for the
-full shift grid.  Size limits come from budget.
+All demerit-factor numerators here are exact integers, returned as int64;
+division by the squared length happens only at the edge (Fraction or
+float).  The all-shift engines share one rotation walk: the off-peak
+autocorrelation C(1..m-1) of resize(cyclic_shift(f, r), m) is taken once
+from corr._corr at r = 0 and then updated in O(m) per step to r + 1.  ADF
+numerators are 2 sum C^2 per shift; CDF numerators follow from
+sum_s C_fg(s)^2 = sum_t C_ff(t) C_gg(t), a dot product per shift on the
+diagonal and one matrix-vector product per shift of f for the full shift
+grid.  Size limits come from budget.
+
+The walk and its dot products run in float64, where numpy uses SIMD and
+BLAS (ddot, dgemv) and int64 gets plain loops.  They are exact because the
+budgets keep every partial sum an integer below 2^53.  A walk step adds
++-1 to values |C(s)| <= m - s, and every partial sum of a product of two
+such vectors is at most sum_s (m-s)^2 < m^3/3 in absolute value, so: an
+ADF numerator is at most 2m^3/3 < 2^46 for windows m <= 2^15
+(shift-search window); a diagonal dot product is below m^3 <= 2^42 for
+m <= l <= 2^14 (shift-search length); a grid entry is below l^3 <= 2^27
+for l <= 512 (pair-grid length).  The grid is formed from matrix-vector
+products only: a two-matrix product makes OpenBLAS allocate its gemm
+buffer, which costs peak memory and gains nothing here.
 
 The RNG is SplitMix64, fixed by its constants so that any implementation
 can reproduce the streams.  With G = 0x9E3779B97F4A7C15 and
@@ -168,9 +181,23 @@ def lookup_target(text: str) -> AsymptoticTarget:
 # Exact all-shift engines
 
 
+# OpenBLAS spreads a ddot of more than 10000 terms over several threads, and
+# waking them between two walk steps costs more than the product: on two
+# cores a walk step at m = 16381 took 88 us that way and 25 us in pieces.
+_DOT_PIECE = 10000
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b for float64 vectors, as ddot calls of at most _DOT_PIECE terms."""
+    if len(a) <= _DOT_PIECE:
+        return a @ b
+    return sum(a[i : i + _DOT_PIECE] @ b[i : i + _DOT_PIECE] for i in range(0, len(a), _DOT_PIECE))
+
+
 def _rotation_acorrs(arr: np.ndarray, m: int):
-    """Yield, for r = 0 .. l-1, the int64 vector C(1), .., C(m-1) of the
-    aperiodic autocorrelation of resize(cyclic_shift(f, r), m).
+    """Yield, for r = 0 .. l-1, the float64 vector C(1), .., C(m-1) of the
+    aperiodic autocorrelation of resize(cyclic_shift(f, r), m), exact
+    integers (see the module docstring).
 
     Rotation r is the window x[r : r+m] of x = resize(f, l+m).  Moving to
     r+1 drops x[r] and appends x[r+m], so every C(s) gains
@@ -181,10 +208,11 @@ def _rotation_acorrs(arr: np.ndarray, m: int):
     """
     n = len(arr) + m
     x = np.resize(np.asarray(arr, dtype=np.int64), n)
-    xr = x[::-1].copy()  # contiguous, so the adds stay vectorised
     first = x[:m]
-    c = corr._corr(first, first)[m:]
+    c = corr._corr(first, first)[m:].astype(np.float64)
     signs = x.tolist()
+    x = x.astype(np.float64)
+    xr = x[::-1].copy()  # contiguous, so the adds stay vectorised
     yield c
     for r in range(len(arr) - 1):
         (np.add if signs[r + m] > 0 else np.subtract)(c, xr[n - r - m : n - r - 1], out=c)
@@ -197,7 +225,8 @@ def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarr
     resize(cyclic_shift(f, r), m) for every shift r, as int64; divide by m^2.
 
     Each numerator is 2 sum_s C(s)^2 over the rotation walk's vector, O(m)
-    per shift; |C(s)| <= m and the sum stays below 2m^3/3, so int64 is exact.
+    per shift; |C(s)| <= m - s and the sum stays below m^3/3, exact in
+    float64 within the shift-search window budget.
     """
     ell = len(arr)
     if m is None:
@@ -206,7 +235,8 @@ def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarr
         raise ValueError(f"resized length {m} must be >= 1")
     budget.check("shift-search length", ell)
     budget.check("shift-search window", m)
-    return 2 * np.fromiter((c @ c for c in _rotation_acorrs(arr, m)), np.int64, ell)
+    sums = np.fromiter((_dot(c, c) for c in _rotation_acorrs(arr, m)), np.float64, ell)
+    return 2 * sums.astype(np.int64)
 
 
 def cdf_numerators_grid(af: np.ndarray, ag: np.ndarray) -> np.ndarray:
@@ -214,16 +244,26 @@ def cdf_numerators_grid(af: np.ndarray, ag: np.ndarray) -> np.ndarray:
     full (rf, rg) grid, as int64; divide by l^2.
 
     For equal lengths sum_s C_fg(s)^2 = sum_t C_ff(t) C_gg(t), so with the
-    rotation walks stacked as rows R_f and R_g (l x (l-1), lags 1 .. l-1)
-    the grid is l^2 + 2 R_f R_g^T, one integer matrix product.  Every entry
-    is below l^3, so int64 is exact within the pair-grid budget.
+    rotation walks written as rows R_f and R_g (l x (l-1), lags 1 .. l-1)
+    the grid is l^2 + 2 R_f R_g^T, formed one row R_g R_f[rf] at a time.
+    Every entry is below l^3, exact in float64 within the pair-grid budget.
+    Beside the result, the two row blocks are the only l x (l-1) arrays.
     """
     ell = len(af)
     if len(ag) != ell:
         raise ValueError("pair shift grid requires equal lengths")
     budget.check("pair-grid length", ell)
-    rows_f, rows_g = (np.stack([c.copy() for c in _rotation_acorrs(a, ell)]) for a in (af, ag))
-    return ell * ell + 2 * (rows_f @ rows_g.T)
+    rows_f, rows_g = np.empty((2, ell, ell - 1))
+    for rows, a in ((rows_f, af), (rows_g, ag)):
+        for r, c in enumerate(_rotation_acorrs(a, ell)):
+            rows[r] = c
+    grid = np.empty((ell, ell), dtype=np.int64)
+    line = np.empty(ell)
+    for rf, row_f in enumerate(rows_f):
+        grid[rf] = np.dot(rows_g, row_f, out=line)
+    grid *= 2
+    grid += ell * ell
+    return grid
 
 
 def cdf_numerators_diagonal(af: np.ndarray, ag: np.ndarray, m: int | None = None) -> np.ndarray:
@@ -243,7 +283,8 @@ def cdf_numerators_diagonal(af: np.ndarray, ag: np.ndarray, m: int | None = None
         raise ValueError(f"window length {m} must be in [1, {ell}]")
     budget.check("shift-search length", ell)
     walks = zip(_rotation_acorrs(af, m), _rotation_acorrs(ag, m))
-    return m * m + 2 * np.fromiter((cf @ cg for cf, cg in walks), np.int64, ell)
+    dots = np.fromiter((_dot(cf, cg) for cf, cg in walks), np.float64, ell)
+    return m * m + 2 * dots.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +323,8 @@ def best_pair_shifts(
     score = (cdf_numerators_grid if grid else cdf_numerators_diagonal)(af, ag).astype(np.float64)
     if objective == "psc":
         adf_f, adf_g = (adf_numerators_all_shifts(a).astype(np.float64) for a in (af, ag))
-        score = score + np.sqrt(np.outer(adf_f, adf_g) if grid else adf_f * adf_g)
+        root = np.outer(adf_f, adf_g) if grid else adf_f * adf_g
+        score += np.sqrt(root, out=root)
     k = int(np.argmin(score))
     shifts = divmod(k, ell) if grid else (k, k)
     return shifts, float(score.flat[k]) / (ell * ell)
@@ -303,8 +345,12 @@ def realize(spec: FamilySpec) -> tuple[BinarySequence, int]:
 
     Returns (sequence, shift actually used).
     """
-    m = _realized_length(spec)
-    base = families.build_base(spec)
+    return _realize(spec, _realized_length(spec))
+
+
+def _realize(spec: FamilySpec, m: int) -> tuple[BinarySequence, int]:
+    """realize(spec) for m = _realized_length(spec), which has checked it."""
+    base = families.build_checked_base(spec)
     if spec.shift == "best":
         r, _ = best_shift(base, "adf", resize_len=m)
     else:
@@ -354,14 +400,17 @@ def rows_to_json(rows) -> str:
 def convergence_sweep(spec: FamilySpec, sizes, target: AsymptoticTarget | None) -> list[SweepRow]:
     """One row per size: realize the family, measure ADF, compare to target.
     Every size is checked against every budget before the first one runs."""
-    for size in sizes:
-        budget.check("exact length", _realized_length(families.with_size(spec, size)))
-    rows = []
+    checked = []
     for size in sizes:
         spec_i = families.with_size(spec, size)
-        seq, shift_used = realize(spec_i)
+        m = _realized_length(spec_i)
+        budget.check("exact length", m)
+        checked.append((spec_i, m))
+    rows = []
+    for spec_i, m in checked:
+        seq, shift_used = _realize(spec_i, m)
         a = float(corr.adf(seq))
-        params = f"size={size} shift={shift_used}"
+        params = f"size={spec_i.size} shift={shift_used}"
         if spec.resize_ratio is not None:
             params += f" resize={spec.resize_ratio:g}"
         rows.append(

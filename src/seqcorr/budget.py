@@ -20,7 +20,7 @@ BUDGETS = {
     "sequence length": Budget(1 << 24, "field-size limit", "one int64 per term; 2^n - 1 <= 2^24 iff n <= 24"),
     "shift-search length": Budget(1 << 14, "shift-search budget", "one rotation walk scores l shifts in O(l m)"),
     "shift-search window": Budget(1 << 15, "shift-search budget", "the resized length m a shift search scores"),
-    "pair-grid length": Budget(512, "pair-grid budget", "one l x l int64 matrix product, then diagonal"),
+    "pair-grid length": Budget(512, "pair-grid budget", "l float64 matrix-vector products, then diagonal"),
     "census half-length": Budget(20, "census length budget", "tail keys of 2^k sign rows are below k! < 2^63"),
     "baseline work": Budget(1 << 26, "baseline budget", "trials * max(length, 64), 0.12-0.4 us a unit"),
 }

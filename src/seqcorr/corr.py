@@ -12,8 +12,12 @@ and the Monte Carlo baseline; only the rotation walk of analysis, which
 updates a spectrum from _corr one shift at a time, and golay._tail_keys,
 the autocorrelation tails of every sign row for the seed census and the
 pair search, compute correlations themselves.  While the shorter input is
-below the crossover _FFT_MIN_LEN = 512 the kernel is numpy's direct integer
-correlation on int64 arrays, O(l^2) and free of floating point.  Above it,
+below the crossover _FFT_MIN_LEN = 512 the kernel is numpy's direct
+correlation, O(l^2), on float64 copies of the +-1 terms, since numpy runs it
+on SIMD dot products for float64 and as a plain loop for int64.  It is
+exact: every partial sum is an integer of absolute value at most l <= 2^20
+under the exact-length budget, far below 2^53, so no rounding occurs, and
+the result is cast back to int64.  Above the crossover,
 the spectrum is irfft(rfft(a) * conj(rfft(b))) over a power-of-two length,
 O(l log l), one transform fewer for autocorrelations, rounded to int64.
 Two equal-shape stacks of rows are correlated row by row and always take
@@ -22,7 +26,8 @@ is checked: each value must lie within 0.25 of its integer and each row
 must satisfy sum_s C(s) = (sum a)(sum b) exactly; otherwise the kernel
 returns the direct result, row by row for a stack.  Either way it refuses
 lengths over the exact-length budget (see budget), within which the values
-and their squared sums are exact in int64.
+and their squared sums are exact in int64, and every value is exact in
+float64.
 """
 
 from __future__ import annotations
@@ -37,8 +42,9 @@ from . import budget
 from .sequence import BinarySequence
 
 # _corr takes the FFT path when both lengths reach this.  Measured on two
-# cores the FFT overtakes the direct correlation near l = 300; the margin
-# keeps short calls, where per-call overhead dominates, on the direct path.
+# cores the direct float64 correlation loses to the FFT near l = 700 (59 vs
+# 84 us a call at l = 512, 110 vs 124 us at 700); between 512 and 700 the
+# two differ by under 25 us a call, so the crossover stays at 512.
 _FFT_MIN_LEN = 512
 
 
@@ -55,9 +61,10 @@ def _corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         c = _fft_corr(a, b)
         if c is not None:
             return c
+    a, b = a.astype(np.float64), b.astype(np.float64)  # exact: see the module docstring
     if a.ndim == 2:
-        return np.array([np.correlate(x, y, mode="full") for x, y in zip(a, b)])
-    return np.correlate(a, b, mode="full")
+        return np.array([np.correlate(x, y, mode="full") for x, y in zip(a, b)]).astype(np.int64)
+    return np.correlate(a, b, mode="full").astype(np.int64)
 
 
 def _fft_corr(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:

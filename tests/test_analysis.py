@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from seqcorr import (
     cdf,
     corr,
     cyclic_shift,
+    families,
     half_legendre_pair,
     legendre,
     psc,
@@ -38,6 +40,7 @@ from seqcorr.analysis import (
     rows_to_csv,
     rows_to_json,
 )
+from seqcorr.budget import BUDGETS
 from seqcorr.families import parse_family
 from seqcorr.sequence import parse_line
 
@@ -204,16 +207,43 @@ class TestEngines:
             cdf_numerators_diagonal(arr, np.ones(4, dtype=np.int64), 2)
 
     def test_walk_seeded_above_fft_crossover(self):
+        ell = corr._FFT_MIN_LEN + 88  # the first rotation is correlated on the FFT path
+        m = ell + 50
         rng = random.Random(68)
-        f = random_sequence(rng, 600)
-        g = random_sequence(rng, 600)
-        assert 600 >= corr._FFT_MIN_LEN  # the first rotation is correlated on the FFT path
-        nums = adf_numerators_all_shifts(f.terms, 650)
-        diag = cdf_numerators_diagonal(f.terms, g.terms, 600)
-        for r in (0, 1, 2, 299, 598, 599):
+        f = random_sequence(rng, ell)
+        g = random_sequence(rng, ell)
+        nums = adf_numerators_all_shifts(f.terms, m)
+        diag = cdf_numerators_diagonal(f.terms, g.terms, ell)
+        for r in (0, 1, 2, ell // 2 - 1, ell - 2, ell - 1):
             fr, gr = cyclic_shift(f, r), cyclic_shift(g, r)
-            assert Fraction(int(nums[r]), 650 * 650) == adf(resize(fr, 650))
-            assert Fraction(int(diag[r]), 600 * 600) == cdf(fr, gr)
+            assert Fraction(int(nums[r]), m * m) == adf(resize(fr, m))
+            assert Fraction(int(diag[r]), ell * ell) == cdf(fr, gr)
+
+    def test_engines_return_int64(self):
+        rng = random.Random(70)
+        f, g = random_sequence(rng, 9).terms, random_sequence(rng, 9).terms
+        for out in (adf_numerators_all_shifts(f, 12), cdf_numerators_diagonal(f, g), cdf_numerators_grid(f, g)):
+            assert out.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "search",
+        [lambda f, g: cdf_numerators_grid(f.terms, g.terms), lambda f, g: best_pair_shifts(f, g, "psc")],
+        ids=["grid", "psc_pair_search"],
+    )
+    def test_grid_peak_memory(self, search):
+        # the two row blocks and the grid, l^2 float64 or int64 words each,
+        # and no further l x l temporary
+        ell = BUDGETS["pair-grid length"].limit
+        rng = random.Random(69)
+        f, g = random_sequence(rng, ell), random_sequence(rng, ell)
+        search(f, g)  # lazy imports and BLAS set-up are not the search's own memory
+        tracemalloc.start()
+        try:
+            search(f, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 3 * ell * ell * 8
 
     def test_budgets(self):
         big = np.ones(1 << 15, dtype=np.int64)
@@ -340,7 +370,7 @@ class TestBaseline:
         a3, _ = monte_carlo_baseline(16, 25, 10)
         assert a3 != a1
 
-    @pytest.mark.parametrize("length", [1, 40, 64, 700])  # 700 is above the FFT crossover
+    @pytest.mark.parametrize("length", [1, 40, 64, corr._FFT_MIN_LEN + 188])  # the last takes the FFT path
     def test_partition_invariance(self, monkeypatch, length):
         blocked = monte_carlo_baseline(length, 23, -3)
         monkeypatch.setattr(analysis, "_BASELINE_BLOCK", 1)  # one trial per block
@@ -381,6 +411,14 @@ class TestSweepsAndReports:
             convergence_sweep(parse_family("legendre:p=7"), [15], None)
         with pytest.raises(ValueError):
             convergence_sweep(parse_family("mseq:n=3"), [1], None)
+
+    def test_sweep_checks_each_size_once(self, monkeypatch):
+        calls = []
+        check = families.check_odd_prime
+        monkeypatch.setattr(families, "check_odd_prime", lambda p: calls.append(p) or check(p))
+        rows = convergence_sweep(parse_family("legendre:p=3,shift=best"), [101, 211], None)
+        assert [r.length for r in rows] == [101, 211]
+        assert calls == [101, 211]  # both sizes checked before the first row is built
 
     def test_json_matches_rows(self):
         rows = convergence_sweep(parse_family("legendre:p=7"), [7, 11], None)

@@ -38,6 +38,22 @@ def test_table_values():
     }
 
 
+def test_budgets_keep_float64_sums_exact():
+    """corr and analysis sum +-1 products in float64, exact while every
+    partial sum is an integer below 2^53; these budgets bound those sums."""
+    assert limit("exact length") <= 2**53  # a direct correlation value: |C(s)| <= l
+    w = limit("shift-search window")
+    assert 2 * w**3 < 3 * 2**53  # an ADF numerator: 2 sum_s (w-s)^2 < 2w^3/3
+    assert limit("shift-search length") ** 3 < 2**53  # a diagonal dot product, window <= l
+    assert limit("pair-grid length") ** 3 < 2**53  # a pair-grid entry
+
+
+def all_ones_numerator(m):
+    """m^2 + 2 sum_{s=1}^{m-1} (m-s)^2: the CDF numerator of two all-ones
+    windows, each lag's correlation at its largest."""
+    return m * m + (m - 1) * m * (2 * m - 1) // 3
+
+
 class TestEntryPointBoundaries:
     def test_exact_length(self):
         one = np.ones(1, dtype=np.int64)
@@ -74,6 +90,11 @@ class TestEntryPointBoundaries:
         with pytest.raises(ValueError, match="shift-search budget"):
             analysis.adf_numerators_all_shifts(np.ones(ell + 1, dtype=np.int64), 1)
 
+    def test_diagonal_at_shift_search_length(self):
+        ell = limit("shift-search length")
+        ones = np.ones(ell, dtype=np.int64)
+        assert (analysis.cdf_numerators_diagonal(ones, ones) == all_ones_numerator(ell)).all()
+
     def test_shift_search_window(self):
         m = limit("shift-search window")
         one = np.ones(1, dtype=np.int64)
@@ -84,7 +105,9 @@ class TestEntryPointBoundaries:
     def test_pair_grid_length(self):
         ell = limit("pair-grid length")
         ones = np.ones(ell, dtype=np.int64)
-        assert analysis.cdf_numerators_grid(ones, ones).shape == (ell, ell)
+        grid = analysis.cdf_numerators_grid(ones, ones)
+        assert grid.shape == (ell, ell)
+        assert (grid == all_ones_numerator(ell)).all()
         with pytest.raises(ValueError, match="pair-grid budget"):
             analysis.cdf_numerators_grid(np.ones(ell + 1, dtype=np.int64), np.ones(ell + 1, dtype=np.int64))
 
@@ -110,8 +133,8 @@ def nothing_built(monkeypatch):
         raise AssertionError("built before the budget check")
 
     for module, name in ((families, "msequence"), (families, "legendre"),
-                         (families, "make_prime_field"), (golay, "compose_to_length"),
-                         (analysis, "random_rows")):
+                         (families, "build_checked_base"), (families, "make_prime_field"),
+                         (golay, "compose_to_length"), (analysis, "random_rows")):
         monkeypatch.setattr(module, name, built)
 
 
