@@ -182,8 +182,12 @@ def lookup_target(text: str) -> AsymptoticTarget:
 
 
 # OpenBLAS spreads a ddot of more than 10000 terms over several threads, and
-# waking them between two walk steps costs more than the product: on two
-# cores a walk step at m = 16381 took 88 us that way and 25 us in pieces.
+# waking them between two walk steps costs more than the product.  On two
+# cores `sweep legendre:p=3,shift=best --sizes 16381` took 1.6 s with one
+# ddot per step, 0.65 s in pieces and 0.9 s with the int64 dot it replaced.
+# Shorter vectors skip the split, whose per-step Python cost made the
+# shift_search benchmark (m < 10000) 8% slower when every vector took it;
+# np.einsum, which has no threads, made it 33% slower.
 _DOT_PIECE = 10000
 
 
@@ -350,7 +354,7 @@ def realize(spec: FamilySpec) -> tuple[BinarySequence, int]:
 
 def _realize(spec: FamilySpec, m: int) -> tuple[BinarySequence, int]:
     """realize(spec) for m = _realized_length(spec), which has checked it."""
-    base = families.build_checked_base(spec)
+    base = families.build_base(spec)
     if spec.shift == "best":
         r, _ = best_shift(base, "adf", resize_len=m)
     else:

@@ -94,11 +94,6 @@ def power_of_two_residues(ell: int) -> set[int]:
 def legendre(p: int) -> BinarySequence:
     """Length-p sequence: +1 at 0 and at nonzero squares, -1 at nonsquares."""
     check_odd_prime(p)
-    return _legendre(p)
-
-
-def _legendre(p: int) -> BinarySequence:
-    """legendre(p) for an odd prime p that has been checked."""
     terms = np.full(p, -1, dtype=np.int64)
     roots = np.arange(p // 2 + 1, dtype=np.int64)  # j and p - j share j^2
     terms[roots * roots % p] = 1
@@ -197,7 +192,7 @@ class FamilySpec:
 # The builders call module functions by name, so patches and wrappers apply.
 _KINDS = {
     "mseq": ("n", "degree", lambda s: msequence(make_binary_field(s.size), s.char_shift)),
-    "legendre": ("p", "prime", lambda s: _legendre(s.size)),
+    "legendre": ("p", "prime", lambda s: legendre(s.size)),
     "quartic_f": ("p", "prime", lambda s: quartic_f(make_prime_field(s.size))),
     "quartic_g": ("p", "prime", lambda s: quartic_g(make_prime_field(s.size))),
 }
@@ -272,14 +267,9 @@ def base_length(spec: FamilySpec) -> int:
 
 
 def build_base(spec: FamilySpec) -> BinarySequence:
-    """The family's base sequence, before shift/resize transforms."""
-    base_length(spec)
-    return build_checked_base(spec)
-
-
-def build_checked_base(spec: FamilySpec) -> BinarySequence:
-    """build_base for a spec that base_length has accepted; the size is not
-    checked again."""
+    """The family's base sequence, before shift/resize transforms.  Each
+    builder refuses its own bad parameters; callers that must refuse a spec
+    before anything is built call base_length first."""
     _, _, build = _KINDS[spec.kind]
     return build(spec)
 

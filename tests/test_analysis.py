@@ -412,13 +412,15 @@ class TestSweepsAndReports:
         with pytest.raises(ValueError):
             convergence_sweep(parse_family("mseq:n=3"), [1], None)
 
-    def test_sweep_checks_each_size_once(self, monkeypatch):
+    def test_sweep_checks_each_size_once_before_building(self, monkeypatch):
         calls = []
         check = families.check_odd_prime
         monkeypatch.setattr(families, "check_odd_prime", lambda p: calls.append(p) or check(p))
         rows = convergence_sweep(parse_family("legendre:p=3,shift=best"), [101, 211], None)
         assert [r.length for r in rows] == [101, 211]
-        assert calls == [101, 211]  # both sizes checked before the first row is built
+        # the sweep checks both sizes before the first row is built; then
+        # legendre, as a public builder, checks its own argument
+        assert calls == [101, 211, 101, 211]
 
     def test_json_matches_rows(self):
         rows = convergence_sweep(parse_family("legendre:p=7"), [7, 11], None)
