@@ -2,25 +2,43 @@
 
 All demerit-factor numerators here are exact integers, returned as int64;
 division by the squared length happens only at the edge (Fraction or
-float).  The all-shift engines share one rotation walk: the off-peak
-autocorrelation C(1..m-1) of resize(cyclic_shift(f, r), m) is taken once
-from corr._corr at r = 0 and then updated in O(m) per step to r + 1.  ADF
-numerators are 2 sum C^2 per shift; CDF numerators follow from
-sum_s C_fg(s)^2 = sum_t C_ff(t) C_gg(t), a dot product per shift on the
-diagonal and one matrix-vector product per shift of f for the full shift
-grid.  Size limits come from budget.
+float).  The all-shift engines share one rotation walk over the windows
+resize(cyclic_shift(f, r), m), r = 0 .. l-1: the off-peak autocorrelation
+of the first window is taken from corr._corr and then updated in O(m) per
+step to r + 1.  Every numerator is built from 2 sum_{s=1}^{m-1} C^f(s) C^g(s)
+over two windows: an ADF numerator is that sum with g = f, and since
+sum_s C_fg(s)^2 = sum_t C_ff(t) C_gg(t) a CDF numerator is m^2 plus it.  So
+each shift costs one dot product for the ADF and on the equal-shift
+diagonal, and the full shift grid one matrix-vector product per shift of f.
+
+A full-period window (m = l) is folded.  Its periodic autocorrelation
+PC(s) = C(s) + C(l-s) is the same at every rotation (Hoholdt & Jensen use
+this for the merit factor of Legendre sequences), so the walk carries only
+v(s) = C(s) - C(l-s) for s = 1 .. h = (l-1)//2.  Pairing lag s with l-s,
+where C = (PC + v)/2 and (PC - v)/2, and the middle lag l/2 of an even l,
+where v = 0 and C = PC/2, gives
+
+    2 sum_{s=1}^{l-1} C^f(s) C^g(s) = v^f . v^g + PC^f . PC^g / 2,
+
+the last term one exact int64 constant per call (|PC(s)| <= l).  Other
+windows (resize=, half-Legendre halves) carry C(1), .., C(m-1) and take
+twice its dot product.  Size limits come from budget.
 
 The walk and its dot products run in float64, where numpy uses SIMD and
 BLAS (ddot, dgemv) and int64 gets plain loops.  They are exact because the
-budgets keep every partial sum an integer below 2^53.  A walk step adds
-+-1 to values |C(s)| <= m - s, and every partial sum of a product of two
-such vectors is at most sum_s (m-s)^2 < m^3/3 in absolute value, so: an
-ADF numerator is at most 2m^3/3 < 2^46 for windows m <= 2^15
-(shift-search window); a diagonal dot product is below m^3 <= 2^42 for
-m <= l <= 2^14 (shift-search length); a grid entry is below l^3 <= 2^27
-for l <= 512 (pair-grid length).  The grid is formed from matrix-vector
-products only: a two-matrix product makes OpenBLAS allocate its gemm
-buffer, which costs peak memory and gains nothing here.
+budgets keep every partial sum an integer below 2^53.  Unfolded, a walk
+step adds +-1 to values |C(s)| <= m - s, and every partial sum of a product
+of two such vectors is at most sum_s (m-s)^2 < m^3/3 in absolute value, so
+an ADF numerator is at most 2m^3/3 < 2^46 for windows m <= 2^15
+(shift-search window), and a diagonal dot product is below m^3 <= 2^42 for
+m <= l <= 2^14 (shift-search length).  Folded, |v(s)| <= (l-s) + s = l, a
+step adds +-2 so |v(s)| <= l + 2 between its two adds, and every partial
+sum of a product of two folded vectors is at most h l^2 < l^3/2: below 2^41
+for l <= 2^14 (shift-search length) and below 2^26 for l <= 512 (pair-grid
+length), where a grid entry, l^2 plus the constant plus that product, is
+below l^3 <= 2^27.  The grid is formed from matrix-vector products only: a
+two-matrix product makes OpenBLAS allocate its gemm buffer, which costs
+peak memory and gains nothing here.
 
 The RNG is SplitMix64, fixed by its constants so that any implementation
 can reproduce the streams.  With G = 0x9E3779B97F4A7C15 and
@@ -41,6 +59,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -182,55 +201,111 @@ def lookup_target(text: str) -> AsymptoticTarget:
 
 
 # OpenBLAS spreads a ddot of more than 10000 terms over several threads, and
-# waking them between two walk steps costs more than the product.  On two
-# cores `sweep legendre:p=3,shift=best --sizes 16381` took 1.6 s with one
-# ddot per step, 0.65 s in pieces and 0.9 s with the int64 dot it replaced.
-# Shorter vectors skip the split, whose per-step Python cost made the
-# shift_search benchmark (m < 10000) 8% slower when every vector took it;
-# np.einsum, which has no threads, made it 33% slower.
+# waking them between two walk steps costs more than the product.  A folded
+# vector has at most 8191 terms within the shift-search length, so only
+# unfolded windows of more than 10000 lags take the split, which means
+# resize= windows.  On two cores the ADF of every shift of the Legendre
+# sequence p = 16381 at resize=1.0578 (m = 17328) takes 1.3 s with one ddot
+# per step and 0.30 s in pieces.  Shorter vectors skip the split, whose
+# per-step Python cost made the shift_search benchmark (m < 10000) 8% slower
+# when every vector took it; np.einsum, which has no threads, made it 33%
+# slower.
 _DOT_PIECE = 10000
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a . b for float64 vectors, as ddot calls of at most _DOT_PIECE terms."""
+    """a . b for float64 vectors, as ddot calls of at most _DOT_PIECE terms.
+    The method a.dot(b) skips the dispatch of a @ b, 0.3-0.7 us a call."""
     if len(a) <= _DOT_PIECE:
-        return a @ b
-    return sum(a[i : i + _DOT_PIECE] @ b[i : i + _DOT_PIECE] for i in range(0, len(a), _DOT_PIECE))
+        return a.dot(b)
+    return sum(a[i : i + _DOT_PIECE].dot(b[i : i + _DOT_PIECE]) for i in range(0, len(a), _DOT_PIECE))
 
 
-def _rotation_acorrs(arr: np.ndarray, m: int):
-    """Yield, for r = 0 .. l-1, the float64 vector C(1), .., C(m-1) of the
-    aperiodic autocorrelation of resize(cyclic_shift(f, r), m), exact
-    integers (see the module docstring).
+class _Walk(NamedTuple):
+    """A rotation walk of f over windows of length m (see _rotation_walk)."""
+
+    scale: int
+    pc: np.ndarray
+    vectors: Iterator[np.ndarray]
+
+    def offset(self, other: _Walk) -> int:
+        """pc^f . pc^g / 2, exact in int64 (|PC(s)| <= l)."""
+        return int(self.pc @ other.pc) // 2
+
+    def numerators(self, other: _Walk, dots: np.ndarray) -> np.ndarray:
+        """2 sum_s C^f_r(s) C^g_r(s) as int64, from dots[r] = w^f_r . w^g_r."""
+        return self.scale * dots.astype(np.int64) + self.offset(other)
+
+
+def _rotation_walk(arr: np.ndarray, m: int) -> _Walk:
+    """The rotation walk of f over windows of length m.
+
+    vectors yields, for r = 0 .. l-1, a float64 vector w_r of exact integers
+    such that, for the walks of two sequences of one length l and one m,
+
+        2 sum_{s=1}^{m-1} C^f_r(s) C^g_r(s) = scale (w^f_r . w^g_r) + pc^f . pc^g / 2,
+
+    C_r being the aperiodic autocorrelation of resize(cyclic_shift(f, r), m)
+    (see the module docstring).  For m != l, w_r is C_r(1), .., C_r(m-1),
+    scale is 2 and pc is empty.  For m = l the walk is folded: w_r(s) is
+    C_r(s) - C_r(l-s) for s = 1 .. (l-1)//2, scale is 1 and pc is the int64
+    periodic autocorrelation PC(1), .., PC(l-1), the same at every r.
 
     Rotation r is the window x[r : r+m] of x = resize(f, l+m).  Moving to
     r+1 drops x[r] and appends x[r+m], so every C(s) gains
-    x[r+m] x[r+m-s] - x[r] x[r+s]: with +-1 terms, one in-place add or
-    subtract of a slice of x reversed and one of a slice of x.  The first
-    vector comes from corr._corr.  The same array is yielded each time and
-    updated in place; copy it to keep it.
+    x[r+m] x[r+m-s] - x[r] x[r+s].  For m = l, x[r+l] = x[r], so C(l-s)
+    gains minus what C(s) gains and w(s) gains twice it.  Either way a step
+    is one in-place add or subtract of a slice of x reversed and one of a
+    slice of x, with x doubled when folded.  The first vector comes from
+    corr._corr.  The same array is yielded each time and updated in place;
+    copy it to keep it.
     """
-    n = len(arr) + m
+    ell = len(arr)
+    n = ell + m
     x = np.resize(np.asarray(arr, dtype=np.int64), n)
-    first = x[:m]
-    c = corr._corr(first, first)[m:].astype(np.float64)
+    c = corr._corr(x[:m], x[:m])[m:]
     signs = x.tolist()
+    if m == ell:
+        k, scale, pc = (ell - 1) // 2, 1, c + c[::-1]
+        w, x = c[:k] - c[::-1][:k], 2 * x
+    else:
+        k, scale, pc, w = m - 1, 2, c[:0], c
+    w = w.astype(np.float64)
     x = x.astype(np.float64)
     xr = x[::-1].copy()  # contiguous, so the adds stay vectorised
-    yield c
-    for r in range(len(arr) - 1):
-        (np.add if signs[r + m] > 0 else np.subtract)(c, xr[n - r - m : n - r - 1], out=c)
-        (np.subtract if signs[r] > 0 else np.add)(c, x[r + 1 : r + m], out=c)
-        yield c
+
+    def vectors():
+        yield w
+        for r in range(ell - 1):
+            (np.add if signs[r + m] > 0 else np.subtract)(w, xr[n - r - m : n - r - m + k], out=w)
+            (np.subtract if signs[r] > 0 else np.add)(w, x[r + 1 : r + 1 + k], out=w)
+            yield w
+
+    return _Walk(scale, pc, vectors())
+
+
+def _lockstep_numerators(
+    af: np.ndarray, ag: np.ndarray, m: int, pairs: tuple[tuple[int, int], ...]
+) -> list[np.ndarray]:
+    """For each (i, j) in pairs, where 0 stands for f and 1 for g,
+    2 sum_{s=1}^{m-1} C^i_r(s) C^j_r(s) for every rotation r, as int64, C^f_r
+    and C^g_r being the autocorrelations of window r of f and of g (see
+    _rotation_walk).  f and g are walked once each, in lockstep, with one
+    dot product per pair a step."""
+    walks = _rotation_walk(af, m), _rotation_walk(ag, m)
+    steps = zip(walks[0].vectors, walks[1].vectors)
+    dots = np.fromiter((_dot(ws[i], ws[j]) for ws in steps for i, j in pairs), np.float64, len(af) * len(pairs))
+    cols = dots.reshape(len(af), len(pairs)).T
+    return [walks[i].numerators(walks[j], col) for col, (i, j) in zip(cols, pairs)]
 
 
 def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarray:
     """ADF numerator (sum of squared off-peak correlations) of
     resize(cyclic_shift(f, r), m) for every shift r, as int64; divide by m^2.
 
-    Each numerator is 2 sum_s C(s)^2 over the rotation walk's vector, O(m)
-    per shift; |C(s)| <= m - s and the sum stays below m^3/3, exact in
-    float64 within the shift-search window budget.
+    Each numerator is scale w . w + pc . pc / 2 over the rotation walk's
+    vector, O(m) per shift and half that for m = l, exact in float64 within
+    the shift-search window budget (see the module docstring).
     """
     ell = len(arr)
     if m is None:
@@ -239,35 +314,48 @@ def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarr
         raise ValueError(f"resized length {m} must be >= 1")
     budget.check("shift-search length", ell)
     budget.check("shift-search window", m)
-    sums = np.fromiter((_dot(c, c) for c in _rotation_acorrs(arr, m)), np.float64, ell)
-    return 2 * sums.astype(np.int64)
+    # A single walk keeps its own loop: through _lockstep_numerators, whose
+    # pair loop runs every step, this took 3-5% longer at l = 1000-2000.
+    walk = _rotation_walk(arr, m)
+    return walk.numerators(walk, np.fromiter((_dot(w, w) for w in walk.vectors), np.float64, ell))
+
+
+def _pair_grid(af: np.ndarray, ag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CDF numerators of the full (rf, rg) grid and the ADF numerators of
+    every rotation of f and of g, all float64, from one walk of each (see
+    cdf_numerators_grid); the ADF numerators are the rows' squared norms.
+    Only the psc search reads them, but at O(l^2) next to the grid's
+    O(l^3 / 2) they are formed for every caller, so that one function serves
+    both objectives."""
+    ell = len(af)
+    if len(ag) != ell:
+        raise ValueError("pair shift grid requires equal lengths")
+    budget.check("pair-grid length", ell)
+    fw, gw = _rotation_walk(af, ell), _rotation_walk(ag, ell)
+    rows_f, rows_g = np.empty((2, ell, (ell - 1) // 2))
+    for rows, walk in ((rows_f, fw), (rows_g, gw)):
+        for r, w in enumerate(walk.vectors):
+            rows[r] = w
+    grid = np.empty((ell, ell))
+    for rf, row_f in enumerate(rows_f):
+        np.dot(rows_g, row_f, out=grid[rf])
+    grid += ell * ell + fw.offset(gw)
+    adf_f = np.einsum("ij,ij->i", rows_f, rows_f) + fw.offset(fw)
+    adf_g = np.einsum("ij,ij->i", rows_g, rows_g) + gw.offset(gw)
+    return grid, adf_f, adf_g
 
 
 def cdf_numerators_grid(af: np.ndarray, ag: np.ndarray) -> np.ndarray:
     """CDF numerators of (cyclic_shift(f, rf), cyclic_shift(g, rg)) for the
     full (rf, rg) grid, as int64; divide by l^2.
 
-    For equal lengths sum_s C_fg(s)^2 = sum_t C_ff(t) C_gg(t), so with the
-    rotation walks written as rows R_f and R_g (l x (l-1), lags 1 .. l-1)
-    the grid is l^2 + 2 R_f R_g^T, formed one row R_g R_f[rf] at a time.
-    Every entry is below l^3, exact in float64 within the pair-grid budget.
-    Beside the result, the two row blocks are the only l x (l-1) arrays.
+    With the folded walks written as rows R_f and R_g (l x (l-1)//2) the
+    grid is l^2 + pc_f . pc_g / 2 + R_f R_g^T, formed one row R_g R_f[rf] at
+    a time.  Every entry is below l^3, exact in float64 within the pair-grid
+    budget.  Peak memory is 2 l^2 words: the two row blocks and the float64
+    grid, then that grid and the int64 result.
     """
-    ell = len(af)
-    if len(ag) != ell:
-        raise ValueError("pair shift grid requires equal lengths")
-    budget.check("pair-grid length", ell)
-    rows_f, rows_g = np.empty((2, ell, ell - 1))
-    for rows, a in ((rows_f, af), (rows_g, ag)):
-        for r, c in enumerate(_rotation_acorrs(a, ell)):
-            rows[r] = c
-    grid = np.empty((ell, ell), dtype=np.int64)
-    line = np.empty(ell)
-    for rf, row_f in enumerate(rows_f):
-        grid[rf] = np.dot(rows_g, row_f, out=line)
-    grid *= 2
-    grid += ell * ell
-    return grid
+    return _pair_grid(af, ag)[0].astype(np.int64)
 
 
 def cdf_numerators_diagonal(af: np.ndarray, ag: np.ndarray, m: int | None = None) -> np.ndarray:
@@ -275,8 +363,9 @@ def cdf_numerators_diagonal(af: np.ndarray, ag: np.ndarray, m: int | None = None
     for every r (the equal-shift diagonal, windows of length m <= l), as
     int64; divide by m^2.
 
-    By sum_s C_fg(s)^2 = sum_t C_ff(t) C_gg(t) each numerator is
-    m^2 + 2 C_f . C_g over two rotation walks in step, O(m) per shift.
+    By sum_s C_fg(s)^2 = sum_t C_ff(t) C_gg(t) each numerator is m^2 plus
+    2 sum_s C_f(s) C_g(s), one dot product of the vectors of two rotation
+    walks in step, O(m) per shift.
     """
     ell = len(af)
     if len(ag) != ell:
@@ -286,9 +375,7 @@ def cdf_numerators_diagonal(af: np.ndarray, ag: np.ndarray, m: int | None = None
     if not 1 <= m <= ell:
         raise ValueError(f"window length {m} must be in [1, {ell}]")
     budget.check("shift-search length", ell)
-    walks = zip(_rotation_acorrs(af, m), _rotation_acorrs(ag, m))
-    dots = np.fromiter((_dot(cf, cg) for cf, cg in walks), np.float64, ell)
-    return m * m + 2 * dots.astype(np.int64)
+    return m * m + _lockstep_numerators(af, ag, m, ((0, 1),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +395,14 @@ def best_shift(
     return r, Fraction(int(nums[r]), m * m)
 
 
-def best_pair_shifts(
-    f: BinarySequence, g: BinarySequence, objective: str = "cdf"
-) -> tuple[tuple[int, int], float]:
-    """Shift pair minimizing cdf or psc.
+def best_pair_shifts(f: BinarySequence, g: BinarySequence, objective: str = "cdf") -> tuple[int, int]:
+    """Shift pair (rf, rg) minimizing cdf or psc.
 
     Lengths within the pair-grid budget search the full (rf, rg) grid;
-    longer sequences use the equal-shift diagonal heuristic.  Ties break to
-    the first (smallest rf, then rg) candidate.
+    longer sequences use the equal-shift diagonal heuristic.  Either way f
+    and g are walked once each: the PSC's ADF numerators come from the
+    grid's rows or from the diagonal's lockstep pass.  Ties break to the
+    first (smallest rf, then rg) candidate.
     """
     if len(f) != len(g):
         raise ValueError("pair shift search requires equal lengths")
@@ -323,15 +410,21 @@ def best_pair_shifts(
         raise ValueError("pair objective must be cdf or psc")
     ell = len(f)
     af, ag = f.terms, g.terms
-    grid = ell <= budget.BUDGETS["pair-grid length"].limit
-    score = (cdf_numerators_grid if grid else cdf_numerators_diagonal)(af, ag).astype(np.float64)
-    if objective == "psc":
-        adf_f, adf_g = (adf_numerators_all_shifts(a).astype(np.float64) for a in (af, ag))
-        root = np.outer(adf_f, adf_g) if grid else adf_f * adf_g
-        score += np.sqrt(root, out=root)
-    k = int(np.argmin(score))
-    shifts = divmod(k, ell) if grid else (k, k)
-    return shifts, float(score.flat[k]) / (ell * ell)
+    if ell <= budget.BUDGETS["pair-grid length"].limit:
+        score, adf_f, adf_g = _pair_grid(af, ag)
+        if objective == "psc":
+            root = np.outer(adf_f, adf_g)
+            score += np.sqrt(root, out=root)
+        return divmod(int(np.argmin(score)), ell)
+    if objective == "cdf":
+        score = cdf_numerators_diagonal(af, ag)
+    else:
+        budget.check("shift-search length", ell)
+        adf_f, adf_g, cross = _lockstep_numerators(af, ag, ell, ((0, 0), (1, 1), (0, 1)))
+        score = (ell * ell + cross).astype(np.float64)
+        score += np.sqrt(adf_f.astype(np.float64) * adf_g)
+    r = int(np.argmin(score))
+    return r, r
 
 
 def _realized_length(spec: FamilySpec) -> int:
@@ -483,16 +576,18 @@ def _half_legendre(p):
     """The half-Legendre pair at the shift minimizing its PSC (first on ties).
 
     At shift r the halves are the length-half windows of the Legendre
-    sequence starting at r and at r + half, so the all-shift engines give
-    every ADF and CDF numerator at once.
+    sequence starting at r and at r + half, so one lockstep pass of the
+    walks of the sequence and of its rotation by half gives every ADF
+    numerator of the first half and every CDF numerator; the second half's
+    ADF numerators are the first's, rotated by half.
     """
     budget.check("shift-search length", p)
     arr = families.legendre(p).terms
     half = (p - 1) // 2
-    adf_a = adf_numerators_all_shifts(arr, half).astype(np.float64)
+    adf_a, cross = _lockstep_numerators(arr, np.roll(arr, -half), half, ((0, 0), (0, 1)))
+    adf_a = adf_a.astype(np.float64)
     adf_b = np.roll(adf_a, -half)
-    cross = cdf_numerators_diagonal(arr, np.roll(arr, -half), half)
-    r = int(np.argmin(np.sqrt(adf_a * adf_b) + cross))
+    r = int(np.argmin(np.sqrt(adf_a * adf_b) + (half * half + cross)))
     yield f"p={p} shift={r}", *families.half_legendre_pair(p, r)
 
 
@@ -521,7 +616,7 @@ def _reversing_mseq(n, k):
     ctx = families.make_binary_field(n)
     budget.check("shift-search length", ctx.order)
     f0, g0 = families.msequence_pair(ctx, -pow(2, k, ctx.order) % ctx.order)
-    (rf, rg), _ = best_pair_shifts(f0, g0, "cdf")
+    rf, rg = best_pair_shifts(f0, g0, "cdf")
     yield f"n={n} d=-2^{k} shifts={rf}/{rg}", cyclic_shift(f0, rf), cyclic_shift(g0, rg)
 
 
@@ -529,7 +624,7 @@ def _quartic_pair(p):
     budget.check("shift-search length", p)
     ctx = families.make_prime_field(p)
     f0, g0 = families.quartic_f(ctx), families.quartic_g(ctx)
-    (rf, rg), _ = best_pair_shifts(f0, g0, "psc")
+    rf, rg = best_pair_shifts(f0, g0, "psc")
     yield f"p={p} shifts={rf}/{rg}", cyclic_shift(f0, rf), cyclic_shift(g0, rg)
 
 

@@ -123,12 +123,14 @@ def periodic_xcorr(f: BinarySequence, g: BinarySequence) -> CorrelationSpectrum:
     return CorrelationSpectrum(dict(zip(range(ell), pc.tolist())))
 
 
+def _adf_of(c: np.ndarray, ell: int) -> Fraction:
+    """The ADF of a length-ell sequence from its autocorrelation c (all lags)."""
+    return Fraction(int(np.dot(c, c)) - ell * ell, ell * ell)
+
+
 def adf(f: BinarySequence) -> Fraction:
     """Autocorrelation demerit factor: sum of C(s)^2 over s != 0, divided by l^2."""
-    arr = f.terms
-    c = _corr(arr, arr)
-    ell = len(f)
-    return Fraction(int(np.dot(c, c)) - ell * ell, ell * ell)
+    return _adf_of(_corr(f.terms, f.terms), len(f))
 
 
 def cdf(f: BinarySequence, g: BinarySequence) -> Fraction:
@@ -167,6 +169,13 @@ class DemeritReport:
 
 
 def psc(f: BinarySequence, g: BinarySequence) -> DemeritReport:
+    """ADF(f), ADF(g) and CDF(f,g) from the two autocorrelations alone: by
+    sum_s C_fg(s)^2 = sum_t C_ff(t) C_gg(t) the CDF numerator is C_ff . C_gg.
+    That int64 dot is exact: each term is at most (l-|t|)^2 in absolute
+    value, so every partial sum is at most 2l^3/3 < 2^63 within the
+    exact-length budget."""
     if len(f) != len(g):
         raise ValueError("Pursley-Sarwate criterion requires equal lengths")
-    return DemeritReport(adf(f), adf(g), cdf(f, g))
+    ell = len(f)
+    cf, cg = (_corr(a.terms, a.terms) for a in (f, g))
+    return DemeritReport(_adf_of(cf, ell), _adf_of(cg, ell), Fraction(int(np.dot(cf, cg)), ell * ell))

@@ -231,8 +231,9 @@ class TestEngines:
         ids=["grid", "psc_pair_search"],
     )
     def test_grid_peak_memory(self, search):
-        # the two row blocks and the grid, l^2 float64 or int64 words each,
-        # and no further l x l temporary
+        # l^2 float64 or int64 words twice: the two folded row blocks
+        # (l x (l-1)/2 each) and the grid, then the grid and one l x l
+        # array (the int64 result, or the PSC's root term)
         ell = BUDGETS["pair-grid length"].limit
         rng = random.Random(69)
         f, g = random_sequence(rng, ell), random_sequence(rng, ell)
@@ -243,7 +244,7 @@ class TestEngines:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * 3 * ell * ell * 8
+        assert peak <= 1.1 * 2 * ell * ell * 8
 
     def test_budgets(self):
         big = np.ones(1 << 15, dtype=np.int64)
@@ -259,6 +260,24 @@ def _pm1(min_size, max_size):
     )
 
 
+# Full-period (m = l) examples, where the walk is folded: l = 1 .. 4, then an
+# odd and an even l whose first rotation is correlated on the FFT path (an
+# even l has the middle lag l/2), and the largest odd and even pair-grid l.
+_ODD, _ODD_G, _EVEN, _EVEN_G = (
+    random_sequence(random.Random(71 + i), corr._FFT_MIN_LEN + 89 - i // 2) for i in range(4)
+)
+_GRID_ODD, _GRID_ODD_G, _GRID_EVEN, _GRID_EVEN_G = (
+    random_sequence(random.Random(75 + i), BUDGETS["pair-grid length"].limit - 1 + i // 2) for i in range(4)
+)
+
+
+def _shifts(ell):
+    """Every shift of a generated case; of a long example, whose oracle costs
+    O(l^2) Python steps a shift, the first two and the last, which carries
+    every step of the walk."""
+    return range(ell) if ell <= 24 else [0, 1, ell - 1]
+
+
 class TestEngineProperties:
     """The all-shift engines against the brute-force oracles, on the
     materialised resize(cyclic_shift(...)) sequences."""
@@ -266,36 +285,53 @@ class TestEngineProperties:
     @settings(max_examples=60, deadline=None)
     @given(case=st.integers(1, 24).flatmap(lambda n: st.tuples(_pm1(n, n), st.integers(1, 2 * n + 3))))
     @example(case=(BinarySequence((1,)), 1))  # l = m = 1: the lag vector is empty
+    @example(case=(BinarySequence((1, -1)), 2))  # the folded vector is empty too
+    @example(case=(BinarySequence((1, 1, -1)), 3))
+    @example(case=(BinarySequence((1, -1, -1, -1)), 4))
+    @example(case=(_ODD, len(_ODD)))
+    @example(case=(_EVEN, len(_EVEN)))
     def test_adf_all_shifts(self, case):
         f, m = case
         nums = adf_numerators_all_shifts(f.terms, m)
         assert nums.shape == (len(f),) and nums.dtype == np.int64
-        for r in range(len(f)):
+        for r in _shifts(len(f)):
             assert Fraction(int(nums[r]), m * m) == oracle_adf(resize(cyclic_shift(f, r), m))
 
     @settings(max_examples=60, deadline=None)
     @given(case=st.integers(1, 20).flatmap(
         lambda n: st.tuples(_pm1(n, n), _pm1(n, n), st.integers(1, n))))
     @example(case=(BinarySequence((1,)), BinarySequence((-1,)), 1))
+    @example(case=(BinarySequence((1, -1)), BinarySequence((1, 1)), 2))
+    @example(case=(BinarySequence((1, 1, -1)), BinarySequence((-1, 1, 1)), 3))
+    @example(case=(BinarySequence((1, -1, -1, -1)), BinarySequence((1, 1, 1, -1)), 4))
+    @example(case=(_ODD, _ODD_G, len(_ODD)))
+    @example(case=(_EVEN, _EVEN_G, len(_EVEN)))
     def test_diagonal_windows(self, case):
         f, g, m = case
         diag = cdf_numerators_diagonal(f.terms, g.terms, m)
         assert diag.shape == (len(f),) and diag.dtype == np.int64
-        for r in range(len(f)):
+        for r in _shifts(len(f)):
             expect = oracle_cdf(resize(cyclic_shift(f, r), m), resize(cyclic_shift(g, r), m))
             assert Fraction(int(diag[r]), m * m) == expect
 
     @settings(max_examples=30, deadline=None)
     @given(fg=st.integers(1, 12).flatmap(lambda n: st.tuples(_pm1(n, n), _pm1(n, n))))
+    @example(fg=(BinarySequence((1,)), BinarySequence((-1,))))
+    @example(fg=(BinarySequence((1, -1)), BinarySequence((1, 1))))
+    @example(fg=(BinarySequence((1, 1, -1)), BinarySequence((-1, 1, 1))))
+    @example(fg=(BinarySequence((1, -1, -1, -1)), BinarySequence((1, 1, 1, -1))))
+    @example(fg=(_GRID_ODD, _GRID_ODD_G))
+    @example(fg=(_GRID_EVEN, _GRID_EVEN_G))
     def test_grid(self, fg):
         f, g = fg
         ell = len(f)
         grid = cdf_numerators_grid(f.terms, g.terms)
         assert grid.shape == (ell, ell) and grid.dtype == np.int64
-        for rf in range(ell):
-            for rg in range(ell):
-                expect = oracle_cdf(cyclic_shift(f, rf), cyclic_shift(g, rg))
-                assert Fraction(int(grid[rf, rg]), ell * ell) == expect
+        shifts = _shifts(ell)
+        cells = [(rf, rg) for rf in shifts for rg in shifts] if ell <= 24 else zip(shifts, reversed(shifts))
+        for rf, rg in cells:
+            expect = oracle_cdf(cyclic_shift(f, rf), cyclic_shift(g, rg))
+            assert Fraction(int(grid[rf, rg]), ell * ell) == expect
 
 
 class TestShiftSearch:
@@ -324,14 +360,49 @@ class TestShiftSearch:
         rng = random.Random(65)
         f = random_sequence(rng, 8)
         g = random_sequence(rng, 8)
-        (rf, rg), val = best_pair_shifts(f, g, "cdf")
+        rf, rg = best_pair_shifts(f, g, "cdf")
         brute = min(
-            (float(cdf(cyclic_shift(f, a), cyclic_shift(g, b))), a, b)
+            (cdf(cyclic_shift(f, a), cyclic_shift(g, b)), a, b)
             for a in range(8)
             for b in range(8)
         )
         assert (brute[1], brute[2]) == (rf, rg)
-        assert val == pytest.approx(brute[0])
+        assert cdf(cyclic_shift(f, rf), cyclic_shift(g, rg)) == brute[0]
+
+    @pytest.mark.parametrize("ell", [1, 2, 7, 8, 64, 511, 512, 600])  # 600: the diagonal
+    def test_psc_pair_search_equals_separate_engines(self, ell):
+        rng = random.Random(80 + ell)
+        f, g = random_sequence(rng, ell), random_sequence(rng, ell)
+        adf_f, adf_g = (adf_numerators_all_shifts(s.terms).astype(np.float64) for s in (f, g))
+        if ell <= BUDGETS["pair-grid length"].limit:
+            grid = cdf_numerators_grid(f.terms, g.terms)
+            # the search's ADF numerators are the norms of the grid's rows
+            assert all(map(np.array_equal, analysis._pair_grid(f.terms, g.terms), (grid, adf_f, adf_g)))
+            expect = divmod(int(np.argmin(grid + np.sqrt(np.outer(adf_f, adf_g)))), ell)
+        else:
+            r = int(np.argmin(cdf_numerators_diagonal(f.terms, g.terms) + np.sqrt(adf_f * adf_g)))
+            expect = (r, r)
+        assert best_pair_shifts(f, g, "psc") == expect
+
+    def test_pair_search_ties_break_to_first(self):
+        ones = BinarySequence((1,) * 9)
+        assert best_pair_shifts(ones, ones, "psc") == best_pair_shifts(ones, ones, "cdf") == (0, 0)
+        long_ones = BinarySequence((1,) * 600)
+        assert best_pair_shifts(long_ones, long_ones, "psc") == (0, 0)
+
+    def test_one_walk_per_sequence(self, monkeypatch):
+        windows = []
+        walk = analysis._rotation_walk
+        monkeypatch.setattr(analysis, "_rotation_walk", lambda arr, m: windows.append(m) or walk(arr, m))
+        rng = random.Random(79)
+        for ell in (64, 600):  # the grid, then the diagonal
+            f, g = random_sequence(rng, ell), random_sequence(rng, ell)
+            windows.clear()
+            best_pair_shifts(f, g, "psc")
+            assert windows == [ell, ell]
+        windows.clear()
+        report_pairs("half_legendre", p=29)
+        assert windows == [14, 14]
 
     def test_pair_search_validates(self):
         rng = random.Random(66)

@@ -46,6 +46,12 @@ def test_budgets_keep_float64_sums_exact():
     assert 2 * w**3 < 3 * 2**53  # an ADF numerator: 2 sum_s (w-s)^2 < 2w^3/3
     assert limit("shift-search length") ** 3 < 2**53  # a diagonal dot product, window <= l
     assert limit("pair-grid length") ** 3 < 2**53  # a pair-grid entry
+    # Full-period windows walk the folded v(s) = C(s) - C(l-s), s <= (l-1)/2:
+    # |v(s)| <= (l-s) + s = l, so the sums of products stay below (l-1)/2 * l^2.
+    ell = limit("shift-search length")
+    assert ell + 2 < 2**53  # a folded lag between the walk's two adds of +-2
+    assert ell**3 < 2 * 2**53  # sum v^2, an ADF or diagonal product: below l^3/2
+    assert limit("pair-grid length") ** 3 < 2 * 2**53  # a folded grid product: below l^3/2
 
 
 def all_ones_numerator(m):
