@@ -7,9 +7,12 @@ resize(cyclic_shift(f, r), m), r = 0 .. l-1: the off-peak autocorrelation
 of the first window is taken from corr._corr and then updated in O(m) per
 step to r + 1.  Every numerator is built from 2 sum_{s=1}^{m-1} C^f(s) C^g(s)
 over two windows: an ADF numerator is that sum with g = f, and since
-sum_s C_fg(s)^2 = sum_t C_ff(t) C_gg(t) a CDF numerator is m^2 plus it.  So
-each shift costs one dot product for the ADF and on the equal-shift
-diagonal, and the full shift grid one matrix-vector product per shift of f.
+sum_s C_fg(s)^2 = sum_t C_ff(t) C_gg(t) a CDF numerator is m^2 plus it.
+adf_numerators_all_shifts walks one sequence, one dot product per shift.
+The pair searches use two private engines: the lockstep pass (two walks in
+step, one dot product per requested product per shift) and the pair grid
+(g's walk kept as rows, f's streamed, one matrix-vector product per shift
+of f).  Every search takes its answer from _first_minimum.
 
 A full-period window (m = l) is folded.  Its periodic autocorrelation
 PC(s) = C(s) + C(l-s) is the same at every rotation (Hoholdt & Jensen use
@@ -321,61 +324,45 @@ def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarr
 
 
 def _pair_grid(af: np.ndarray, ag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CDF numerators of the full (rf, rg) grid and the ADF numerators of
-    every rotation of f and of g, all float64, from one walk of each (see
-    cdf_numerators_grid); the ADF numerators are the rows' squared norms.
-    Only the psc search reads them, but at O(l^2) next to the grid's
-    O(l^3 / 2) they are formed for every caller, so that one function serves
-    both objectives."""
+    """CDF numerators of (cyclic_shift(f, rf), cyclic_shift(g, rg)) over
+    the full (rf, rg) grid and ADF numerators of every rotation of f and of
+    g, all float64; divide by l^2.
+
+    With g's folded walk kept as rows R_g (l x (l-1)//2), row rf of the
+    grid is l^2 + pc_f . pc_g / 2 + R_g w^f_rf, one dgemv per step of f's
+    walk, which is not kept.  Every entry is below l^3, exact in float64
+    within the pair-grid budget.  Peak memory is 1.5 l^2 words: R_g and the
+    grid.  Only psc reads the ADF numerators (the walks' squared norms), but
+    at O(l^2) next to the grid's O(l^3 / 2) they are formed for every caller.
+    """
     ell = len(af)
     if len(ag) != ell:
         raise ValueError("pair shift grid requires equal lengths")
     budget.check("pair-grid length", ell)
     fw, gw = _rotation_walk(af, ell), _rotation_walk(ag, ell)
-    rows_f, rows_g = np.empty((2, ell, (ell - 1) // 2))
-    for rows, walk in ((rows_f, fw), (rows_g, gw)):
-        for r, w in enumerate(walk.vectors):
-            rows[r] = w
-    grid = np.empty((ell, ell))
-    for rf, row_f in enumerate(rows_f):
-        np.dot(rows_g, row_f, out=grid[rf])
+    rows_g = np.empty((ell, (ell - 1) // 2))
+    for r, w in enumerate(gw.vectors):
+        rows_g[r] = w
+    grid, adf_f = np.empty((ell, ell)), np.empty(ell)
+    for rf, w in enumerate(fw.vectors):
+        np.dot(rows_g, w, out=grid[rf])
+        adf_f[rf] = w.dot(w)
     grid += ell * ell + fw.offset(gw)
-    adf_f = np.einsum("ij,ij->i", rows_f, rows_f) + fw.offset(fw)
+    adf_f += fw.offset(fw)
     adf_g = np.einsum("ij,ij->i", rows_g, rows_g) + gw.offset(gw)
     return grid, adf_f, adf_g
 
 
-def cdf_numerators_grid(af: np.ndarray, ag: np.ndarray) -> np.ndarray:
-    """CDF numerators of (cyclic_shift(f, rf), cyclic_shift(g, rg)) for the
-    full (rf, rg) grid, as int64; divide by l^2.
-
-    With the folded walks written as rows R_f and R_g (l x (l-1)//2) the
-    grid is l^2 + pc_f . pc_g / 2 + R_f R_g^T, formed one row R_g R_f[rf] at
-    a time.  Every entry is below l^3, exact in float64 within the pair-grid
-    budget.  Peak memory is 2 l^2 words: the two row blocks and the float64
-    grid, then that grid and the int64 result.
-    """
-    return _pair_grid(af, ag)[0].astype(np.int64)
-
-
-def cdf_numerators_diagonal(af: np.ndarray, ag: np.ndarray, m: int | None = None) -> np.ndarray:
-    """CDF numerators of (resize(cyclic_shift(f, r), m), resize(cyclic_shift(g, r), m))
-    for every r (the equal-shift diagonal, windows of length m <= l), as
-    int64; divide by m^2.
-
-    By sum_s C_fg(s)^2 = sum_t C_ff(t) C_gg(t) each numerator is m^2 plus
-    2 sum_s C_f(s) C_g(s), one dot product of the vectors of two rotation
-    walks in step, O(m) per shift.
-    """
-    ell = len(af)
-    if len(ag) != ell:
-        raise ValueError("diagonal shift search requires equal lengths")
-    if m is None:
-        m = ell
-    if not 1 <= m <= ell:
-        raise ValueError(f"window length {m} must be in [1, {ell}]")
-    budget.check("shift-search length", ell)
-    return m * m + _lockstep_numerators(af, ag, m, ((0, 1),))[0]
+def _first_minimum(cdf: np.ndarray, adf_f: np.ndarray | None = None, adf_g: np.ndarray | None = None) -> int:
+    """Flat index of the first minimum of the CDF numerators cdf or, given
+    ADF numerators, of sqrt(adf_f adf_g) + cdf (l^2 PSC; a column adf_f and
+    a row adf_g score the grid).  Every shift search breaks its ties here."""
+    score = cdf
+    if adf_f is not None:
+        score = np.multiply(adf_f, adf_g, dtype=np.float64)
+        np.sqrt(score, out=score)
+        score += cdf
+    return int(np.argmin(score))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +378,7 @@ def best_shift(
         raise ValueError("single-sequence shift search minimizes adf only")
     m = resize_len if resize_len is not None else len(f)
     nums = adf_numerators_all_shifts(f.terms, m)
-    r = int(np.argmin(nums))
+    r = _first_minimum(nums)
     return r, Fraction(int(nums[r]), m * m)
 
 
@@ -401,7 +388,7 @@ def best_pair_shifts(f: BinarySequence, g: BinarySequence, objective: str = "cdf
     Lengths within the pair-grid budget search the full (rf, rg) grid;
     longer sequences use the equal-shift diagonal heuristic.  Either way f
     and g are walked once each: the PSC's ADF numerators come from the
-    grid's rows or from the diagonal's lockstep pass.  Ties break to the
+    grid's walks or from the diagonal's lockstep pass.  Ties break to the
     first (smallest rf, then rg) candidate.
     """
     if len(f) != len(g):
@@ -411,19 +398,13 @@ def best_pair_shifts(f: BinarySequence, g: BinarySequence, objective: str = "cdf
     ell = len(f)
     af, ag = f.terms, g.terms
     if ell <= budget.BUDGETS["pair-grid length"].limit:
-        score, adf_f, adf_g = _pair_grid(af, ag)
-        if objective == "psc":
-            root = np.outer(adf_f, adf_g)
-            score += np.sqrt(root, out=root)
-        return divmod(int(np.argmin(score)), ell)
-    if objective == "cdf":
-        score = cdf_numerators_diagonal(af, ag)
-    else:
-        budget.check("shift-search length", ell)
-        adf_f, adf_g, cross = _lockstep_numerators(af, ag, ell, ((0, 0), (1, 1), (0, 1)))
-        score = (ell * ell + cross).astype(np.float64)
-        score += np.sqrt(adf_f.astype(np.float64) * adf_g)
-    r = int(np.argmin(score))
+        cdf, adf_f, adf_g = _pair_grid(af, ag)
+        adfs = (adf_f[:, None], adf_g) if objective == "psc" else ()
+        return divmod(_first_minimum(cdf, *adfs), ell)
+    budget.check("shift-search length", ell)
+    pairs = ((0, 1), (0, 0), (1, 1)) if objective == "psc" else ((0, 1),)
+    cross, *adfs = _lockstep_numerators(af, ag, ell, pairs)
+    r = _first_minimum(ell * ell + cross, *adfs)
     return r, r
 
 
@@ -585,9 +566,7 @@ def _half_legendre(p):
     arr = families.legendre(p).terms
     half = (p - 1) // 2
     adf_a, cross = _lockstep_numerators(arr, np.roll(arr, -half), half, ((0, 0), (0, 1)))
-    adf_a = adf_a.astype(np.float64)
-    adf_b = np.roll(adf_a, -half)
-    r = int(np.argmin(np.sqrt(adf_a * adf_b) + (half * half + cross)))
+    r = _first_minimum(half * half + cross, adf_a, np.roll(adf_a, -half))
     yield f"p={p} shift={r}", *families.half_legendre_pair(p, r)
 
 

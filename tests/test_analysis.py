@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -28,8 +29,6 @@ from seqcorr.analysis import (
     adf_numerators_all_shifts,
     best_pair_shifts,
     best_shift,
-    cdf_numerators_diagonal,
-    cdf_numerators_grid,
     convergence_sweep,
     cubic_root,
     lookup_target,
@@ -45,6 +44,13 @@ from seqcorr.families import parse_family
 from seqcorr.sequence import parse_line
 
 from oracles import SplitMix64, oracle_adf, oracle_cdf, random_sequence
+
+
+def diagonal_of(af, ag, m=None):
+    """The CDF numerators m^2 + 2 sum_s C^f_r(s) C^g_r(s) of the windows
+    of length m (l by default) of f and g at every equal shift r."""
+    m = len(af) if m is None else m
+    return m * m + analysis._lockstep_numerators(af, ag, m, ((0, 1),))[0]
 
 
 class TestSplitMix:
@@ -164,7 +170,7 @@ class TestEngines:
             ell = rng.randrange(2, 11)
             f = random_sequence(rng, ell)
             g = random_sequence(rng, ell)
-            grid = cdf_numerators_grid(f.terms, g.terms)
+            grid = analysis._pair_grid(f.terms, g.terms)[0]
             for rf in range(ell):
                 for rg in range(ell):
                     expect = oracle_cdf(cyclic_shift(f, rf), cyclic_shift(g, rg))
@@ -176,8 +182,8 @@ class TestEngines:
             ell = rng.randrange(2, 14)
             f = random_sequence(rng, ell)
             g = random_sequence(rng, ell)
-            grid = cdf_numerators_grid(f.terms, g.terms)
-            diag = cdf_numerators_diagonal(f.terms, g.terms)
+            grid = analysis._pair_grid(f.terms, g.terms)[0]
+            diag = diagonal_of(f.terms, g.terms)
             assert np.array_equal(np.diag(grid), diag)
 
     def test_diagonal_window_matches_oracle(self):
@@ -186,13 +192,12 @@ class TestEngines:
             ell = rng.randrange(2, 13)
             f = random_sequence(rng, ell)
             g = random_sequence(rng, ell)
-            for m in range(1, ell):
-                diag = cdf_numerators_diagonal(f.terms, g.terms, m)
+            # m = l + 1: an appended window, as the lockstep pass takes any m
+            for m in range(1, ell + 2):
+                diag = diagonal_of(f.terms, g.terms, m)
                 for r in range(ell):
                     expect = oracle_cdf(resize(cyclic_shift(f, r), m), resize(cyclic_shift(g, r), m))
                     assert Fraction(int(diag[r]), m * m) == expect
-        with pytest.raises(ValueError):
-            cdf_numerators_diagonal(f.terms, g.terms, ell + 1)
 
     def test_engine_input_validation(self):
         arr = np.ones(5, dtype=np.int64)
@@ -200,11 +205,12 @@ class TestEngines:
             with pytest.raises(ValueError):
                 adf_numerators_all_shifts(arr, m)
         with pytest.raises(ValueError):
-            cdf_numerators_grid(arr, np.ones(4, dtype=np.int64))
-        with pytest.raises(ValueError):
-            cdf_numerators_diagonal(arr, np.ones(6, dtype=np.int64))
-        with pytest.raises(ValueError):
-            cdf_numerators_diagonal(arr, np.ones(4, dtype=np.int64), 2)
+            analysis._pair_grid(arr, np.ones(4, dtype=np.int64))
+        # the lockstep pass trusts its callers; best_pair_shifts checks lengths
+        longer = BUDGETS["pair-grid length"].limit + 1
+        for ell_g in (longer + 1, longer - 1):
+            with pytest.raises(ValueError, match="equal lengths"):
+                best_pair_shifts(BinarySequence((1,) * longer), BinarySequence((1,) * ell_g))
 
     def test_walk_seeded_above_fft_crossover(self):
         ell = corr._FFT_MIN_LEN + 88  # the first rotation is correlated on the FFT path
@@ -213,7 +219,7 @@ class TestEngines:
         f = random_sequence(rng, ell)
         g = random_sequence(rng, ell)
         nums = adf_numerators_all_shifts(f.terms, m)
-        diag = cdf_numerators_diagonal(f.terms, g.terms, ell)
+        diag = diagonal_of(f.terms, g.terms)
         for r in (0, 1, 2, ell // 2 - 1, ell - 2, ell - 1):
             fr, gr = cyclic_shift(f, r), cyclic_shift(g, r)
             assert Fraction(int(nums[r]), m * m) == adf(resize(fr, m))
@@ -222,18 +228,25 @@ class TestEngines:
     def test_engines_return_int64(self):
         rng = random.Random(70)
         f, g = random_sequence(rng, 9).terms, random_sequence(rng, 9).terms
-        for out in (adf_numerators_all_shifts(f, 12), cdf_numerators_diagonal(f, g), cdf_numerators_grid(f, g)):
+        pairs = ((0, 1), (0, 0), (1, 1))
+        for out in (adf_numerators_all_shifts(f, 12), *analysis._lockstep_numerators(f, g, 9, pairs)):
             assert out.dtype == np.int64
+        # the pair grid stays float64, every entry an exact integer
+        for out in analysis._pair_grid(f, g):
+            assert out.dtype == np.float64 and np.array_equal(out, out.astype(np.int64))
 
     @pytest.mark.parametrize(
-        "search",
-        [lambda f, g: cdf_numerators_grid(f.terms, g.terms), lambda f, g: best_pair_shifts(f, g, "psc")],
+        "search, words",
+        [
+            # g's folded rows (l x (l-1)/2) and the grid; f's walk is streamed
+            (lambda f, g: analysis._pair_grid(f.terms, g.terms), 1.5),
+            # then the grid and the PSC's root term
+            (lambda f, g: best_pair_shifts(f, g, "psc"), 2),
+        ],
         ids=["grid", "psc_pair_search"],
     )
-    def test_grid_peak_memory(self, search):
-        # l^2 float64 or int64 words twice: the two folded row blocks
-        # (l x (l-1)/2 each) and the grid, then the grid and one l x l
-        # array (the int64 result, or the PSC's root term)
+    def test_grid_peak_memory(self, search, words):
+        # words: the peak in l^2 float64 words
         ell = BUDGETS["pair-grid length"].limit
         rng = random.Random(69)
         f, g = random_sequence(rng, ell), random_sequence(rng, ell)
@@ -244,14 +257,14 @@ class TestEngines:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * 2 * ell * ell * 8
+        assert peak <= 1.1 * words * ell * ell * 8
 
     def test_budgets(self):
         big = np.ones(1 << 15, dtype=np.int64)
         with pytest.raises(ValueError):
             adf_numerators_all_shifts(big)
         with pytest.raises(ValueError):
-            cdf_numerators_grid(np.ones(513, dtype=np.int64), np.ones(513, dtype=np.int64))
+            analysis._pair_grid(np.ones(513, dtype=np.int64), np.ones(513, dtype=np.int64))
 
 
 def _pm1(min_size, max_size):
@@ -308,7 +321,7 @@ class TestEngineProperties:
     @example(case=(_EVEN, _EVEN_G, len(_EVEN)))
     def test_diagonal_windows(self, case):
         f, g, m = case
-        diag = cdf_numerators_diagonal(f.terms, g.terms, m)
+        diag = diagonal_of(f.terms, g.terms, m)
         assert diag.shape == (len(f),) and diag.dtype == np.int64
         for r in _shifts(len(f)):
             expect = oracle_cdf(resize(cyclic_shift(f, r), m), resize(cyclic_shift(g, r), m))
@@ -325,13 +338,15 @@ class TestEngineProperties:
     def test_grid(self, fg):
         f, g = fg
         ell = len(f)
-        grid = cdf_numerators_grid(f.terms, g.terms)
-        assert grid.shape == (ell, ell) and grid.dtype == np.int64
+        grid, adf_f, adf_g = analysis._pair_grid(f.terms, g.terms)
+        assert grid.shape == (ell, ell) and adf_f.shape == adf_g.shape == (ell,)
         shifts = _shifts(ell)
         cells = [(rf, rg) for rf in shifts for rg in shifts] if ell <= 24 else zip(shifts, reversed(shifts))
         for rf, rg in cells:
-            expect = oracle_cdf(cyclic_shift(f, rf), cyclic_shift(g, rg))
-            assert Fraction(int(grid[rf, rg]), ell * ell) == expect
+            fr, gr = cyclic_shift(f, rf), cyclic_shift(g, rg)
+            assert Fraction(int(grid[rf, rg]), ell * ell) == oracle_cdf(fr, gr)
+            assert Fraction(int(adf_f[rf]), ell * ell) == oracle_adf(fr)
+            assert Fraction(int(adf_g[rg]), ell * ell) == oracle_adf(gr)
 
 
 class TestShiftSearch:
@@ -375,12 +390,12 @@ class TestShiftSearch:
         f, g = random_sequence(rng, ell), random_sequence(rng, ell)
         adf_f, adf_g = (adf_numerators_all_shifts(s.terms).astype(np.float64) for s in (f, g))
         if ell <= BUDGETS["pair-grid length"].limit:
-            grid = cdf_numerators_grid(f.terms, g.terms)
-            # the search's ADF numerators are the norms of the grid's rows
-            assert all(map(np.array_equal, analysis._pair_grid(f.terms, g.terms), (grid, adf_f, adf_g)))
+            grid, grid_adf_f, grid_adf_g = analysis._pair_grid(f.terms, g.terms)
+            # the search's ADF numerators are the squared norms of the walks' vectors
+            assert np.array_equal(grid_adf_f, adf_f) and np.array_equal(grid_adf_g, adf_g)
             expect = divmod(int(np.argmin(grid + np.sqrt(np.outer(adf_f, adf_g)))), ell)
         else:
-            r = int(np.argmin(cdf_numerators_diagonal(f.terms, g.terms) + np.sqrt(adf_f * adf_g)))
+            r = int(np.argmin(diagonal_of(f.terms, g.terms) + np.sqrt(adf_f * adf_g)))
             expect = (r, r)
         assert best_pair_shifts(f, g, "psc") == expect
 
@@ -397,12 +412,16 @@ class TestShiftSearch:
         rng = random.Random(79)
         for ell in (64, 600):  # the grid, then the diagonal
             f, g = random_sequence(rng, ell), random_sequence(rng, ell)
-            windows.clear()
-            best_pair_shifts(f, g, "psc")
-            assert windows == [ell, ell]
+            for objective in ("cdf", "psc"):
+                windows.clear()
+                best_pair_shifts(f, g, objective)
+                assert windows == [ell, ell]
         windows.clear()
         report_pairs("half_legendre", p=29)
         assert windows == [14, 14]
+        windows.clear()
+        best_shift(random_sequence(rng, 600))
+        assert windows == [600]
 
     def test_pair_search_validates(self):
         rng = random.Random(66)
@@ -463,6 +482,30 @@ class TestBaseline:
             monte_carlo_baseline(8, 0, 1)
         with pytest.raises(ValueError):
             monte_carlo_baseline(0, 5, 1)
+
+
+def _exact_order(a, b):
+    """-1, 0 or 1 as c + sqrt(q) is below, equal to or above c' + sqrt(q')
+    for a = (c, q) and b = (c', q'), in integers.
+
+    The two are equal only if (c, q) = (c', q') or both q are squares with
+    equal c + sqrt(q): otherwise sqrt(q) - sqrt(q') would be a rational
+    c' - c with q or q' not a square.  Unequal scores are told apart by
+    bracketing k (c + sqrt(q)) in [k c + isqrt(k^2 q), k c + isqrt(k^2 q) + 1)
+    for k = 1, 2, 4, ... until the brackets are disjoint.
+    """
+    (c1, q1), (c2, q2) = a, b
+    r1, r2 = math.isqrt(q1), math.isqrt(q2)
+    if a == b or (r1 * r1 == q1 and r2 * r2 == q2 and c1 + r1 == c2 + r2):
+        return 0
+    k = 1
+    while True:
+        lo1, lo2 = k * c1 + math.isqrt(k * k * q1), k * c2 + math.isqrt(k * k * q2)
+        if lo1 + 1 <= lo2:
+            return -1
+        if lo2 + 1 <= lo1:
+            return 1
+        k *= 2
 
 
 class TestSweepsAndReports:
@@ -527,10 +570,21 @@ class TestSweepsAndReports:
         assert row.target == pytest.approx(7 / 6)
 
     def test_half_legendre_shift_minimizes_psc(self):
-        for p in (13, 29, 37):
+        for p in (13, 29, 37, 101):
+            # (h^2 CDF, h^4 ADF_a ADF_b) at every shift: the score h^2 PSC
+            # is c + sqrt(q), compared exactly
+            h2 = ((p - 1) // 2) ** 2
+            reports = [psc(*half_legendre_pair(p, r)) for r in range(p)]
+            scores = [(int(rep.cdf * h2), int(rep.adf_f * h2) * int(rep.adf_g * h2)) for rep in reports]
+            first = 0
+            for r, score in enumerate(scores):
+                if _exact_order(score, scores[first]) < 0:
+                    first = r
             (row,) = report_pairs("half_legendre", p=p)
-            brute = min(psc(*half_legendre_pair(p, r)).psc for r in range(p))
-            assert row.psc == pytest.approx(brute)
+            assert row.params == f"p={p} shift={first}"
+            assert row.psc == pytest.approx(reports[first].psc)
+            # a later shift ties exactly: the reported one is the first of them
+            assert any(_exact_order(score, scores[first]) == 0 for score in scores[first + 1 :])
 
     def test_report_quartic_and_mixed(self):
         (row,) = report_pairs("quartic_pair", p=29)

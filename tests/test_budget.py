@@ -99,7 +99,11 @@ class TestEntryPointBoundaries:
     def test_diagonal_at_shift_search_length(self):
         ell = limit("shift-search length")
         ones = np.ones(ell, dtype=np.int64)
-        assert (analysis.cdf_numerators_diagonal(ones, ones) == all_ones_numerator(ell)).all()
+        (cross,) = analysis._lockstep_numerators(ones, ones, ell, ((0, 1),))
+        assert (ell * ell + cross == all_ones_numerator(ell)).all()
+        longer = BinarySequence((1,) * (ell + 1))
+        with pytest.raises(ValueError, match="shift-search budget"):
+            analysis.best_pair_shifts(longer, longer)
 
     def test_shift_search_window(self):
         m = limit("shift-search window")
@@ -111,11 +115,11 @@ class TestEntryPointBoundaries:
     def test_pair_grid_length(self):
         ell = limit("pair-grid length")
         ones = np.ones(ell, dtype=np.int64)
-        grid = analysis.cdf_numerators_grid(ones, ones)
+        grid = analysis._pair_grid(ones, ones)[0]
         assert grid.shape == (ell, ell)
         assert (grid == all_ones_numerator(ell)).all()
         with pytest.raises(ValueError, match="pair-grid budget"):
-            analysis.cdf_numerators_grid(np.ones(ell + 1, dtype=np.int64), np.ones(ell + 1, dtype=np.int64))
+            analysis._pair_grid(np.ones(ell + 1, dtype=np.int64), np.ones(ell + 1, dtype=np.int64))
 
     def test_census_half_length(self):
         golay.check_census_length(2 * limit("census half-length"))
