@@ -60,7 +60,7 @@ partitioning trials into blocks or across workers cannot change the results.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -408,26 +408,16 @@ def best_pair_shifts(f: BinarySequence, g: BinarySequence, objective: str = "cdf
     return r, r
 
 
-def _realized_length(spec: FamilySpec) -> int:
-    """Length of realize(spec), from the spec alone, with realize's budgets checked."""
-    ell = families.base_length(spec)
-    m = families.resized_length(spec, ell)
-    if spec.shift == "best":
-        budget.check("shift-search length", ell)
-        budget.check("shift-search window", m)
-    return m
-
-
 def realize(spec: FamilySpec) -> tuple[BinarySequence, int]:
     """Build the sequence for a family spec, searching when shift='best'.
 
     Returns (sequence, shift actually used).
     """
-    return _realize(spec, _realized_length(spec))
+    return _realize(spec, families.realized_length(spec))
 
 
 def _realize(spec: FamilySpec, m: int) -> tuple[BinarySequence, int]:
-    """realize(spec) for m = _realized_length(spec), which has checked it."""
+    """realize(spec) for m = families.realized_length(spec), which has checked it."""
     base = families.build_base(spec)
     if spec.shift == "best":
         r, _ = best_shift(base, "adf", resize_len=m)
@@ -480,8 +470,8 @@ def convergence_sweep(spec: FamilySpec, sizes, target: AsymptoticTarget | None) 
     Every size is checked against every budget before the first one runs."""
     checked = []
     for size in sizes:
-        spec_i = families.with_size(spec, size)
-        m = _realized_length(spec_i)
+        spec_i = replace(spec, size=size)
+        m = families.realized_length(spec_i)
         budget.check("exact length", m)
         checked.append((spec_i, m))
     rows = []

@@ -11,7 +11,7 @@ One table holds each kind's descriptor key and builder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .gf import (
     PrimeFieldContext,
     binary_field_order,
     check_odd_prime,
+    gf2_pow,
     make_binary_field,
     make_prime_field,
     trace,
@@ -34,35 +35,33 @@ def msequence(ctx: BinaryFieldContext, char_shift: int = 1) -> BinarySequence:
     char_shift = 1 gives the naturally shifted (Galois) form; any other
     nonzero value only rotates it cyclically.
 
-    The powers alpha^j are built as bitmasks by doubling a block: alpha^(j+B)
-    = alpha^j * alpha^B, and multiplying by the fixed element alpha^B is
-    GF(2)-linear, so it is the XOR over the set bits i of alpha^j of
-    x^i * alpha^B: n vector XORs over the block already built.  The trace is
-    linear too: Tr(c * alpha^j) = parity(alpha^j & mask), where bit i of mask
-    is Tr(c * x^i), so n scalar traces serve every term.
+    The bits s_j = Tr(c * alpha^j) obey the modulus's own recurrence: if
+    x^t = sum_i a_i x^i (mod the modulus), then s_(j+t) = sum_i a_i s_(j+i)
+    over GF(2), by linearity of the trace.  The first 2n bits are traced
+    one by one; then, with L bits known and t = L - n + 1, bits L .. 2t - 1
+    are the XOR of the known slices s[L-t+i : t+i] over the set bits i of
+    x^t, so the known prefix doubles with n vector XORs and no field
+    arithmetic per term.
     """
     _check_char_shift(char_shift, ctx.order)
     n, order = ctx.n, ctx.order
-    powers = np.ones(order, dtype=np.int32)  # int32: the sequence budget keeps n <= 24
-    done, alpha_done = 1, ctx.generator  # alpha_done = alpha^done
-    while done < order:
-        out = powers[done : 2 * done]
-        src, bit = powers[: len(out)], np.empty_like(out)
+    bits = np.empty(order, dtype=np.int8)
+    known, cur = min(2 * n, order), char_shift
+    for j in range(known):
+        bits[j] = trace(ctx, cur)
+        cur = ctx.mul(cur, ctx.generator)
+    while known < order:
+        t = known - n + 1
+        taps = gf2_pow(ctx.generator, t, ctx.modulus, n)  # x^t mod the modulus
+        out = bits[known : min(2 * t, order)]
         out[:] = 0
-        for i in range(n):  # out ^= (bit i of src) * x^i * alpha^done
-            np.right_shift(src, i, out=bit)
-            bit &= 1
-            bit *= ctx.mul(1 << i, alpha_done)
-            out ^= bit
-        done *= 2
-        alpha_done = ctx.mul(alpha_done, alpha_done)
-    powers &= sum(trace(ctx, ctx.mul(char_shift, 1 << i)) << i for i in range(n))
-    for k in reversed(range((n - 1).bit_length())):  # parity of the n low bits into bit 0
-        powers ^= powers >> (1 << k)
-    powers &= 1
-    powers *= -2
-    powers += 1
-    return BinarySequence(powers)
+        for i in range(n):
+            if taps >> i & 1:
+                out ^= bits[known - t + i :][: len(out)]
+        known += len(out)
+    bits *= -2  # bit 0 -> +1, bit 1 -> -1
+    bits += 1
+    return BinarySequence(bits)
 
 
 def _check_char_shift(char_shift: int, order: int) -> None:
@@ -248,35 +247,32 @@ def parse_family(text: str) -> FamilySpec:
     return FamilySpec(kind, size, char_shift, shift, ratio)
 
 
-def with_size(spec: FamilySpec, size: int) -> FamilySpec:
-    """Copy of spec with its size (n or p) replaced."""
-    return replace(spec, size=size)
-
-
-def base_length(spec: FamilySpec) -> int:
-    """The base sequence's length from the spec alone, after refusing every
-    parameter its builder would refuse, so that nothing is built first."""
-    if spec.kind == "mseq":
-        order = binary_field_order(spec.size)
-        _check_char_shift(spec.char_shift, order)
-        return order
-    check_odd_prime(spec.size)
-    if spec.kind != "legendre":
-        _check_quartic(spec.size)
-    return spec.size
-
-
 def build_base(spec: FamilySpec) -> BinarySequence:
     """The family's base sequence, before shift/resize transforms.  Each
     builder refuses its own bad parameters; callers that must refuse a spec
-    before anything is built call base_length first."""
+    before anything is built call realized_length first."""
     _, _, build = _KINDS[spec.kind]
     return build(spec)
 
 
-def resized_length(spec: FamilySpec, base_len: int) -> int:
-    if spec.resize_ratio is None:
-        return base_len
-    m = spec.resize_ratio * base_len  # checked before round(), which fails on inf
-    budget.check("sequence length", m, f"{spec.resize_ratio:g} * {base_len}")
-    return max(round(m), 1)
+def realized_length(spec: FamilySpec) -> int:
+    """Length of the realized sequence (base, then shift and resize), from
+    the spec alone, after refusing everything the builder, the resize and
+    a shift='best' search would refuse, so that nothing is built first."""
+    if spec.kind == "mseq":
+        ell = binary_field_order(spec.size)
+        _check_char_shift(spec.char_shift, ell)
+    else:
+        check_odd_prime(spec.size)
+        if spec.kind != "legendre":
+            _check_quartic(spec.size)
+        ell = spec.size
+    m = ell
+    if spec.resize_ratio is not None:
+        scaled = spec.resize_ratio * ell  # checked before round(), which fails on inf
+        budget.check("sequence length", scaled, f"{spec.resize_ratio:g} * {ell}")
+        m = max(round(scaled), 1)
+    if spec.shift == "best":
+        budget.check("shift-search length", ell)
+        budget.check("shift-search window", m)
+    return m

@@ -57,7 +57,9 @@ class BinarySequence:
         return BinarySequence(-self.terms)
 
     def to_line(self) -> str:
-        return np.where(self.terms > 0, _PLUS, _MINUS).astype(np.uint8).tobytes().decode("ascii")
+        # uint8 all through ('-' - 2 is '+'), and one expression, so that
+        # at most two term-length temporaries are alive at once
+        return (_MINUS - 2 * (self.terms > 0).view(np.uint8)).tobytes().decode("ascii")
 
 
 def parse_line(line: str) -> BinarySequence:

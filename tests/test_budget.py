@@ -83,12 +83,12 @@ class TestEntryPointBoundaries:
             families.legendre(limit("sequence length") + 1)
 
     def test_resized_length(self):
-        base = 1 << 20
-        at = FamilySpec("legendre", 7, resize_ratio=limit("sequence length") / base)
-        assert families.resized_length(at, base) == limit("sequence length")
-        over = FamilySpec("legendre", 7, resize_ratio=(limit("sequence length") + 1) / base)
-        with pytest.raises(ValueError, match="field-size limit"):
-            families.resized_length(over, base)
+        base = families.binary_field_order(20)
+        at = FamilySpec("mseq", 20, resize_ratio=limit("sequence length") / base)
+        assert families.realized_length(at) == limit("sequence length")
+        over = FamilySpec("mseq", 20, resize_ratio=(limit("sequence length") + 1) / base)
+        with pytest.raises(ValueError, match=rf"sequence length \S+ \* {base} exceeds the field-size limit"):
+            families.realized_length(over)
 
     def test_shift_search_length(self):
         ell = limit("shift-search length")

@@ -6,13 +6,15 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import seqcorr
-from seqcorr import analysis
+from seqcorr import analysis, corr
 from seqcorr.cli import _PAIR_OPTIONS, main
+from seqcorr.families import parse_family
 from seqcorr.sequence import parse_sequences
 
 
@@ -112,6 +114,27 @@ class TestDemerit:
         assert code == 0
         assert "[exact]" not in out
         assert "psc   = " in out
+
+    @pytest.mark.parametrize("family_f, family_g", [
+        ("mseq:n=7", "mseq:n=7,char=5,shift=3"),
+        ("legendre:p=61,shift=best,resize=1.0578", "legendre:p=61,shift=9,resize=1.0578"),
+        ("quartic_f:p=29", "quartic_g:p=29"),
+    ])
+    def test_generate_round_trip(self, capsys, tmp_path, family_f, family_g):
+        """Two generate outputs, written as a pair file, get the factors of
+        the realized sequences."""
+        pf = tmp_path / "pair.txt"
+        outs = [run(capsys, "generate", family) for family in (family_f, family_g)]
+        assert [code for code, _, _ in outs] == [0, 0]
+        pf.write_text("".join(out for _, out, _ in outs))
+        code, out, _ = run(capsys, "demerit", str(pf))
+        assert code == 0
+        report = dict(tuple(part.strip() for part in line.split("=", 1)) for line in out.splitlines())
+        f, g = (analysis.realize(parse_family(family))[0] for family in (family_f, family_g))
+        expected = corr.psc(f, g)
+        assert int(report["length"]) == len(f) == len(g)
+        for name in ("adf_f", "adf_g", "cdf"):
+            assert Fraction(report[name].split()[0]) == getattr(expected, name)
 
     def test_garbage_line_exits_2(self, capsys, tmp_path):
         pf = tmp_path / "pair.txt"

@@ -1,5 +1,8 @@
 import random
+import tracemalloc
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from seqcorr import (
     legendre,
     make_binary_field,
     make_prime_field,
+    trace,
     msequence,
     msequence_pair,
     periodic_xcorr,
@@ -26,7 +30,6 @@ from seqcorr.families import (
     build_base,
     parse_family,
     power_of_two_residues,
-    with_size,
 )
 
 from oracles import oracle_msequence, oracle_odd_primes, oracle_quadratic_character, random_sequence
@@ -60,6 +63,35 @@ class TestMSequence:
         ctx = make_binary_field(n)
         for char in {1, c, ctx.order}:
             assert tuple(msequence(ctx, char)) == oracle_msequence(ctx, char)
+
+    @pytest.mark.parametrize("n", range(15, 25))
+    def test_defining_properties_past_the_oracle(self, n):
+        """The first n terms are (-1)^Tr(c x^j); each later term is the XOR
+        of the n before it, with taps from the modulus itself (x^n = sum of
+        the x^i below it); the length is 2^n - 1 and the sum is -1."""
+        ctx = make_binary_field(n)
+        taps = [i for i in range(n) if ctx.modulus >> i & 1]
+        for c in (1, ctx.order // 3):
+            seq = msequence(ctx, c)
+            assert len(seq) == ctx.order and int(seq.terms.sum()) == -1
+            bits = (seq.terms < 0).view(np.uint8)
+            assert bits[:n].tolist() == [trace(ctx, ctx.mul(c, 1 << j)) for j in range(n)]
+            later = np.zeros(ctx.order - n, dtype=np.uint8)
+            for i in taps:
+                later ^= bits[i : i + len(later)]
+            assert np.array_equal(bits[n:], later)
+
+    def test_peak_memory(self):
+        # the int8 bits, then the int64 terms of the sequence itself
+        ctx = make_binary_field(20)
+        msequence(ctx)
+        tracemalloc.start()
+        try:
+            msequence(ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 10 * ctx.order
 
     def test_trivial_character_rejected(self):
         ctx = make_binary_field(3)
@@ -273,7 +305,7 @@ class TestFamilySpec:
 
     def test_with_size_and_build_base(self):
         spec = parse_family("legendre:p=7")
-        assert build_base(with_size(spec, 11)).to_line() == legendre(11).to_line()
+        assert build_base(replace(spec, size=11)).to_line() == legendre(11).to_line()
         mspec = FamilySpec("mseq", 3)
         assert build_base(mspec).to_line() == "-++-+--"
 
@@ -290,7 +322,7 @@ class TestFamilySpec:
         text, size, other = self.DESCRIPTORS[kind]
         spec = parse_family(text)
         assert (spec.kind, spec.size) == (kind, size)
-        resized = with_size(spec, other)
+        resized = replace(spec, size=other)
         assert resized.size == other
         kept = ("kind", "char_shift", "shift", "resize_ratio")
         assert [getattr(resized, a) for a in kept] == [getattr(spec, a) for a in kept]

@@ -6,6 +6,7 @@ checked for read-only storage, validation, equality, hashing and text I/O.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,18 @@ class TestRepresentation:
         assert f.to_line() == text
         assert f.terms.tolist() == [1 if c == "+" else -1 for c in text]
         assert parse_line(BinarySequence(f.terms.tolist()).to_line()) == f
+
+    def test_to_line_peak_memory(self):
+        # the uint8 codes and the line's bytes, no int64 temporary
+        f = BinarySequence(np.random.default_rng(20).choice((1, -1), 1 << 20))
+        f.to_line()
+        tracemalloc.start()
+        try:
+            f.to_line()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 2 * len(f)
 
     @pytest.mark.parametrize("line", ["", "   ", "+-x", "+ -", "+−", "01", "++\x00"])
     def test_parse_rejects_non_sign_text(self, line):
