@@ -27,6 +27,21 @@ the last term one exact int64 constant per call (|PC(s)| <= l).  Other
 windows (resize=, half-Legendre halves) carry C(1), .., C(m-1) and take
 twice its dot product.  Size limits come from budget.
 
+A sequence that is a rotation of its own reversal up to sign, that is
+x[(c - i) mod l] = eps x[i] for every i and one eps = +-1, has mirrored
+ADF numerators.  Reversing the window of length m at rotation r gives eps
+times the window at rotation sigma - r, where sigma = (c - m + 1) mod l,
+and the aperiodic autocorrelation does not change when a sequence is
+reversed or negated, so N(r) = N((sigma - r) mod l) for every window
+length: m < l, m = l (folded) and resize= windows.  The Legendre sequences
+with p = 1 mod 4 are their own reversals (x[-i] = x[i]; Hoholdt & Jensen),
+and so are the quartic sequences with p = 1 mod 8.  For such an input
+adf_numerators_all_shifts walks the l//2 + 1 rotations from the fixed
+point of r -> sigma - r (the first rotation past it when there is none)
+and copies each numerator to its mirror.  This is exact: symmetry is
+decided by comparing the integer terms, and the mirrored numerators are
+the walked int64 values themselves.
+
 The walk and its dot products run in float64, where numpy uses SIMD and
 BLAS (ddot, dgemv) and int64 gets plain loops.  They are exact because the
 budgets keep every partial sum an integer below 2^53.  Unfolded, a walk
@@ -62,9 +77,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import budget, corr, families, golay
 from .families import FamilySpec, cyclic_shift, resize
@@ -216,19 +232,24 @@ def lookup_target(text: str) -> AsymptoticTarget:
 _DOT_PIECE = 10000
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a . b for float64 vectors, as ddot calls of at most _DOT_PIECE terms.
-    The method a.dot(b) skips the dispatch of a @ b, 0.3-0.7 us a call."""
+def _dot_with(a: np.ndarray) -> Callable[[np.ndarray], float]:
+    """The function b -> a . b for float64 vectors of a's length, as ddot
+    calls of at most _DOT_PIECE terms.  The bound method a.dot, returned for
+    short vectors, skips both the dispatch of a @ b (0.3-0.7 us a call) and
+    a Python call around it at every step of a walk."""
     if len(a) <= _DOT_PIECE:
-        return a.dot(b)
-    return sum(a[i : i + _DOT_PIECE].dot(b[i : i + _DOT_PIECE]) for i in range(0, len(a), _DOT_PIECE))
+        return a.dot
+    cuts = range(0, len(a), _DOT_PIECE)
+    return lambda b: sum(a[i : i + _DOT_PIECE].dot(b[i : i + _DOT_PIECE]) for i in cuts)
 
 
 class _Walk(NamedTuple):
-    """A rotation walk of f over windows of length m (see _rotation_walk)."""
+    """A rotation walk of f over windows of length m (see _rotation_walk):
+    w is the one vector that every step updates and vectors yields."""
 
     scale: int
     pc: np.ndarray
+    w: np.ndarray
     vectors: Iterator[np.ndarray]
 
     def offset(self, other: _Walk) -> int:
@@ -240,11 +261,12 @@ class _Walk(NamedTuple):
         return self.scale * dots.astype(np.int64) + self.offset(other)
 
 
-def _rotation_walk(arr: np.ndarray, m: int) -> _Walk:
-    """The rotation walk of f over windows of length m.
+def _rotation_walk(arr: np.ndarray, m: int, start: int = 0) -> _Walk:
+    """The rotation walk of f over windows of length m, from rotation start.
 
-    vectors yields, for r = 0 .. l-1, a float64 vector w_r of exact integers
-    such that, for the walks of two sequences of one length l and one m,
+    vectors yields, for r = start, start+1, .., start+l-1 (mod l), a float64
+    vector w_r of exact integers such that, for the walks of two sequences
+    of one length l and one m,
 
         2 sum_{s=1}^{m-1} C^f_r(s) C^g_r(s) = scale (w^f_r . w^g_r) + pc^f . pc^g / 2,
 
@@ -252,22 +274,25 @@ def _rotation_walk(arr: np.ndarray, m: int) -> _Walk:
     (see the module docstring).  For m != l, w_r is C_r(1), .., C_r(m-1),
     scale is 2 and pc is empty.  For m = l the walk is folded: w_r(s) is
     C_r(s) - C_r(l-s) for s = 1 .. (l-1)//2, scale is 1 and pc is the int64
-    periodic autocorrelation PC(1), .., PC(l-1), the same at every r.
+    periodic autocorrelation PC(1), .., PC(l-1), the same at every r.  A
+    caller may stop taking vectors early; no step runs ahead of the vector
+    it yields.
 
-    Rotation r is the window x[r : r+m] of x = resize(f, l+m).  Moving to
-    r+1 drops x[r] and appends x[r+m], so every C(s) gains
-    x[r+m] x[r+m-s] - x[r] x[r+s].  For m = l, x[r+l] = x[r], so C(l-s)
-    gains minus what C(s) gains and w(s) gains twice it.  Either way a step
-    is one in-place add or subtract of a slice of x reversed and one of a
-    slice of x, with x doubled when folded.  The first vector comes from
-    corr._corr.  The same array is yielded each time and updated in place;
-    copy it to keep it.
+    With x = resize(cyclic_shift(f, start), l+m), step j of the walk is the
+    window x[j : j+m].  Moving to j+1 drops x[j] and appends x[j+m], so
+    every C(s) gains x[j+m] x[j+m-s] - x[j] x[j+s].  For m = l,
+    x[j+l] = x[j], so C(l-s) gains minus what C(s) gains and w(s) gains
+    twice it.  Either way a step is one in-place add or subtract of a row
+    of x reversed and one of a row of x, with x doubled when folded; the
+    rows and which of add or subtract each step takes are set before the
+    first step.  The first vector comes from corr._corr.  The same array w
+    is yielded each time and updated in place; copy it to keep it.
     """
     ell = len(arr)
     n = ell + m
-    x = np.resize(np.asarray(arr, dtype=np.int64), n)
+    x = np.resize(np.asarray(arr, dtype=np.int64), start + n)[start:]
     c = corr._corr(x[:m], x[:m])[m:]
-    signs = x.tolist()
+    up = (x > 0).astype(np.intp)
     if m == ell:
         k, scale, pc = (ell - 1) // 2, 1, c + c[::-1]
         w, x = c[:k] - c[::-1][:k], 2 * x
@@ -276,15 +301,22 @@ def _rotation_walk(arr: np.ndarray, m: int) -> _Walk:
     w = w.astype(np.float64)
     x = x.astype(np.float64)
     xr = x[::-1].copy()  # contiguous, so the adds stay vectorised
+    # Row j of gained is xr[l-j : l-j+k], x reversed from x[j+m-1]; row j
+    # of dropped is x[j+1 : j+1+k].  Step j adds x[j+m] times the first and
+    # subtracts x[j] times the second.
+    gained = as_strided(xr, (ell + 1, k), (xr.itemsize,) * 2, writeable=False)[ell:1:-1]
+    dropped = as_strided(x, (ell, k), (x.itemsize,) * 2, writeable=False)[1:]
+    subtract_add = np.array([np.subtract, np.add], dtype=object)
+    gain, drop = subtract_add[up[m : n - 1]], subtract_add[1 - up[: ell - 1]]
 
     def vectors():
         yield w
-        for r in range(ell - 1):
-            (np.add if signs[r + m] > 0 else np.subtract)(w, xr[n - r - m : n - r - m + k], out=w)
-            (np.subtract if signs[r] > 0 else np.add)(w, x[r + 1 : r + 1 + k], out=w)
+        for gain_op, row_in, drop_op, row_out in zip(gain, gained, drop, dropped):
+            gain_op(w, row_in, w)
+            drop_op(w, row_out, w)
             yield w
 
-    return _Walk(scale, pc, vectors())
+    return _Walk(scale, pc, w, vectors())
 
 
 def _lockstep_numerators(
@@ -296,10 +328,33 @@ def _lockstep_numerators(
     _rotation_walk).  f and g are walked once each, in lockstep, with one
     dot product per pair a step."""
     walks = _rotation_walk(af, m), _rotation_walk(ag, m)
+    products = [(_dot_with(walks[i].w), walks[j].w) for i, j in pairs]
     steps = zip(walks[0].vectors, walks[1].vectors)
-    dots = np.fromiter((_dot(ws[i], ws[j]) for ws in steps for i, j in pairs), np.float64, len(af) * len(pairs))
+    dots = np.fromiter((dot(b) for _ in steps for dot, b in products), np.float64, len(af) * len(pairs))
     cols = dots.reshape(len(af), len(pairs)).T
     return [walks[i].numerators(walks[j], col) for col, (i, j) in zip(cols, pairs)]
+
+
+def _reversal_centre(arr: np.ndarray) -> int | None:
+    """A c with x[(c - i) mod l] = eps x[i] for every i and one eps = +-1,
+    that is, cyclic_shift(f, c + 1) reversed is eps f; or None.
+
+    One bytes.find of the reversed sign string in the doubled one, linear
+    in l, finds c for each eps, and np.array_equal on the terms confirms it.
+    An odd l has an i with 2i = c (mod l), where eps = -1 would need
+    x[i] = -x[i], so only an even l tries eps = -1.
+    """
+    arr = np.asarray(arr)
+    ell = len(arr)
+    up = arr > 0
+    doubled = up.tobytes() * 2
+    for eps in (1, -1)[: 2 - ell % 2]:
+        j = doubled.find((up if eps > 0 else ~up)[::-1].tobytes())
+        if j >= 0:
+            c = (j - 1) % ell
+            if np.array_equal(np.roll(arr[::-1], c + 1), eps * arr):
+                return c
+    return None
 
 
 def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarray:
@@ -308,7 +363,9 @@ def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarr
 
     Each numerator is scale w . w + pc . pc / 2 over the rotation walk's
     vector, O(m) per shift and half that for m = l, exact in float64 within
-    the shift-search window budget (see the module docstring).
+    the shift-search window budget (see the module docstring).  When f is a
+    rotation of its own reversal, up to sign, the numerators are mirrored,
+    N(r) = N(sigma - r), and only l//2 + 1 rotations are walked.
     """
     ell = len(arr)
     if m is None:
@@ -317,10 +374,26 @@ def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarr
         raise ValueError(f"resized length {m} must be >= 1")
     budget.check("shift-search length", ell)
     budget.check("shift-search window", m)
+    c = _reversal_centre(arr)
+    if c is None:
+        start, count = 0, ell
+    else:
+        sigma = (c - m + 1) % ell
+        if sigma % 2 and ell % 2:
+            sigma += ell  # so that 2 start = sigma (mod l), l being odd
+        # The arc start .. start + l//2 and its mirror cover every shift.
+        start, count = (sigma + 1) // 2 % ell, ell // 2 + 1
     # A single walk keeps its own loop: through _lockstep_numerators, whose
     # pair loop runs every step, this took 3-5% longer at l = 1000-2000.
-    walk = _rotation_walk(arr, m)
-    return walk.numerators(walk, np.fromiter((_dot(w, w) for w in walk.vectors), np.float64, ell))
+    walk = _rotation_walk(arr, m, start)
+    walked = walk.numerators(walk, np.fromiter(map(_dot_with(walk.w), walk.vectors), np.float64, count))
+    if c is None:
+        return walked
+    shifts = (start + np.arange(count)) % ell
+    nums = np.empty(ell, dtype=np.int64)
+    nums[shifts] = walked
+    nums[(sigma - shifts) % ell] = walked
+    return nums
 
 
 def _pair_grid(af: np.ndarray, ag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

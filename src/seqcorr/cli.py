@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import analysis, corr, families, golay
 from .sequence import dump_sequences, load_pair, parse_line
@@ -30,7 +31,8 @@ def _cmd_generate(args) -> int:
 def _cmd_correlate(args) -> int:
     f, g = load_pair(args.pairfile)
     spec = corr.periodic_xcorr(f, g) if args.periodic else corr.aperiodic_xcorr(f, g)
-    rows = "".join(f"{s},{v}\n" for s, v in spec.values.items())  # values are in shift order
+    items = spec.values.items()  # in shift order
+    rows = ("%d,%d\n" * len(items)) % tuple(chain.from_iterable(items))
     sys.stdout.write("shift,value\n" + rows)
     return 0
 

@@ -284,25 +284,55 @@ _GRID_ODD, _GRID_ODD_G, _GRID_EVEN, _GRID_EVEN_G = (
 )
 
 
+# Long inputs that are rotations of their own reversal: a rotated Legendre
+# sequence with p = 1 mod 4 above the FFT crossover, whose ADF numerators
+# are walked on an arc of l//2 + 1 shifts and mirrored to the rest.
+_MIRRORED = cyclic_shift(legendre(521), 100)
+
+
 def _shifts(ell):
-    """Every shift of a generated case; of a long example, whose oracle costs
-    O(l^2) Python steps a shift, the first two and the last, which carries
-    every step of the walk."""
-    return range(ell) if ell <= 24 else [0, 1, ell - 1]
+    """Every shift of a generated case.  Of a long example, whose oracle
+    costs O(l^2) Python steps a shift: the first, the last, which carries
+    every step of a walk from shift 0, and two a third of the period apart.
+    Any l//2 - 1 consecutive shifts hold one of the four, so a mirrored
+    input has checked shifts both on its walked arc and on its mirror."""
+    return range(ell) if ell <= 24 else [0, ell // 3, 2 * ell // 3, ell - 1]
+
+
+def _mirror_of(terms, eps, c):
+    """terms made to satisfy x[(c - i) mod l] = eps x[i] for every i, which
+    for eps = -1 needs no i with 2i = c (mod l): an even l and an odd c."""
+    x = list(terms)
+    for i in range(len(x)):
+        x[(c - i) % len(x)] = eps * x[i]
+    return BinarySequence(tuple(x))
+
+
+def _mirrored(n):
+    """Sequences of length n that are rotations of their own reversal, up
+    to sign: eps = +1 about any centre, and eps = -1 for an even n."""
+    centres = st.tuples(st.just(1), st.integers(0, n - 1))
+    if n % 2 == 0:
+        centres |= st.tuples(st.just(-1), st.integers(0, n // 2 - 1).map(lambda k: 2 * k + 1))
+    return st.tuples(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n), centres).map(
+        lambda tc: _mirror_of(tc[0], *tc[1]))
 
 
 class TestEngineProperties:
     """The all-shift engines against the brute-force oracles, on the
     materialised resize(cyclic_shift(...)) sequences."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(case=st.integers(1, 24).flatmap(lambda n: st.tuples(_pm1(n, n), st.integers(1, 2 * n + 3))))
+    @settings(max_examples=120, deadline=None)
+    @given(case=st.integers(1, 24).flatmap(
+        lambda n: st.tuples(_pm1(n, n) | _mirrored(n), st.integers(1, 2 * n + 3))))
     @example(case=(BinarySequence((1,)), 1))  # l = m = 1: the lag vector is empty
     @example(case=(BinarySequence((1, -1)), 2))  # the folded vector is empty too
     @example(case=(BinarySequence((1, 1, -1)), 3))
     @example(case=(BinarySequence((1, -1, -1, -1)), 4))
     @example(case=(_ODD, len(_ODD)))
     @example(case=(_EVEN, len(_EVEN)))
+    @example(case=(_MIRRORED, len(_MIRRORED)))
+    @example(case=(_MIRRORED, len(_MIRRORED) + 30))
     def test_adf_all_shifts(self, case):
         f, m = case
         nums = adf_numerators_all_shifts(f.terms, m)
@@ -350,6 +380,22 @@ class TestEngineProperties:
 
 
 class TestShiftSearch:
+    def test_near_mirror_walks_every_shift(self):
+        # A Legendre sequence with p = 3 mod 4 is minus its reversal at every
+        # term but term 0, and an antisymmetric sequence of even length with
+        # one term flipped is one term off too: neither may be mirrored.
+        near = [legendre(31), legendre(43)]
+        x = list(_mirror_of(random_sequence(random.Random(81), 14).terms, -1, 5).terms)
+        x[3] = -x[3]
+        near.append(BinarySequence(tuple(x)))
+        for f in near:
+            assert analysis._reversal_centre(f.terms) is None
+            ell = len(f)
+            for m in (ell, ell - 5, ell + 4):
+                nums = adf_numerators_all_shifts(f.terms, m)
+                for r in range(ell):
+                    assert Fraction(int(nums[r]), m * m) == oracle_adf(resize(cyclic_shift(f, r), m))
+
     def test_constant_sequence_ties_break_to_zero(self):
         f = BinarySequence((1,) * 9)
         r, val = best_shift(f)
@@ -406,22 +452,42 @@ class TestShiftSearch:
         assert best_pair_shifts(long_ones, long_ones, "psc") == (0, 0)
 
     def test_one_walk_per_sequence(self, monkeypatch):
-        windows = []
+        walks = []  # [window, rotations taken] of each walk started
         walk = analysis._rotation_walk
-        monkeypatch.setattr(analysis, "_rotation_walk", lambda arr, m: windows.append(m) or walk(arr, m))
+
+        def counted(arr, m, start=0):
+            taken = [m, 0]
+            walks.append(taken)
+            inner = walk(arr, m, start)
+
+            def vectors():
+                for v in inner.vectors:
+                    taken[1] += 1
+                    yield v
+
+            return inner._replace(vectors=vectors())
+
+        monkeypatch.setattr(analysis, "_rotation_walk", counted)
         rng = random.Random(79)
         for ell in (64, 600):  # the grid, then the diagonal
             f, g = random_sequence(rng, ell), random_sequence(rng, ell)
             for objective in ("cdf", "psc"):
-                windows.clear()
+                walks.clear()
                 best_pair_shifts(f, g, objective)
-                assert windows == [ell, ell]
-        windows.clear()
+                assert walks == [[ell, ell], [ell, ell]]
+        walks.clear()
         report_pairs("half_legendre", p=29)
-        assert windows == [14, 14]
-        windows.clear()
+        assert walks == [[14, 29], [14, 29]]
+        walks.clear()
         best_shift(random_sequence(rng, 600))
-        assert windows == [600]
+        assert walks == [[600, 600]]
+        # p = 1 mod 4: the Legendre sequence is its own reversal, so half
+        # the rotations and the shift they mirror to give every numerator
+        for p, rotations in ((29, 15), (31, 31)):
+            for m in (p, p + 3):
+                walks.clear()
+                best_shift(legendre(p), resize_len=m)
+                assert walks == [[m, rotations]]
 
     def test_pair_search_validates(self):
         rng = random.Random(66)

@@ -9,7 +9,11 @@ decimation by 5 at length 1023, and two recursion seeds) are
 the pair files the cases read.  Some cases run the shift-search
 engines near their limits: the full pair grid at l = 511 and, with the PSC
 objective, at p = 389; the equal-shift diagonal at l = 1023 and, with the
-PSC objective, at p = 521; and a resized best shift at p = 4099.  Two
+PSC objective, at p = 521; and a resized best shift at p = 4099.  Best
+shifts of sequences that are rotations of their own reversal are walked
+on half the shifts and mirrored: the resized Legendre case at p = 1033
+(p = 1 mod 4), and the quartic sweep's sizes 17 and 41 (1 mod 8), beside
+13 and 29 (5 mod 8), which are walked in full.  Two
 baseline cases take the stacked FFT kernel at length 600 with a negative
 seed, and three words per draw with a seed past 2^64, which reads as
 seed 3.
@@ -46,6 +50,8 @@ CASES = {
     "generate_mseq_shift_resize": (["generate", "mseq:n=5,shift=3,resize=1.5"], 0),
     "generate_quartic_f_4129": (["generate", "quartic_f:p=4129,shift=17"], 0),
     "generate_mseq_13_char8191": (["generate", "mseq:n=13,char=8191"], 0),
+    "generate_legendre_1033_best_resize": (
+        ["generate", "legendre:p=1033,shift=best,resize=1.0578"], 0),
     "correlate_golay10": (["correlate", GOLAY10], 0),
     "correlate_golay10_periodic": (["correlate", GOLAY10, "--periodic"], 0),
     "correlate_pair7": (["correlate", PAIR7], 0),
@@ -59,6 +65,7 @@ CASES = {
         ["sweep", "legendre:p=3,shift=best", "--sizes", "101,211",
          "--target", "legendre-shifted-adf"], 0),
     "sweep_legendre_resize": (["sweep", "legendre:p=3,resize=1.5", "--sizes", "7,11"], 0),
+    "sweep_quartic_f_best": (["sweep", "quartic_f:p=5,shift=best", "--sizes", "13,17,29,41"], 0),
     "sweep_legendre_json": (
         ["sweep", "legendre:p=3,shift=best", "--sizes", "101,211",
          "--target", "legendre-shifted-adf", "--json"], 0),
