@@ -58,9 +58,13 @@ def _emit(rows, as_json: bool):
     sys.stdout.write(text)
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(s) for s in text.split(",") if s.strip()]
+
+
 def _cmd_sweep(args) -> int:
     spec = families.parse_family(args.family)
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    sizes = _int_list(args.sizes)
     if not sizes:
         raise ValueError("--sizes must list at least one size")
     target = analysis.lookup_target(args.target) if args.target else None
@@ -75,8 +79,7 @@ _PAIR_OPTIONS = {
     "d": (int, None, ("d",), None),
     "k": (int, "reversing decimation is -2^k", ("k",), None),
     "p": (int, None, ("p",), None),
-    "lengths": (str, "comma-separated Golay lengths", ("lengths",),
-                lambda text: ([int(s) for s in text.split(",") if s.strip()],)),
+    "lengths": (str, "comma-separated Golay lengths", ("lengths",), lambda text: (_int_list(text),)),
     "seeds": (str, "pair file with two recursion seeds", ("seed_f", "seed_g"), load_pair),
     "signs": (str, "sign sequence as +/- text", ("signs",), lambda text: (parse_line(text).terms,)),
     "depth": (int, None, ("depth",), None),
@@ -124,8 +127,7 @@ def _cmd_golay(args) -> int:
     if args.action == "search10":
         _write_pair(golay.search_golay_pairs(10), "first length-10 Golay pair in enumeration order")
         return 0
-    for length in golay._BASES:  # the remaining action, bases
-        golay.golay_base(length)
+    for length in golay._BASES:  # the remaining action, bases, certified at import
         print(f"length {length:2d}: available, certified")
     return 0
 

@@ -8,10 +8,10 @@ where * is coefficient reversal, so the appended block is the reversal of
 f_n with alternating signs, scaled by the step's sign sigma_n.
 
 A pair (a, b) is Golay complementary when the autocorrelations cancel at
-every nonzero shift.  Certification is always re-checked from scratch; no
-constructed pair is trusted without it.  Turyn composition reaches every
-length 2^a * 10^b up to the exact-length budget from the built-in base
-pairs in _BASES, and each composed pair is certified once.  Stems and
+every nonzero shift.  GolayPair is the certification gate: building one
+checks the pair from scratch.  The base pairs in _BASES are certified at
+import; Turyn composition reaches every product of their lengths up to the
+exact-length budget and certifies each composed pair once.  Stems and
 compositions work on int64 term arrays.  The seed census and the pair
 search share one enumerator of the 2^k rows of length k keyed by
 autocorrelation tail: a Golay pair of length k (the halves of an optimal
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -68,19 +69,22 @@ def is_golay_pair(a: BinarySequence, b: BinarySequence) -> bool:
 
 @dataclass(frozen=True)
 class GolayPair:
+    """A certified Golay pair: construction raises CertificationError otherwise."""
+
     a: BinarySequence
     b: BinarySequence
-    certified: bool = False
+    certified: ClassVar[bool] = True  # read-only; every instance passed the check
+
+    def __post_init__(self):
+        if not is_golay_pair(self.a, self.b):
+            raise CertificationError(f"length-{len(self.a)} pair failed the Golay certification")
 
     @property
     def length(self) -> int:
         return len(self.a)
 
 
-def certify(a: BinarySequence, b: BinarySequence) -> GolayPair:
-    if not is_golay_pair(a, b):
-        raise CertificationError(f"length-{len(a)} pair failed the Golay certification")
-    return GolayPair(a, b, certified=True)
+certify = GolayPair
 
 
 def _mask_to_sequence(mask: int, length: int) -> BinarySequence:
@@ -158,42 +162,35 @@ def _compose_once(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
     return f.ravel(), g.ravel()
 
 
-# The base pairs by length, built once.  Length 10 is the first pair in
-# bitmask order: search_golay_pairs(10) finds it again.
-_BASES = {len(a): (parse_line(a), parse_line(b))
+# The base pairs by length, certified once at import: the one table of base
+# pairs and of the lengths composition multiplies.  Length 10 is the first
+# pair in bitmask order: search_golay_pairs(10) finds it again.
+_BASES = {len(a): GolayPair(parse_line(a), parse_line(b))
           for a, b in (("++", "+-"), ("-++-+-----", "+-+---++--"))}
 
 
 def golay_base(length: int) -> GolayPair:
-    """The built-in base pair of the given length, certified on every call."""
+    """The built-in base pair of the given length, certified at import."""
     if length not in _BASES:
         raise ValueError(f"base pair lengths are {' and '.join(map(str, _BASES))}; got {length}")
-    return certify(*_BASES[length])
+    return _BASES[length]
 
 
-def base_factorization(length: int) -> tuple[int, int] | None:
-    """Exponents (a, b) with length = 2^a * 10^b and b largest, or None."""
-    if length < 1:
-        return None
-    b = 0
-    while length % 10 == 0:
-        length //= 10
-        b += 1
-    if length & (length - 1):
-        return None
-    return length.bit_length() - 1, b
-
-
-def check_composable(length: int) -> tuple[int, int]:
-    """The exponents (a, b) of length = 2^a * 10^b, after refusing lengths
-    below 2, over the exact-length budget, or of any other form."""
+def check_composable(length: int) -> list[int]:
+    """The base lengths whose product is length, shortest first, after
+    refusing lengths below 2, over the exact-length budget, or of any other
+    form.  The longest base is divided out first, so it is used the most."""
     if length < 2:
         raise ValueError("composed pair length must be at least 2")
     budget.check("exact length", length)
-    expo = base_factorization(length)
-    if expo is None:
+    steps, rest = [], length
+    for base in sorted(_BASES, reverse=True):
+        while rest % base == 0:
+            rest //= base
+            steps.append(base)
+    if rest != 1:
         raise ValueError(f"{length} is not of the form 2^a * 10^b")
-    return expo
+    return steps[::-1]
 
 
 def compose_to_length(length: int) -> GolayPair:
@@ -201,9 +198,8 @@ def compose_to_length(length: int) -> GolayPair:
     the base pairs, certified once at the end.  Lengths over the
     exact-length budget, which certification could not check, are refused
     before any work."""
-    a, b = check_composable(length)
-    steps = ([s.terms for s in _BASES[fac]] for fac in [2] * a + [10] * b)
-    return certify(*map(BinarySequence, functools.reduce(_compose_once, steps)))
+    steps = ((_BASES[n].a.terms, _BASES[n].b.terms) for n in check_composable(length))
+    return GolayPair(*map(BinarySequence, functools.reduce(_compose_once, steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,4 +214,4 @@ def search_golay_pairs(length: int) -> GolayPair | None:
         raise ValueError(f"exhaustive pair search needs length >= 2, got {length}")
     budget.check("census half-length", length)
     pairs = _golay_masks(length)
-    return certify(*(_mask_to_sequence(m, length) for m in pairs[0])) if pairs else None
+    return GolayPair(*(_mask_to_sequence(m, length) for m in pairs[0])) if pairs else None

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import seqcorr
 from seqcorr import (
     BinarySequence,
     CertificationError,
+    GolayPair,
     adf,
     cdf,
     certify,
@@ -21,7 +23,7 @@ from seqcorr import (
 )
 from seqcorr.budget import BUDGETS
 from seqcorr.analysis import report_pairs
-from seqcorr.golay import _tail_keys, base_factorization
+from seqcorr.golay import _tail_keys, check_composable
 
 MAX_EXACT_LEN = BUDGETS["exact length"].limit
 MAX_HALF_LENGTH = BUDGETS["census half-length"].limit
@@ -122,6 +124,12 @@ class TestGolayChecks:
         with pytest.raises(CertificationError):
             certify(seq("++"), seq("++"))
 
+    def test_the_pair_type_is_the_certification_gate(self):
+        with pytest.raises(CertificationError):
+            GolayPair(parse_line("++"), parse_line("++"))
+        with pytest.raises(TypeError):
+            GolayPair(parse_line("++"), parse_line("+-"), certified=False)
+
     def test_interleave_examples(self):
         assert oracle_interleave(seq("+-"), seq("--")).to_line() == "+---"
         with pytest.raises(ValueError):
@@ -216,21 +224,39 @@ class TestComposition:
         with pytest.raises(CertificationError):
             certify(broken, pair.b)
 
-    def test_base_factorization(self):
-        assert base_factorization(200) == (1, 2)
-        assert base_factorization(26) is None
-        assert base_factorization(520) is None
-        assert base_factorization(12) is None
-        with pytest.raises(ValueError):
-            compose_to_length(12)
-        with pytest.raises(ValueError):
-            compose_to_length(1)
+    def test_check_composable_by_brute_force(self):
+        # n = 2^a * 10^b = 2^(a+b) * 5^b fixes b, so each n has one entry.
+        tens = {2**a * 10**b: b for a in range(22) for b in range(7)}
+        for n in [*range(-2, 5001), 2**20, 10**6, 1024000, 2**21]:
+            if n in tens and 2 <= n <= MAX_EXACT_LEN:
+                steps = check_composable(n)
+                assert math.prod(steps) == n and steps == sorted(steps), n
+                assert set(steps) <= {2, 10} and steps.count(10) == tens[n], n
+            else:
+                with pytest.raises(ValueError):
+                    check_composable(n)
+        assert check_composable(200) == [2, 10, 10]
+        assert check_composable(2000) == [2, 10, 10, 10]
+
+    def test_check_composable_refusals(self):
+        refusals = {
+            1: "composed pair length must be at least 2",
+            12: "12 is not of the form 2^a * 10^b",
+            26: "26 is not of the form 2^a * 10^b",
+            520: "520 is not of the form 2^a * 10^b",
+            2**21: "exact length 2097152 exceeds the exact-arithmetic budget 1048576",
+        }
+        for n, message in refusals.items():
+            for refuse in (check_composable, compose_to_length):
+                with pytest.raises(ValueError) as refused:
+                    refuse(n)
+                assert str(refused.value) == message
 
     def test_base_pairs(self):
         p2 = golay_base(2)
         assert (p2.a.to_line(), p2.b.to_line()) == ("++", "+-")
         p10 = golay_base(10)
-        assert p10.certified and p10.length == 10
+        assert p10.certified and p10.length == 10 and golay_base(10) is p10
         with pytest.raises(ValueError, match="^base pair lengths are 2 and 10; got 4$"):
             golay_base(4)
 

@@ -20,6 +20,8 @@ seed 3.
 
 The package needs no data files: a copy of its .py files alone, run as a
 fresh interpreter, prints the same Golay bases, compositions and reports.
+The composition of length 2000 (one 2-step, then three 10-steps) pins the
+order of the Turyn steps.
 """
 
 import os
@@ -89,6 +91,7 @@ CASES = {
     "golay_compose_160": (["golay", "compose", "--length", "160"], 0),
     "golay_compose_2560": (["golay", "compose", "--length", "2560"], 0),
     "golay_compose_1000": (["golay", "compose", "--length", "1000"], 0),
+    "golay_compose_2000": (["golay", "compose", "--length", "2000"], 0),
     "golay_verify": (["golay", "verify", GOLAY10], 0),
     "golay_search10": (["golay", "search10"], 0),
     "golay_bases": (["golay", "bases"], 0),
@@ -115,11 +118,13 @@ def test_python_files_alone_run_the_golay_commands(tmp_path):
     for source in Path(seqcorr.__file__).parent.glob("*.py"):
         shutil.copy(source, tmp_path / "seqcorr")
     golden = {name: (GOLDEN / f"{name}.out").read_text(encoding="ascii")
-              for name in ("golay_bases", "golay_compose_1000", "pairs_golay")}
+              for name in ("golay_bases", "golay_compose_1000", "golay_compose_2000",
+                           "pairs_golay")}
     header, *rows = golden["pairs_golay"].splitlines(keepends=True)
     expected = {
         "golay bases": golden["golay_bases"],
         "golay compose --length 1000": golden["golay_compose_1000"],
+        "golay compose --length 2000": golden["golay_compose_2000"],
         "pairs golay --lengths 20": header + next(r for r in rows if r.startswith("golay,20,")),
     }
     # With -m the working directory leads sys.path, so the copy is what runs.
