@@ -74,6 +74,7 @@ partitioning trials into blocks or across workers cannot change the results.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -541,6 +542,8 @@ def rows_to_json(rows) -> str:
 def convergence_sweep(spec: FamilySpec, sizes, target: AsymptoticTarget | None) -> list[SweepRow]:
     """One row per size: realize the family, measure ADF, compare to target.
     Every size is checked against every budget before the first one runs."""
+    if not sizes:
+        raise ValueError("sizes must list at least one size")
     checked = []
     for size in sizes:
         spec_i = replace(spec, size=size)
@@ -652,7 +655,7 @@ def _typical_mseq(n, d):
     yield f"n={n} d={d} shifts=0/0", *families.msequence_pair(ctx, d)
 
 
-def _reversing_mseq(n, k):
+def _reversing_mseq(n, k=0):
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     ctx = families.make_binary_field(n)
@@ -685,19 +688,18 @@ def _rsl_pair(seed_f, seed_g, signs, depth):
     yield f"seed_len={len(seed_f)} depth={depth}", f, g
 
 
-# Pair constructions: name -> (builder, parameter names, TARGETS name of the
-# limiting PSC).  A builder takes the parameters as keywords and yields
-# (params text, f, g) for each pair it reports; golay yields one per length.
+# Pair constructions: name -> (builder, TARGETS name of the limiting PSC).
+# A builder's signature is the one list of its parameters and defaults; it
+# yields (params text, f, g) for each pair it reports, golay one per length.
 PAIR_CONSTRUCTIONS = {
-    "typical_mseq": (_typical_mseq, ("n", "d"), "psc-typical-mseq"),
-    "reversing_mseq": (_reversing_mseq, ("n", "k"), "psc-reversing-mseq"),
-    "half_legendre": (_half_legendre, ("p",), "psc-half-legendre"),
-    "quartic_pair": (_quartic_pair, ("p",), "psc-quartic"),
-    "legendre_plus_quartic": (_legendre_plus_quartic, ("p",), "psc-legendre-quartic"),
-    "rsl_pair": (_rsl_pair, ("seed_f", "seed_g", "signs", "depth"), "psc-rsl-best"),
-    "golay": (_golay, ("lengths",), "psc-golay"),
+    "typical_mseq": (_typical_mseq, "psc-typical-mseq"),
+    "reversing_mseq": (_reversing_mseq, "psc-reversing-mseq"),
+    "half_legendre": (_half_legendre, "psc-half-legendre"),
+    "quartic_pair": (_quartic_pair, "psc-quartic"),
+    "legendre_plus_quartic": (_legendre_plus_quartic, "psc-legendre-quartic"),
+    "rsl_pair": (_rsl_pair, "psc-rsl-best"),
+    "golay": (_golay, "psc-golay"),
 }
-PAIR_DEFAULTS = {"k": 0}
 
 
 def report_pairs(construction: str, **params) -> list[SweepRow]:
@@ -705,11 +707,9 @@ def report_pairs(construction: str, **params) -> list[SweepRow]:
     measured demerit factors against the construction's asymptotic PSC."""
     if construction not in PAIR_CONSTRUCTIONS:
         raise ValueError(f"unknown pair construction {construction!r}")
-    build, names, target = PAIR_CONSTRUCTIONS[construction]
-    given = {**PAIR_DEFAULTS, **params}
-    wrong = [f"missing {name}" for name in names if name not in given]
-    wrong += [f"unexpected {name}" for name in sorted(set(params) - set(names))]
-    if wrong:
-        raise ValueError(f"construction {construction} takes {', '.join(names)}: {'; '.join(wrong)}")
-    pairs = build(**{name: given[name] for name in names})
-    return [_pair_row(construction, text, f, g, TARGETS[target].value) for text, f, g in pairs]
+    build, target = PAIR_CONSTRUCTIONS[construction]
+    try:
+        inspect.signature(build).bind(**params)
+    except TypeError as e:  # a missing or an unexpected parameter, named
+        raise ValueError(f"construction {construction}: {e}") from None
+    return [_pair_row(construction, text, f, g, TARGETS[target].value) for text, f, g in build(**params)]

@@ -8,6 +8,7 @@ The parser is built once, at import; the seqcorr package does not import cli.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -49,37 +50,37 @@ def _cmd_demerit(args) -> int:
     return 0
 
 
-def _write_pair(pair, comment: str):
-    sys.stdout.write(dump_sequences([pair.a, pair.b], comment=comment))
-
-
 def _emit(rows, as_json: bool):
     text = analysis.rows_to_json(rows) if as_json else analysis.rows_to_csv(rows)
     sys.stdout.write(text)
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s.strip()]
+    values = []
+    for item in filter(str.strip, text.split(",")):
+        try:
+            values.append(int(item))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{item.strip()!r} is not an integer") from None
+    return values
 
 
 def _cmd_sweep(args) -> int:
     spec = families.parse_family(args.family)
-    sizes = _int_list(args.sizes)
-    if not sizes:
-        raise ValueError("--sizes must list at least one size")
     target = analysis.lookup_target(args.target) if args.target else None
-    _emit(analysis.convergence_sweep(spec, sizes, target), args.json)
+    _emit(analysis.convergence_sweep(spec, args.sizes, target), args.json)
     return 0
 
 
-# Each `pairs` option: argparse type, help, the library keywords it becomes,
-# and how its text becomes their values (None: the parsed value itself).
+# Each `pairs` option: argparse type, help, the builder keywords it becomes (a
+# construction takes it if its builder takes the first), and how the parsed
+# value becomes theirs (None: as it is).
 _PAIR_OPTIONS = {
     "n": (int, None, ("n",), None),
     "d": (int, None, ("d",), None),
     "k": (int, "reversing decimation is -2^k", ("k",), None),
     "p": (int, None, ("p",), None),
-    "lengths": (str, "comma-separated Golay lengths", ("lengths",), lambda text: (_int_list(text),)),
+    "lengths": (_int_list, "comma-separated Golay lengths", ("lengths",), None),
     "seeds": (str, "pair file with two recursion seeds", ("seed_f", "seed_g"), load_pair),
     "signs": (str, "sign sequence as +/- text", ("signs",), lambda text: (parse_line(text).terms,)),
     "depth": (int, None, ("depth",), None),
@@ -87,13 +88,10 @@ _PAIR_OPTIONS = {
 
 
 def _cmd_pairs(args) -> int:
-    _, names, _ = analysis.PAIR_CONSTRUCTIONS[args.construction]
     params = {}
     for option, (_, _, keywords, convert) in _PAIR_OPTIONS.items():
-        if keywords[0] in names:
+        if hasattr(args, option):  # given, so taken by the construction
             value = getattr(args, option)
-            if value is None:
-                raise ValueError(f"construction {args.construction} needs --{option}")
             params.update(zip(keywords, convert(value) if convert else (value,)))
     _emit(analysis.report_pairs(args.construction, **params), args.json)
     return 0
@@ -111,24 +109,18 @@ def _cmd_seed_search(args) -> int:
 
 def _cmd_golay(args) -> int:
     if args.action == "verify":
-        if not args.pairfile:
-            raise ValueError("golay verify needs a pair file argument")
-        a, b = load_pair(args.pairfile)
-        pair = golay.certify(a, b)
-        rep = corr.psc(pair.a, pair.b)
-        print(f"certified Golay pair of length {pair.length}; psc = {rep.psc_exact}")
-        return 0
-    if args.action == "compose":
-        if args.length is None:
-            raise ValueError("golay compose needs --length")
-        pair = golay.compose_to_length(args.length)
-        _write_pair(pair, f"certified Golay pair, length {pair.length}")
-        return 0
-    if args.action == "search10":
-        _write_pair(golay.search_golay_pairs(10), "first length-10 Golay pair in enumeration order")
-        return 0
-    for length in golay._BASES:  # the remaining action, bases, certified at import
-        print(f"length {length:2d}: available, certified")
+        pair = golay.certify(*load_pair(args.pairfile))
+        print(f"certified Golay pair of length {pair.length}; psc = {corr.psc(pair.a, pair.b).psc_exact}")
+    elif args.action == "bases":
+        for length in golay._BASES:  # certified at import
+            print(f"length {length:2d}: available, certified")
+    else:
+        if args.action == "compose":
+            pair = golay.compose_to_length(args.length)
+            comment = f"certified Golay pair, length {pair.length}"
+        else:
+            pair, comment = golay.search_golay_pairs(10), "first length-10 Golay pair in enumeration order"
+        sys.stdout.write(dump_sequences([pair.a, pair.b], comment=comment))
     return 0
 
 
@@ -173,27 +165,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="ADF convergence sweep over family sizes (CSV)")
     p.add_argument("family")
-    p.add_argument("--sizes", required=True, help="comma-separated sizes (n or p values)")
+    p.add_argument("--sizes", type=_int_list, required=True, help="comma-separated sizes (n or p values)")
     p.add_argument("--target", help="target name (see `seqcorr roots`) or a number")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("pairs", help="pair-construction report (CSV)")
-    p.add_argument("construction", choices=list(analysis.PAIR_CONSTRUCTIONS))
-    for option, (kind, text, keywords, _) in _PAIR_OPTIONS.items():
-        p.add_argument(f"--{option}", type=kind, help=text,
-                       default=analysis.PAIR_DEFAULTS.get(keywords[0]))
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_pairs)
+    constructions = p.add_subparsers(dest="construction", required=True, metavar="construction")
+    for name, (build, target) in analysis.PAIR_CONSTRUCTIONS.items():
+        # no abbreviations: --d is not --depth to a construction without d
+        q = constructions.add_parser(name, help=f"target {target}", allow_abbrev=False)
+        taken = inspect.signature(build).parameters
+        for option, (kind, text, keywords, _) in _PAIR_OPTIONS.items():
+            if keywords[0] in taken:
+                q.add_argument(f"--{option}", type=kind, help=text, default=argparse.SUPPRESS,
+                               required=taken[keywords[0]].default is inspect.Parameter.empty)
+        q.add_argument("--json", action="store_true")
+        q.set_defaults(func=_cmd_pairs)
 
     p = sub.add_parser("seed-search", help="census of optimal seeds per length")
     p.add_argument("--max-len", type=int, required=True)
     p.set_defaults(func=_cmd_seed_search)
 
     p = sub.add_parser("golay", help="verify / compose / search Golay pairs")
-    p.add_argument("action", choices=["verify", "compose", "search10", "bases"])
-    p.add_argument("pairfile", nargs="?")
-    p.add_argument("--length", type=int)
+    actions = p.add_subparsers(dest="action", required=True)
+    actions.add_parser("verify").add_argument("pairfile")
+    actions.add_parser("compose").add_argument("--length", type=int, required=True)
+    actions.add_parser("search10")
+    actions.add_parser("bases")
     p.set_defaults(func=_cmd_golay)
 
     p = sub.add_parser("baseline", help="Monte Carlo means of ADF and CDF")

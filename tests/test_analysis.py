@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import random
@@ -224,6 +225,15 @@ class TestEngines:
             fr, gr = cyclic_shift(f, r), cyclic_shift(g, r)
             assert Fraction(int(nums[r]), m * m) == adf(resize(fr, m))
             assert Fraction(int(diag[r]), ell * ell) == cdf(fr, gr)
+
+    @pytest.mark.parametrize("p", [9461, 9463])  # 1 mod 4 is mirrored, 3 mod 4 walked in full
+    def test_walk_in_dot_pieces(self, p):
+        m = round(1.0578 * p)  # m - 1 lags, more than one ddot piece at every step
+        assert m - 1 > analysis._DOT_PIECE
+        f = legendre(p)
+        nums = adf_numerators_all_shifts(f.terms, m)
+        for r in (0, 1, p // 3, 2 * p // 3, p - 1, int(nums.argmin())):
+            assert Fraction(int(nums[r]), m * m) == adf(resize(cyclic_shift(f, r), m))
 
     def test_engines_return_int64(self):
         rng = random.Random(70)
@@ -591,6 +601,8 @@ class TestSweepsAndReports:
             convergence_sweep(parse_family("legendre:p=7"), [15], None)
         with pytest.raises(ValueError):
             convergence_sweep(parse_family("mseq:n=3"), [1], None)
+        with pytest.raises(ValueError, match="at least one size"):
+            convergence_sweep(parse_family("mseq:n=3"), [], None)
 
     def test_sweep_checks_each_size_once_before_building(self, monkeypatch):
         calls = []
@@ -687,8 +699,8 @@ class TestSweepsAndReports:
 
     @pytest.mark.parametrize("construction", list(PAIR_CONSTRUCTIONS))
     def test_report_rejects_extra_keyword(self, construction):
-        _, names, _ = PAIR_CONSTRUCTIONS[construction]
-        with pytest.raises(ValueError, match="unexpected bogus"):
+        names = inspect.signature(PAIR_CONSTRUCTIONS[construction][0]).parameters
+        with pytest.raises(ValueError, match=f"{construction}: .*unexpected keyword argument 'bogus'"):
             report_pairs(construction, bogus=1, **dict.fromkeys(names))
 
     def test_report_validates_parameters_by_name(self):

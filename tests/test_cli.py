@@ -1,8 +1,12 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
 import argparse
+import inspect
+import itertools
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -13,13 +17,29 @@ import pytest
 
 import seqcorr
 from seqcorr import analysis, corr
-from seqcorr.cli import _PAIR_OPTIONS, main
+from seqcorr.cli import _PARSER, _PAIR_OPTIONS, main
 from seqcorr.families import parse_family
 from seqcorr.sequence import parse_sequences
 
 
 GOLAY4 = "+++-\n++-+\n"
 NOT_GOLAY = "++++\n++++\n"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def pair_options(construction):
+    """The `pairs` options of a construction's builder, each mapped to
+    whether it is required (the builder gives it no default)."""
+    params = inspect.signature(analysis.PAIR_CONSTRUCTIONS[construction][0]).parameters
+    return {option: params[keywords[0]].default is inspect.Parameter.empty
+            for option, (_, _, keywords, _) in _PAIR_OPTIONS.items() if keywords[0] in params}
+
+
+def pair_argv(construction, options):
+    """pairs argv giving each of the options a value that parses."""
+    values = {"n": "5", "d": "3", "k": "1", "p": "29", "lengths": "2",
+              "seeds": "seeds.txt", "signs": "+", "depth": "1"}
+    return ["pairs", construction, *itertools.chain.from_iterable((f"--{o}", values[o]) for o in options)]
 
 
 def run(capsys, *argv):
@@ -173,6 +193,15 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "mseq:n=1", "--sizes", ",")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,option", [
+        (["sweep", "mseq:n=1", "--sizes", "3,abc,5"], "--sizes"),
+        (["pairs", "golay", "--lengths", "2, abc"], "--lengths"),
+    ])
+    def test_non_integer_size_exits_2(self, capsys, argv, option):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"argument {option}: 'abc' is not an integer" in err
+
     def test_unknown_target_exits_2(self, capsys):
         code, _, _ = run(capsys, "sweep", "mseq:n=1", "--sizes", "4", "--target", "nope")
         assert code == 2
@@ -257,22 +286,42 @@ class TestPairs:
 
     @pytest.mark.parametrize("construction,option", [
         (construction, option)
-        for construction, (_, names, _) in analysis.PAIR_CONSTRUCTIONS.items()
-        for option, (_, _, keywords, _) in _PAIR_OPTIONS.items()
-        if keywords[0] in names and keywords[0] not in analysis.PAIR_DEFAULTS
+        for construction in analysis.PAIR_CONSTRUCTIONS
+        for option, required in pair_options(construction).items() if required
     ])
-    def test_missing_option_exits_2(self, capsys, tmp_path, construction, option):
-        seeds = tmp_path / "seeds.txt"
-        seeds.write_text("+\n+\n")
-        values = {"n": "5", "d": "3", "k": "1", "p": "29", "lengths": "2",
-                  "seeds": str(seeds), "signs": "+", "depth": "1"}
-        argv = ["pairs", construction]
-        for other in _PAIR_OPTIONS:
-            if other != option:
-                argv += [f"--{other}", values[other]]
-        code, out, err = run(capsys, *argv)
+    def test_missing_option_exits_2(self, capsys, construction, option):
+        others = [o for o in pair_options(construction) if o != option]
+        code, out, err = run(capsys, *pair_argv(construction, others))
         assert code == 2 and out == ""
-        assert f"needs --{option}" in err
+        assert "the following arguments are required" in err and f"--{option}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("construction,option", [
+        (construction, option)
+        for construction in analysis.PAIR_CONSTRUCTIONS
+        for option in _PAIR_OPTIONS if option not in pair_options(construction)
+    ])
+    def test_option_not_taken_exits_2(self, capsys, construction, option):
+        code, out, err = run(capsys, *pair_argv(construction, [*pair_options(construction), option]))
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: --{option}" in err
+
+    @pytest.mark.parametrize("construction", list(analysis.PAIR_CONSTRUCTIONS))
+    def test_construction_help_lists_its_builder_options(self, capsys, construction):
+        assert main(["pairs", construction, "--help"]) == 0
+        out = capsys.readouterr().out
+        usage, _, listing = out.partition("\n\n")
+        expected = {f"--{option}" for option in pair_options(construction)}
+        assert set(re.findall(r"--\w+", listing)) == expected | {"--help", "--json"}
+        # a required option is bare in the usage line, an optional one bracketed
+        for option, required in pair_options(construction).items():
+            assert (f"[--{option}" not in usage) == required and f"--{option}" in usage
+
+    def test_json_goes_after_the_construction(self, capsys):
+        assert run(capsys, "pairs", "golay", "--lengths", "2", "--json")[0] == 0
+        code, out, err = run(capsys, "pairs", "--json", "golay", "--lengths", "2")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --json" in err
 
     def test_help_lists_every_construction(self, capsys):
         assert main(["pairs", "--help"]) == 0
@@ -339,7 +388,18 @@ class TestGolayCommand:
     def test_compose_without_length_exits_2(self, capsys):
         code, out, err = run(capsys, "golay", "compose")
         assert code == 2 and out == ""
-        assert "needs --length" in err
+        assert "the following arguments are required: --length" in err
+
+    @pytest.mark.parametrize("argv,extra", [
+        ("golay bases --length 5", "--length 5"),
+        ("golay search10 x.txt", "x.txt"),
+        ("golay compose x.txt --length 10", "x.txt"),
+        ("golay verify x.txt --length 10", "--length 10"),
+    ])
+    def test_input_an_action_does_not_take_exits_2(self, capsys, argv, extra):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {extra}" in err
 
     def test_compose_impossible_length_exits_2(self, capsys):
         code, _, _ = run(capsys, "golay", "compose", "--length", "6")
@@ -454,6 +514,28 @@ class TestArgparseBehavior:
     def test_no_args_is_usage_error(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+    def test_readme_command_lines_parse(self):
+        """Every seqcorr line in the README's command-line section parses, each
+        bracketed part both with and without it; nothing is opened or run."""
+        text = README.read_text(encoding="utf-8")
+        section = text.split("\n## Command line\n")[1].split("\n## ")[0]
+        blocks = section.split("```")[1::2]
+        lines = [line.removeprefix("$ ") for block in blocks for line in block.splitlines()]
+        parsed = []
+        for line in (line for line in lines if line.startswith("seqcorr ")):
+            parts = re.split(r"\[([^]]*)\]", line)  # text, bracketed, text, ...
+            for kept in itertools.product((False, True), repeat=len(parts) // 2):
+                chosen = [part for i, part in enumerate(parts) if i % 2 == 0 or kept[i // 2]]
+                argv = shlex.split(" ".join(chosen), comments=True)[1:]
+                try:
+                    parsed.append(_PARSER.parse_args(argv))
+                except SystemExit:
+                    pytest.fail(f"README line does not parse: {' '.join(argv)}")
+        assert {a.construction for a in parsed if a.command == "pairs"} == set(analysis.PAIR_CONSTRUCTIONS)
+        assert {a.action for a in parsed if a.command == "golay"} == {"verify", "compose", "search10", "bases"}
+        assert {a.command for a in parsed} == {"generate", "correlate", "demerit", "sweep", "pairs",
+                                               "seed-search", "golay", "baseline", "roots"}
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
