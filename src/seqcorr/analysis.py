@@ -42,6 +42,30 @@ and copies each numerator to its mirror.  This is exact: symmetry is
 decided by comparing the integer terms, and the mirrored numerators are
 the walked int64 values themselves.
 
+The pair engines take the same rule to two sequences: _reversal_centre(f,
+g) finds a c with g[i] = eps f[(c - i) mod l], and then the window of f at
+r reversed is eps times g's at sigma - r.  Every numerator they form is
+2 sum_s C^i_r(s) C^j_r(s) over the autocorrelations of two windows, which
+do not change when a window is reversed or negated, so it mirrors in two
+cases.  Without a swap, f and g are each a rotation of their own reversal
+about one c, and C^f and C^g each mirror; the quartic pairs with p = 1
+mod 8 are, both about c = 0.  With a swap, g is eps times f reversed about
+c, and C^f at sigma - r is C^g at r and back: the cross product mirrors to
+itself, and the ADF numerators of f to those of g.  The reversing
+m-sequence pairs are swaps for every k: decimation by 2 fixes the
+trace-form m-sequence, since Tr(x^2) = Tr(x), so decimation by -2^k is
+decimation by -1, g[i] = f[-i].  So are the half-Legendre pairs with p = 1
+mod 4, whose halves are windows of the Legendre sequence and of its
+rotation by half, that rotation being the sequence reversed about
+c = -half.  The lockstep pass walks the arc of l//2 + 1 rotations, and
+under a swap also takes the partner of each ADF product asked for.  A row
+of the pair grid depends on f's rotation only and a column on g's only,
+through the folded vectors, which depend on C alone.  So the grid walks
+the arc of each sequence that is its own reversal, about any centre, and
+copies rows and columns to their mirrors; for a swap it walks f once and
+takes g's vectors from f's.  Every engine still hands _first_minimum the
+same arrays, value for value.
+
 The walk and its dot products run in float64, where numpy uses SIMD and
 BLAS (ddot, dgemv) and int64 gets plain loops.  They are exact because the
 budgets keep every partial sum an integer below 2^53.  Unfolded, a walk
@@ -320,6 +344,48 @@ def _rotation_walk(arr: np.ndarray, m: int, start: int = 0) -> _Walk:
     return _Walk(scale, pc, w, vectors())
 
 
+def _reversal_centre(a: np.ndarray, b: np.ndarray | None = None) -> int | None:
+    """A c with a[(c - i) mod l] = eps b[i] for every i and one eps = +-1,
+    b being a unless given; or None.  For one sequence, cyclic_shift(f,
+    c + 1) reversed is eps f; for two, g is eps times f reversed about c.
+
+    One bytes.find of b's reversed sign string in a's doubled one, linear
+    in l, finds c for each eps, and np.array_equal on the terms confirms it.
+    For one sequence of odd length l there is an i with 2i = c (mod l),
+    where eps = -1 would need x[i] = -x[i], so that case tries eps = 1 only.
+    """
+    a = np.asarray(a)
+    b = a if b is None else np.asarray(b)
+    ell = len(a)
+    up = b > 0
+    doubled = (a > 0).tobytes() * 2
+    for eps in (1,) if b is a and ell % 2 else (1, -1):
+        j = doubled.find((up if eps > 0 else ~up)[::-1].tobytes())
+        if j >= 0:
+            c = (j - 1) % ell
+            if np.array_equal(np.roll(b[::-1], c + 1), eps * a):
+                return c
+    return None
+
+
+def _arc(c: int | None, m: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """(shifts, mirrors) for a walk over windows of length m: the walk
+    starts at shifts[0] and takes shifts in order, and its numerator t
+    belongs to shifts[t] and to mirrors[t].  Without a centre c these are
+    every shift, each its own mirror.  With one, the windows at r and at
+    sigma - r mirror, sigma = (c - m + 1) mod l, and the walk takes the
+    l//2 + 1 shifts from the fixed point of r -> sigma - r (the first shift
+    past it when there is none), whose mirrors are the rest."""
+    if c is None:
+        shifts = np.arange(ell)
+        return shifts, shifts
+    sigma = (c - m + 1) % ell
+    if sigma % 2 and ell % 2:
+        sigma += ell  # so that 2 start = sigma (mod l), l being odd
+    shifts = ((sigma + 1) // 2 + np.arange(ell // 2 + 1)) % ell
+    return shifts, (sigma - shifts) % ell
+
+
 def _lockstep_numerators(
     af: np.ndarray, ag: np.ndarray, m: int, pairs: tuple[tuple[int, int], ...]
 ) -> list[np.ndarray]:
@@ -327,35 +393,35 @@ def _lockstep_numerators(
     2 sum_{s=1}^{m-1} C^i_r(s) C^j_r(s) for every rotation r, as int64, C^f_r
     and C^g_r being the autocorrelations of window r of f and of g (see
     _rotation_walk).  f and g are walked once each, in lockstep, with one
-    dot product per pair a step."""
-    walks = _rotation_walk(af, m), _rotation_walk(ag, m)
-    products = [(_dot_with(walks[i].w), walks[j].w) for i, j in pairs]
-    steps = zip(walks[0].vectors, walks[1].vectors)
-    dots = np.fromiter((dot(b) for _ in steps for dot, b in products), np.float64, len(af) * len(pairs))
-    cols = dots.reshape(len(af), len(pairs)).T
-    return [walks[i].numerators(walks[j], col) for col, (i, j) in zip(cols, pairs)]
+    dot product per product taken a step.
 
-
-def _reversal_centre(arr: np.ndarray) -> int | None:
-    """A c with x[(c - i) mod l] = eps x[i] for every i and one eps = +-1,
-    that is, cyclic_shift(f, c + 1) reversed is eps f; or None.
-
-    One bytes.find of the reversed sign string in the doubled one, linear
-    in l, finds c for each eps, and np.array_equal on the terms confirms it.
-    An odd l has an i with 2i = c (mod l), where eps = -1 would need
-    x[i] = -x[i], so only an even l tries eps = -1.
+    When the pair's windows mirror (see the module docstring) only the arc
+    of l//2 + 1 rotations is walked.  Each product is copied to its mirror,
+    (0, 1) as itself; under a swap (0, 0) mirrors to (1, 1) and back, so the
+    partner of each ADF product asked for is taken too.
     """
-    arr = np.asarray(arr)
-    ell = len(arr)
-    up = arr > 0
-    doubled = up.tobytes() * 2
-    for eps in (1, -1)[: 2 - ell % 2]:
-        j = doubled.find((up if eps > 0 else ~up)[::-1].tobytes())
-        if j >= 0:
-            c = (j - 1) % ell
-            if np.array_equal(np.roll(arr[::-1], c + 1), eps * arr):
-                return c
-    return None
+    c, swap = _reversal_centre(af), False
+    if c is None or c != _reversal_centre(ag):
+        c = _reversal_centre(af, ag)
+        swap = c is not None
+    shifts, mirrors = _arc(c, m, len(af))
+    partner = {(i, j): (1 - j, 1 - i) if swap else (i, j) for i, j in pairs}
+    taken = list(dict.fromkeys([*pairs, *partner.values()]))
+    start = int(shifts[0])
+    walks = _rotation_walk(af, m, start), _rotation_walk(ag, m, start)
+    products = [(_dot_with(walks[i].w), walks[j].w) for i, j in taken]
+    steps = zip(walks[0].vectors, walks[1].vectors)
+    count = len(shifts)
+    dots = np.fromiter((dot(b) for _ in steps for dot, b in products), np.float64, count * len(taken))
+    cols = dots.reshape(count, len(taken)).T
+    walked = {(i, j): walks[i].numerators(walks[j], col) for col, (i, j) in zip(cols, taken)}
+    out = []
+    for pair in pairs:
+        nums = np.empty(len(af), dtype=np.int64)
+        nums[mirrors] = walked[partner[pair]]
+        nums[shifts] = walked[pair]
+        out.append(nums)
+    return out
 
 
 def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarray:
@@ -375,25 +441,14 @@ def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarr
         raise ValueError(f"resized length {m} must be >= 1")
     budget.check("shift-search length", ell)
     budget.check("shift-search window", m)
-    c = _reversal_centre(arr)
-    if c is None:
-        start, count = 0, ell
-    else:
-        sigma = (c - m + 1) % ell
-        if sigma % 2 and ell % 2:
-            sigma += ell  # so that 2 start = sigma (mod l), l being odd
-        # The arc start .. start + l//2 and its mirror cover every shift.
-        start, count = (sigma + 1) // 2 % ell, ell // 2 + 1
+    shifts, mirrors = _arc(_reversal_centre(arr), m, ell)
     # A single walk keeps its own loop: through _lockstep_numerators, whose
     # pair loop runs every step, this took 3-5% longer at l = 1000-2000.
-    walk = _rotation_walk(arr, m, start)
-    walked = walk.numerators(walk, np.fromiter(map(_dot_with(walk.w), walk.vectors), np.float64, count))
-    if c is None:
-        return walked
-    shifts = (start + np.arange(count)) % ell
+    walk = _rotation_walk(arr, m, int(shifts[0]))
+    walked = walk.numerators(walk, np.fromiter(map(_dot_with(walk.w), walk.vectors), np.float64, len(shifts)))
     nums = np.empty(ell, dtype=np.int64)
+    nums[mirrors] = walked
     nums[shifts] = walked
-    nums[(sigma - shifts) % ell] = walked
     return nums
 
 
@@ -408,23 +463,53 @@ def _pair_grid(af: np.ndarray, ag: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     within the pair-grid budget.  Peak memory is 1.5 l^2 words: R_g and the
     grid.  Only psc reads the ADF numerators (the walks' squared norms), but
     at O(l^2) next to the grid's O(l^3 / 2) they are formed for every caller.
+
+    A rotation's folded vector is its mirror's (see the module docstring).
+    So for a g that is a rotation of its own reversal R_g holds the l//2 + 1
+    rows of its arc, and each row of the grid is taken from R_g w^f_rf; for
+    such an f only its arc is walked, and each row is copied to its mirror.
+    For a swap pair g's vector at sigma - r is f's at r: f is walked once
+    into R_g and g not at all.
     """
     ell = len(af)
     if len(ag) != ell:
         raise ValueError("pair shift grid requires equal lengths")
     budget.check("pair-grid length", ell)
-    fw, gw = _rotation_walk(af, ell), _rotation_walk(ag, ell)
-    rows_g = np.empty((ell, (ell - 1) // 2))
-    for r, w in enumerate(gw.vectors):
-        rows_g[r] = w
+    cf, cg = _reversal_centre(af), _reversal_centre(ag)
+    c = _reversal_centre(af, ag) if cf is None and cg is None else None
+    if c is None:
+        (g_shifts, g_mirrors), (f_shifts, f_mirrors) = _arc(cg, ell, ell), _arc(cf, ell, ell)
+        gw = _rotation_walk(ag, ell, int(g_shifts[0]))
+        rows_g = np.empty((len(g_shifts), (ell - 1) // 2))
+        for row, w in zip(rows_g, gw.vectors):
+            row[:] = w
+        fw = _rotation_walk(af, ell, int(f_shifts[0]))
+        f_steps = zip(f_shifts.tolist(), f_mirrors.tolist(), fw.vectors)
+    else:
+        fw = gw = _rotation_walk(af, ell)  # pc_g = pc_f: g is f reversed
+        rows_g = np.empty((ell, (ell - 1) // 2))
+        g_of_f = (c + 1 - np.arange(ell)) % ell  # sigma - r, with m = l
+        for rg, w in zip(g_of_f, fw.vectors):
+            rows_g[rg] = w
+        f_steps = ((rf, rf, rows_g[rg]) for rf, rg in enumerate(g_of_f.tolist()))
+    col_g = None
+    if cg is not None:  # column rg of the grid is row col_g[rg] of R_g
+        col_g = np.empty(ell, dtype=np.intp)
+        col_g[g_mirrors] = col_g[g_shifts] = np.arange(len(g_shifts))
     grid, adf_f = np.empty((ell, ell)), np.empty(ell)
-    for rf, w in enumerate(fw.vectors):
-        np.dot(rows_g, w, out=grid[rf])
-        adf_f[rf] = w.dot(w)
+    for rf, rf_mirror, w in f_steps:
+        row = grid[rf]
+        if col_g is None:
+            np.dot(rows_g, w, out=row)
+        else:
+            np.take(rows_g @ w, col_g, out=row)
+        if rf_mirror != rf:
+            grid[rf_mirror] = row
+        adf_f[rf] = adf_f[rf_mirror] = w.dot(w)
     grid += ell * ell + fw.offset(gw)
     adf_f += fw.offset(fw)
     adf_g = np.einsum("ij,ij->i", rows_g, rows_g) + gw.offset(gw)
-    return grid, adf_f, adf_g
+    return grid, adf_f, adf_g if col_g is None else adf_g[col_g]
 
 
 def _first_minimum(cdf: np.ndarray, adf_f: np.ndarray | None = None, adf_g: np.ndarray | None = None) -> int:
@@ -461,8 +546,9 @@ def best_pair_shifts(f: BinarySequence, g: BinarySequence, objective: str = "cdf
 
     Lengths within the pair-grid budget search the full (rf, rg) grid;
     longer sequences use the equal-shift diagonal heuristic.  Either way f
-    and g are walked once each: the PSC's ADF numerators come from the
-    grid's walks or from the diagonal's lockstep pass.  Ties break to the
+    and g are walked at most once each, over half their rotations when they
+    mirror: the PSC's ADF numerators come from the grid's walks or from the
+    diagonal's lockstep pass.  Ties break to the
     first (smallest rf, then rg) candidate.
     """
     if len(f) != len(g):
@@ -656,6 +742,11 @@ def _typical_mseq(n, d):
 
 
 def _reversing_mseq(n, k=0):
+    """The m-sequence f and its decimation by d = -2^k, at the best CDF
+    shifts.  Decimation by 2 fixes the trace-form m-sequence, Tr(x^2) =
+    Tr(x), so decimation by -2^k is decimation by -1 for every k: the pair,
+    g[i] = f[-i], is a swap pair (see the module docstring), and k changes
+    only the d text of the row."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     ctx = families.make_binary_field(n)

@@ -143,8 +143,20 @@ def _cmd_roots(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses arguments it was given but does not take with its own usage,
+    so that a sub-command's refusal shows that sub-command's options
+    (argparse would hand them up to the top-level parser)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="seqcorr",
         description="Binary sequence families, exact correlation spectra, and demerit factors.",
     )

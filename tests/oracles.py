@@ -10,6 +10,7 @@ SplitMix64 is the stateful generator whose words the package's closed-form
 draws must reproduce.
 """
 
+import math
 from fractions import Fraction
 
 from seqcorr.gf import trace
@@ -68,6 +69,34 @@ def oracle_l4l2_adf(f) -> Fraction:
         for j, y in enumerate(rev):
             prod[i + j] += x * y
     return Fraction(sum(c * c for c in prod), ell * ell) - 1
+
+
+def oracle_shift_numerators(f, g, cells, m=None) -> tuple[list, list, list]:
+    """(CDF, ADF of f, ADF of g) numerators, times m^2, of the windows
+    resize(cyclic_shift(f, rf), m) and resize(cyclic_shift(g, rg), m) for
+    each cell (rf, rg); m is the length by default."""
+    m = len(f) if m is None else m
+    windows = [(oracle_resize(oracle_cyclic_shift(f, rf), m), oracle_resize(oracle_cyclic_shift(g, rg), m))
+               for rf, rg in cells]
+    scale = m * m
+    return ([int(oracle_cdf(a, b) * scale) for a, b in windows],
+            [int(oracle_adf(a) * scale) for a, _ in windows],
+            [int(oracle_adf(b) * scale) for _, b in windows])
+
+
+def oracle_first_minimum(cdf, adf_f=None, adf_g=None) -> int:
+    """Index of the first minimum of the integer CDF numerators cdf or,
+    given ADF numerators, of the l^2 PSC score sqrt(adf_f adf_g) + cdf, with
+    the product, the root and the sum each rounded once to a double, as the
+    shift searches score them.  A loop with a strict <, so ties go first."""
+    scores = list(cdf)
+    if adf_f is not None:
+        scores = [math.sqrt(float(a * b)) + float(c) for c, a, b in zip(cdf, adf_f, adf_g)]
+    first = 0
+    for i, score in enumerate(scores):
+        if score < scores[first]:
+            first = i
+    return first
 
 
 def oracle_psc_at_least_one(report) -> bool:

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -44,7 +45,14 @@ from seqcorr.budget import BUDGETS
 from seqcorr.families import parse_family
 from seqcorr.sequence import parse_line
 
-from oracles import SplitMix64, oracle_adf, oracle_cdf, random_sequence
+from oracles import (
+    SplitMix64,
+    oracle_adf,
+    oracle_cdf,
+    oracle_first_minimum,
+    oracle_shift_numerators,
+    random_sequence,
+)
 
 
 def diagonal_of(af, ag, m=None):
@@ -52,6 +60,28 @@ def diagonal_of(af, ag, m=None):
     of length m (l by default) of f and g at every equal shift r."""
     m = len(af) if m is None else m
     return m * m + analysis._lockstep_numerators(af, ag, m, ((0, 1),))[0]
+
+
+@pytest.fixture
+def walk_counts(monkeypatch):
+    """[window, rotations taken] of each rotation walk started, in order."""
+    walks = []
+    walk = analysis._rotation_walk
+
+    def counted(arr, m, start=0):
+        taken = [m, 0]
+        walks.append(taken)
+        inner = walk(arr, m, start)
+
+        def vectors():
+            for v in inner.vectors:
+                taken[1] += 1
+                yield v
+
+        return inner._replace(vectors=vectors())
+
+    monkeypatch.setattr(analysis, "_rotation_walk", counted)
+    return walks
 
 
 class TestSplitMix:
@@ -256,18 +286,21 @@ class TestEngines:
         ids=["grid", "psc_pair_search"],
     )
     def test_grid_peak_memory(self, search, words):
-        # words: the peak in l^2 float64 words
+        # words: the peak in l^2 float64 words, for a random pair, a pair of
+        # sequences that are their own reversals (half of g's rows kept) and
+        # a swap pair (g's rows taken from f's walk)
         ell = BUDGETS["pair-grid length"].limit
         rng = random.Random(69)
         f, g = random_sequence(rng, ell), random_sequence(rng, ell)
-        search(f, g)  # lazy imports and BLAS set-up are not the search's own memory
-        tracemalloc.start()
-        try:
-            search(f, g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * words * ell * ell * 8
+        for f, g in ((f, g), (_mirror_of(f.terms, 1, 0), _mirror_of(g.terms, -1, 7)), (f, _swap_of(f.terms, 100, -1))):
+            search(f, g)  # lazy imports and BLAS set-up are not the search's own memory
+            tracemalloc.start()
+            try:
+                search(f, g)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1 * words * ell * ell * 8
 
     def test_budgets(self):
         big = np.ones(1 << 15, dtype=np.int64)
@@ -389,6 +422,132 @@ class TestEngineProperties:
             assert Fraction(int(adf_g[rg]), ell * ell) == oracle_adf(gr)
 
 
+def _swap_of(terms, c, eps):
+    """eps times terms reversed about c: term i is eps terms[(c - i) mod l]."""
+    x = list(terms)
+    return BinarySequence(tuple(eps * x[(c - i) % len(x)] for i in range(len(x))))
+
+
+def _flip(f, i):
+    """f with term i negated."""
+    x = list(f.terms)
+    x[i] = -x[i]
+    return BinarySequence(tuple(x))
+
+
+def _mirror_pairs(n):
+    """Pairs of length n whose windows mirror (see analysis): both their
+    own reversals about one centre c, each with its own sign (-1 only for an
+    even n and an odd c), or a swap, g = eps f reversed about c."""
+    terms = st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
+
+    def signs(c):
+        return st.sampled_from((1, -1)) if n % 2 == 0 and c % 2 else st.just(1)
+
+    same = st.integers(0, n - 1).flatmap(lambda c: st.tuples(terms, signs(c), terms, signs(c)).map(
+        lambda t: (_mirror_of(t[0], t[1], c), _mirror_of(t[2], t[3], c))))
+    swap = st.tuples(terms, st.integers(0, n - 1), st.sampled_from((1, -1))).map(
+        lambda t: (BinarySequence(tuple(t[0])), _swap_of(*t)))
+    return same | swap
+
+
+class TestPairMirror:
+    """The pair engines on pairs whose windows mirror, or nearly do, against
+    the brute-force oracles: every numerator, and the first minimiser that
+    the searches take, ties included."""
+
+    @staticmethod
+    def check_lockstep(f, g, m):
+        ell = len(f)
+        cdf, adf_f, adf_g = oracle_shift_numerators(f, g, [(r, r) for r in range(ell)], m)
+        expect = {(0, 1): [c - m * m for c in cdf], (0, 0): adf_f, (1, 1): adf_g}
+        # half_legendre asks for ((0, 0), (0, 1)), the psc diagonal for all three
+        for pairs in (((0, 1), (0, 0), (1, 1)), ((0, 0), (0, 1)), ((0, 1),), ((1, 1),)):
+            for pair, nums in zip(pairs, analysis._lockstep_numerators(f.terms, g.terms, m, pairs)):
+                assert nums.dtype == np.int64 and nums.tolist() == expect[pair], pair
+        cross, nf, ng = analysis._lockstep_numerators(f.terms, g.terms, m, ((0, 1), (0, 0), (1, 1)))
+        assert analysis._first_minimum(m * m + cross) == oracle_first_minimum(cdf)
+        assert analysis._first_minimum(m * m + cross, nf, ng) == oracle_first_minimum(cdf, adf_f, adf_g)
+
+    @staticmethod
+    def check_grid(f, g):
+        ell = len(f)
+        cdf, adf_f, adf_g = oracle_shift_numerators(f, g, [(rf, rg) for rf in range(ell) for rg in range(ell)])
+        grid, grid_adf_f, grid_adf_g = analysis._pair_grid(f.terms, g.terms)
+        assert grid.ravel().tolist() == cdf
+        assert grid_adf_f.tolist() == adf_f[::ell] and grid_adf_g.tolist() == adf_g[:ell]
+        assert best_pair_shifts(f, g, "cdf") == divmod(oracle_first_minimum(cdf), ell)
+        assert best_pair_shifts(f, g, "psc") == divmod(oracle_first_minimum(cdf, adf_f, adf_g), ell)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.integers(1, 16).flatmap(lambda n: st.tuples(_mirror_pairs(n), st.integers(1, n + 3))))
+    @example(case=((BinarySequence((1, 1, 1)), BinarySequence((1, 1, 1))), 3))  # every shift ties
+    def test_lockstep_pass(self, case):
+        (f, g), m = case
+        self.check_lockstep(f, g, m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(fg=st.integers(1, 10).flatmap(
+        lambda n: _mirror_pairs(n) | st.tuples(_pm1(n, n) | _mirrored(n), _pm1(n, n) | _mirrored(n))))
+    @example(fg=(BinarySequence((1,) * 4), BinarySequence((1,) * 4)))
+    def test_grid(self, fg):
+        self.check_grid(*fg)
+
+    @pytest.mark.parametrize("ell", [14, 15])
+    def test_unmirrored_pairs_walk_in_full(self, ell, walk_counts):
+        rng = random.Random(82 + ell)
+        f = _mirror_of(random_sequence(rng, ell).terms, 1, 3)
+        h = random_sequence(rng, ell)
+        cases = {
+            "different centres": (f, _mirror_of(random_sequence(rng, ell).terms, 1, 4)),
+            "one term off a common centre": (f, _flip(_mirror_of(random_sequence(rng, ell).terms, 1, 3), 5)),
+            "one term off a swap": (h, _flip(_swap_of(h.terms, 6, -1), 2)),
+        }
+        for name, (f, g) in cases.items():
+            for m in (ell, ell - 4, ell + 3):
+                walk_counts.clear()
+                self.check_lockstep(f, g, m)
+                assert all(taken == [m, ell] for taken in walk_counts), name
+            self.check_grid(f, g)
+
+    @pytest.mark.parametrize("ell", [512, 513])  # the largest grid, then the diagonal
+    def test_mirrored_searches_equal_full_walks(self, ell, monkeypatch, walk_counts):
+        grid = ell <= BUDGETS["pair-grid length"].limit
+
+        def search(f, g):
+            """The engine's arrays, then the answers of both objectives."""
+            if grid:
+                arrays = analysis._pair_grid(f.terms, g.terms)
+            else:
+                arrays = analysis._lockstep_numerators(f.terms, g.terms, ell, ((0, 1), (0, 0), (1, 1)))
+            return arrays, [best_pair_shifts(f, g, objective) for objective in ("cdf", "psc")]
+
+        rng = random.Random(84 + ell)
+        f = random_sequence(rng, ell)
+        pairs = {
+            "self_reversed": (_mirror_of(f.terms, 1, 5), _mirror_of(random_sequence(rng, ell).terms, 1, 5)),
+            "swap": (f, _swap_of(f.terms, 200, -1)),
+        }
+        for name, (f, g) in pairs.items():
+            walk_counts.clear()
+            arrays, answers = search(f, g)
+            # three searches: each walks the arcs of f and g, or a swap's grid f alone
+            expect = [[ell, ell]] * 3 if grid and name == "swap" else [[ell, ell // 2 + 1]] * 6
+            assert walk_counts == expect, name
+            with monkeypatch.context() as mp:
+                mp.setattr(analysis, "_reversal_centre", lambda a, b=None: None)
+                walk_counts.clear()
+                full_arrays, full_answers = search(f, g)
+                assert all(taken == ell for _, taken in walk_counts), name
+            assert answers == full_answers, name
+            for got, expect in zip(arrays, full_arrays):
+                assert got.dtype == expect.dtype and np.array_equal(got, expect), name
+            # and the CDF of the answer is the oracle's
+            rf, rg = answers[0]
+            cdf_num = arrays[0][rf, rg] if grid else ell * ell + arrays[0][rf]
+            assert Fraction(int(cdf_num), ell * ell) == oracle_cdf(cyclic_shift(f, rf), cyclic_shift(g, rg))
+
+
 class TestShiftSearch:
     def test_near_mirror_walks_every_shift(self):
         # A Legendre sequence with p = 3 mod 4 is minus its reversal at every
@@ -461,23 +620,8 @@ class TestShiftSearch:
         long_ones = BinarySequence((1,) * 600)
         assert best_pair_shifts(long_ones, long_ones, "psc") == (0, 0)
 
-    def test_one_walk_per_sequence(self, monkeypatch):
-        walks = []  # [window, rotations taken] of each walk started
-        walk = analysis._rotation_walk
-
-        def counted(arr, m, start=0):
-            taken = [m, 0]
-            walks.append(taken)
-            inner = walk(arr, m, start)
-
-            def vectors():
-                for v in inner.vectors:
-                    taken[1] += 1
-                    yield v
-
-            return inner._replace(vectors=vectors())
-
-        monkeypatch.setattr(analysis, "_rotation_walk", counted)
+    def test_one_walk_per_sequence(self, walk_counts):
+        walks = walk_counts
         rng = random.Random(79)
         for ell in (64, 600):  # the grid, then the diagonal
             f, g = random_sequence(rng, ell), random_sequence(rng, ell)
@@ -485,9 +629,20 @@ class TestShiftSearch:
                 walks.clear()
                 best_pair_shifts(f, g, objective)
                 assert walks == [[ell, ell], [ell, ell]]
-        walks.clear()
-        report_pairs("half_legendre", p=29)
-        assert walks == [[14, 29], [14, 29]]
+        # Mirrored pairs walk the arc of l//2 + 1 rotations: the half-Legendre
+        # halves (p = 1 mod 4) and the reversing m-sequences on the lockstep
+        # pass are swaps, and a quartic pair with p = 1 mod 8 on the grid is
+        # two sequences that are their own reversals.  On the grid a swap
+        # walks f alone, in full.
+        for construction, params, expect in (
+            ("half_legendre", {"p": 29}, [[14, 15], [14, 15]]),
+            ("reversing_mseq", {"n": 10, "k": 3}, [[1023, 512], [1023, 512]]),
+            ("reversing_mseq", {"n": 7, "k": 1}, [[127, 127]]),
+            ("quartic_pair", {"p": 257}, [[257, 129], [257, 129]]),
+        ):
+            walks.clear()
+            report_pairs(construction, **params)
+            assert walks == expect, construction
         walks.clear()
         best_shift(random_sequence(rng, 600))
         assert walks == [[600, 600]]
@@ -713,6 +868,14 @@ class TestSweepsAndReports:
             report_pairs("rsl_pair", seed_f=seed, seed_g=seed, signs=(1,), depth=-1)
         with pytest.raises(ValueError, match="exact-arithmetic budget"):
             report_pairs("rsl_pair", seed_f=seed, seed_g=seed, signs=(1,) * 21, depth=21)
+
+    def test_reversing_mseq_rows_do_not_depend_on_k(self):
+        # decimation by 2 fixes the m-sequence, so -2^k decimates as -1 does
+        for n in range(5, 11):
+            first, *rest = (report_pairs("reversing_mseq", n=n, k=k)[0] for k in range(n))
+            for k, row in enumerate(rest, 1):
+                assert row.params == first.params.replace("d=-2^0 ", f"d=-2^{k} ")
+                assert replace(row, params=first.params) == first
 
     def test_reversing_mseq_large_k_wraps(self):
         # d = -2^k mod 2^n - 1 depends on k mod n only.

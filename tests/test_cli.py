@@ -305,6 +305,14 @@ class TestPairs:
         code, out, err = run(capsys, *pair_argv(construction, [*pair_options(construction), option]))
         assert code == 2 and out == ""
         assert f"unrecognized arguments: --{option}" in err
+        # refused with the construction's own usage, which lists what it takes
+        assert err.startswith(f"usage: seqcorr pairs {construction} ")
+
+    def test_refusal_shows_the_construction_usage(self, capsys):
+        code, out, err = run(capsys, "pairs", "typical_mseq", "--n", "7", "--d", "5", "--p", "13")
+        assert code == 2 and out == ""
+        assert err.startswith("usage: seqcorr pairs typical_mseq [-h] --n N --d D")
+        assert "seqcorr pairs typical_mseq: error: unrecognized arguments: --p 13" in err
 
     @pytest.mark.parametrize("construction", list(analysis.PAIR_CONSTRUCTIONS))
     def test_construction_help_lists_its_builder_options(self, capsys, construction):
@@ -400,6 +408,7 @@ class TestGolayCommand:
         code, out, err = run(capsys, *argv.split())
         assert code == 2 and out == ""
         assert f"unrecognized arguments: {extra}" in err
+        assert err.startswith(f"usage: seqcorr golay {argv.split()[1]} ")
 
     def test_compose_impossible_length_exits_2(self, capsys):
         code, _, _ = run(capsys, "golay", "compose", "--length", "6")

@@ -13,7 +13,10 @@ PSC objective, at p = 521; and a resized best shift at p = 4099.  Best
 shifts of sequences that are rotations of their own reversal are walked
 on half the shifts and mirrored: the resized Legendre case at p = 1033
 (p = 1 mod 4), and the quartic sweep's sizes 17 and 41 (1 mod 8), beside
-13 and 29 (5 mod 8), which are walked in full.  Two
+13 and 29 (5 mod 8), which are walked in full.  Pair searches mirror
+too: the quartic grid at p = 337 (1 mod 8), the half-Legendre pairs at
+p = 29 and 509 (1 mod 4), and the reversing m-sequence pairs at n = 7, 9
+and 10, where g is f reversed.  Two
 baseline cases take the stacked FFT kernel at length 600 with a negative
 seed, and three words per draw with a seed past 2^64, which reads as
 seed 3.
@@ -75,7 +78,9 @@ CASES = {
     "pairs_reversing_mseq": (["pairs", "reversing_mseq", "--n", "7", "--k", "1"], 0),
     "pairs_half_legendre_29": (["pairs", "half_legendre", "--p", "29"], 0),
     "pairs_half_legendre_503": (["pairs", "half_legendre", "--p", "503"], 0),
+    "pairs_half_legendre_509": (["pairs", "half_legendre", "--p", "509"], 0),
     "pairs_quartic_pair": (["pairs", "quartic_pair", "--p", "29"], 0),
+    "pairs_quartic_pair_337": (["pairs", "quartic_pair", "--p", "337"], 0),
     "pairs_quartic_pair_389": (["pairs", "quartic_pair", "--p", "389"], 0),
     "pairs_quartic_pair_521": (["pairs", "quartic_pair", "--p", "521"], 0),
     "pairs_reversing_mseq_grid511": (["pairs", "reversing_mseq", "--n", "9", "--k", "2"], 0),
