@@ -1,86 +1,56 @@
 """Sweeps, shift searches, Monte Carlo baselines, and asymptotic targets.
 
 All demerit-factor numerators here are exact integers, returned as int64;
-division by the squared length happens only at the edge (Fraction or
-float).  The all-shift engines share one rotation walk over the windows
-resize(cyclic_shift(f, r), m), r = 0 .. l-1: the off-peak autocorrelation
-of the first window is taken from corr._corr and then updated in O(m) per
-step to r + 1.  Every numerator is built from 2 sum_{s=1}^{m-1} C^f(s) C^g(s)
-over two windows: an ADF numerator is that sum with g = f, and since
-sum_s C_fg(s)^2 = sum_t C_ff(t) C_gg(t) a CDF numerator is m^2 plus it.
-adf_numerators_all_shifts walks one sequence, one dot product per shift.
-The pair searches use two private engines: the lockstep pass (two walks in
-step, one dot product per requested product per shift) and the pair grid
-(g's walk kept as rows, f's streamed, one matrix-vector product per shift
-of f).  Every search takes its answer from _first_minimum.
+division by the squared length happens only at the edge.  A shift search
+scores 2 sum_{s=1}^{m-1} C^f(s) C^g(s) over the aperiodic autocorrelations
+of two windows of length m at every shift: with g = f an ADF numerator,
+and m^2 plus it a CDF numerator, since sum_s C_fg(s)^2 = sum_t C_ff(t)
+C_gg(t).  Every search takes its answer from _first_minimum.
 
-A full-period window (m = l) is folded.  Its periodic autocorrelation
-PC(s) = C(s) + C(l-s) is the same at every rotation (Hoholdt & Jensen use
-this for the merit factor of Legendre sequences), so the walk carries only
-v(s) = C(s) - C(l-s) for s = 1 .. h = (l-1)//2.  Pairing lag s with l-s,
-where C = (PC + v)/2 and (PC - v)/2, and the middle lag l/2 of an even l,
-where v = 0 and C = PC/2, gives
+Windows resize(cyclic_shift(f, r), m) with m != l (resize=, the
+half-Legendre halves) are scored by a rotation walk: C(1..m-1) of the
+first window from corr._corr, an O(m) update to each next rotation and one
+dot product per shift, in float64, exact since every partial sum is an
+integer below m^3/3 < 2^45 (shift-search window).  A sequence with x[(c - i)
+mod l] = eps x[i] for every i and one eps = +-1 (Legendre p = 1 mod 4,
+quartic p = 1 mod 8) has N(r) = N(sigma - r), sigma = (c - m + 1) mod l,
+since reversing the window at r gives eps times the window at sigma - r
+and reversal or negation leaves C unchanged; its walk takes l//2 + 1
+rotations and copies each numerator to its mirror.  _reversal_centre(f, g)
+finds a c with g[i] = eps f[(c - i) mod l]: under such a swap (the
+half-Legendre pairs with p = 1 mod 4, about c = -half) the lockstep pass
+mirrors the cross product to itself and f's ADF numerators to g's.
 
-    2 sum_{s=1}^{l-1} C^f(s) C^g(s) = v^f . v^g + PC^f . PC^g / 2,
+A full-period window (m = l) is read from periodic correlations, as
+Hoholdt & Jensen read the merit factor of rotated Legendre sequences.
+PC(s) = C(s) + C(l-s) is the same at every rotation, so
 
-the last term one exact int64 constant per call (|PC(s)| <= l).  Other
-windows (resize=, half-Legendre halves) carry C(1), .., C(m-1) and take
-twice its dot product.  Size limits come from budget.
+    2 sum_{s=1}^{l-1} C^f_a(s) C^g_a(s) = w^f_a . w^g_a + PC^f . PC^g / 2
 
-A sequence that is a rotation of its own reversal up to sign, that is
-x[(c - i) mod l] = eps x[i] for every i and one eps = +-1, has mirrored
-ADF numerators.  Reversing the window of length m at rotation r gives eps
-times the window at rotation sigma - r, where sigma = (c - m + 1) mod l,
-and the aperiodic autocorrelation does not change when a sequence is
-reversed or negated, so N(r) = N((sigma - r) mod l) for every window
-length: m < l, m = l (folded) and resize= windows.  The Legendre sequences
-with p = 1 mod 4 are their own reversals (x[-i] = x[i]; Hoholdt & Jensen),
-and so are the quartic sequences with p = 1 mod 8.  For such an input
-adf_numerators_all_shifts walks the l//2 + 1 rotations from the fixed
-point of r -> sigma - r (the first rotation past it when there is none)
-and copies each numerator to its mirror.  This is exact: symmetry is
-decided by comparing the integer terms, and the mirrored numerators are
-the walked int64 values themselves.
+with w_a(s) = C_a(s) - C_a(l-s), s = 1 .. h = (l-1)//2.  Rotation a + 1
+moves x[a] from the front of the window to the back, so w_{a+1} - w_a is
+d_a(s) = 2 x[a] (x[a-s] - x[a+s]), indices mod l, and for x = f, y = g
 
-The pair engines take the same rule to two sequences: _reversal_centre(f,
-g) finds a c with g[i] = eps f[(c - i) mod l], and then the window of f at
-r reversed is eps times g's at sigma - r.  Every numerator they form is
-2 sum_s C^i_r(s) C^j_r(s) over the autocorrelations of two windows, which
-do not change when a window is reversed or negated, so it mirrors in two
-cases.  Without a swap, f and g are each a rotation of their own reversal
-about one c, and C^f and C^g each mirror; the quartic pairs with p = 1
-mod 8 are, both about c = 0.  With a swap, g is eps times f reversed about
-c, and C^f at sigma - r is C^g at r and back: the cross product mirrors to
-itself, and the ADF numerators of f to those of g.  The reversing
-m-sequence pairs are swaps for every k: decimation by 2 fixes the
-trace-form m-sequence, since Tr(x^2) = Tr(x), so decimation by -2^k is
-decimation by -1, g[i] = f[-i].  So are the half-Legendre pairs with p = 1
-mod 4, whose halves are windows of the Legendre sequence and of its
-rotation by half, that rotation being the sequence reversed about
-c = -half.  The lockstep pass walks the arc of l//2 + 1 rotations, and
-under a swap also takes the partner of each ADF product asked for.  A row
-of the pair grid depends on f's rotation only and a column on g's only,
-through the folded vectors, which depend on C alone.  So the grid walks
-the arc of each sequence that is its own reversal, about any centre, and
-copies rows and columns to their mirrors; for a swap it walks f once and
-takes g's vectors from f's.  Every engine still hands _first_minimum the
-same arrays, value for value.
+    d^f_i . d^g_j = 4 x[i] y[j] (P(j-i) - Q(i+j)),
+    P(d) = sum_t x[t] y[t+d],   Q(e) = sum_t x[t] y[e-t]:
 
-The walk and its dot products run in float64, where numpy uses SIMD and
-BLAS (ddot, dgemv) and int64 gets plain loops.  They are exact because the
-budgets keep every partial sum an integer below 2^53.  Unfolded, a walk
-step adds +-1 to values |C(s)| <= m - s, and every partial sum of a product
-of two such vectors is at most sum_s (m-s)^2 < m^3/3 in absolute value, so
-an ADF numerator is at most 2m^3/3 < 2^46 for windows m <= 2^15
-(shift-search window), and a diagonal dot product is below m^3 <= 2^42 for
-m <= l <= 2^14 (shift-search length).  Folded, |v(s)| <= (l-s) + s = l, a
-step adds +-2 so |v(s)| <= l + 2 between its two adds, and every partial
-sum of a product of two folded vectors is at most h l^2 < l^3/2: below 2^41
-for l <= 2^14 (shift-search length) and below 2^26 for l <= 512 (pair-grid
-length), where a grid entry, l^2 plus the constant plus that product, is
-below l^3 <= 2^27.  The grid is formed from matrix-vector products only: a
-two-matrix product makes OpenBLAS allocate its gemm buffer, which costs
-peak memory and gains nothing here.
+the two h-term sums x[i-s] y[j-s] + x[i+s] y[j+s] and x[i-s] y[j+s] +
+x[i+s] y[j-s] fill whole periods of x[i+t] y[j+t] and x[i+t] y[j-t] but
+for t = 0, and for an even l t = l/2, where the two periods have the same
+terms, x[i] y[j] and x[i+l/2] y[j+l/2], which cancel.  _pair_grid fills
+the (l-1)^2 second differences of the grid from a circulant view of P
+minus a Hankel view of Q, its first row and column from w^f_0 . d^g_b and
+d^f_a . w^g_0, and sums its columns and rows in place: O(l^2), one l x l
+array, every partial sum an integer below l^3 <= 2^27 (pair-grid length).
+_periodic_numerators sums the diagonal D(a) = w^f_a . w^g_a over steps
+d^f_a . w^g_0 + w^f_0 . d^g_a + d^f_a . d^g_a plus the triangle sums
+sum_{j<a} d^f_a . d^g_j and sum_{i<a} d^f_i . d^g_a, each a causal
+convolution with P minus a truncated Hankel sum S(a) = sum_{j<a} y[j]
+Q(a+j) (_hankel_prefix_sums): O(l log^2 l), values below l^3/2 < 2^41
+(shift-search length).  It is exact or not used: every FFT output must lie
+within 0.25 of its integer (corr._rounded), and the steps must sum to 0
+over a period, since rotation l is rotation 0; else the search walks.  So
+does a full period of fewer than _PERIODIC_MIN_ROTATIONS walked rotations.
 
 The RNG is SplitMix64, fixed by its constants so that any implementation
 can reproduce the streams.  With G = 0x9E3779B97F4A7C15 and
@@ -245,15 +215,11 @@ def lookup_target(text: str) -> AsymptoticTarget:
 
 
 # OpenBLAS spreads a ddot of more than 10000 terms over several threads, and
-# waking them between two walk steps costs more than the product.  A folded
-# vector has at most 8191 terms within the shift-search length, so only
-# unfolded windows of more than 10000 lags take the split, which means
-# resize= windows.  On two cores the ADF of every shift of the Legendre
-# sequence p = 16381 at resize=1.0578 (m = 17328) takes 1.3 s with one ddot
-# per step and 0.30 s in pieces.  Shorter vectors skip the split, whose
-# per-step Python cost made the shift_search benchmark (m < 10000) 8% slower
-# when every vector took it; np.einsum, which has no threads, made it 33%
-# slower.
+# waking them between two walk steps costs more than the product: on two
+# cores the ADF of every shift of the Legendre sequence p = 16381 at
+# resize=1.0578 (m = 17328) takes 1.3 s with one ddot per step and 0.30 s
+# in pieces.  Splitting every vector made the shift_search benchmark
+# (m < 10000) 8% slower, and np.einsum, which has no threads, 33% slower.
 _DOT_PIECE = 10000
 
 
@@ -272,58 +238,32 @@ class _Walk(NamedTuple):
     """A rotation walk of f over windows of length m (see _rotation_walk):
     w is the one vector that every step updates and vectors yields."""
 
-    scale: int
-    pc: np.ndarray
     w: np.ndarray
     vectors: Iterator[np.ndarray]
-
-    def offset(self, other: _Walk) -> int:
-        """pc^f . pc^g / 2, exact in int64 (|PC(s)| <= l)."""
-        return int(self.pc @ other.pc) // 2
-
-    def numerators(self, other: _Walk, dots: np.ndarray) -> np.ndarray:
-        """2 sum_s C^f_r(s) C^g_r(s) as int64, from dots[r] = w^f_r . w^g_r."""
-        return self.scale * dots.astype(np.int64) + self.offset(other)
 
 
 def _rotation_walk(arr: np.ndarray, m: int, start: int = 0) -> _Walk:
     """The rotation walk of f over windows of length m, from rotation start.
 
-    vectors yields, for r = start, start+1, .., start+l-1 (mod l), a float64
-    vector w_r of exact integers such that, for the walks of two sequences
-    of one length l and one m,
-
-        2 sum_{s=1}^{m-1} C^f_r(s) C^g_r(s) = scale (w^f_r . w^g_r) + pc^f . pc^g / 2,
-
-    C_r being the aperiodic autocorrelation of resize(cyclic_shift(f, r), m)
-    (see the module docstring).  For m != l, w_r is C_r(1), .., C_r(m-1),
-    scale is 2 and pc is empty.  For m = l the walk is folded: w_r(s) is
-    C_r(s) - C_r(l-s) for s = 1 .. (l-1)//2, scale is 1 and pc is the int64
-    periodic autocorrelation PC(1), .., PC(l-1), the same at every r.  A
-    caller may stop taking vectors early; no step runs ahead of the vector
-    it yields.
+    vectors yields, for r = start, start+1, .., start+l-1 (mod l), the
+    float64 vector w_r = C_r(1), .., C_r(m-1) of exact integers, C_r being
+    the aperiodic autocorrelation of resize(cyclic_shift(f, r), m), so that
+    2 sum_s C^f_r(s) C^g_r(s) is twice w^f_r . w^g_r.  A caller may stop
+    taking vectors early; no step runs ahead of the vector it yields.
 
     With x = resize(cyclic_shift(f, start), l+m), step j of the walk is the
     window x[j : j+m].  Moving to j+1 drops x[j] and appends x[j+m], so
-    every C(s) gains x[j+m] x[j+m-s] - x[j] x[j+s].  For m = l,
-    x[j+l] = x[j], so C(l-s) gains minus what C(s) gains and w(s) gains
-    twice it.  Either way a step is one in-place add or subtract of a row
-    of x reversed and one of a row of x, with x doubled when folded; the
-    rows and which of add or subtract each step takes are set before the
-    first step.  The first vector comes from corr._corr.  The same array w
-    is yielded each time and updated in place; copy it to keep it.
+    every C(s) gains x[j+m] x[j+m-s] - x[j] x[j+s]: one in-place add or
+    subtract of a row of x reversed and one of a row of x, the rows and
+    which of add or subtract each step takes being set before the first
+    step.  The first vector comes from corr._corr.  The same array w is
+    yielded each time and updated in place; copy it to keep it.
     """
     ell = len(arr)
-    n = ell + m
+    n, k = ell + m, m - 1
     x = np.resize(np.asarray(arr, dtype=np.int64), start + n)[start:]
-    c = corr._corr(x[:m], x[:m])[m:]
+    w = corr._corr(x[:m], x[:m])[m:].astype(np.float64)
     up = (x > 0).astype(np.intp)
-    if m == ell:
-        k, scale, pc = (ell - 1) // 2, 1, c + c[::-1]
-        w, x = c[:k] - c[::-1][:k], 2 * x
-    else:
-        k, scale, pc, w = m - 1, 2, c[:0], c
-    w = w.astype(np.float64)
     x = x.astype(np.float64)
     xr = x[::-1].copy()  # contiguous, so the adds stay vectorised
     # Row j of gained is xr[l-j : l-j+k], x reversed from x[j+m-1]; row j
@@ -341,7 +281,7 @@ def _rotation_walk(arr: np.ndarray, m: int, start: int = 0) -> _Walk:
             drop_op(w, row_out, w)
             yield w
 
-    return _Walk(scale, pc, w, vectors())
+    return _Walk(w, vectors())
 
 
 def _reversal_centre(a: np.ndarray, b: np.ndarray | None = None) -> int | None:
@@ -392,19 +332,23 @@ def _lockstep_numerators(
     """For each (i, j) in pairs, where 0 stands for f and 1 for g,
     2 sum_{s=1}^{m-1} C^i_r(s) C^j_r(s) for every rotation r, as int64, C^f_r
     and C^g_r being the autocorrelations of window r of f and of g (see
-    _rotation_walk).  f and g are walked once each, in lockstep, with one
-    dot product per product taken a step.
-
-    When the pair's windows mirror (see the module docstring) only the arc
-    of l//2 + 1 rotations is walked.  Each product is copied to its mirror,
-    (0, 1) as itself; under a swap (0, 0) mirrors to (1, 1) and back, so the
-    partner of each ADF product asked for is taken too.
+    _rotation_walk).  At m = l each comes from _periodic_numerators, unless
+    the walk would take fewer than _PERIODIC_MIN_ROTATIONS rotations.  Else
+    f and g are walked once each, in lockstep, one dot product per product
+    a step, over the arc of l//2 + 1 rotations when the pair mirrors; each
+    product is copied to its mirror, (0, 1) as itself, and under a swap
+    (0, 0) mirrors to (1, 1), so the partner of an ADF product is taken too.
     """
     c, swap = _reversal_centre(af), False
     if c is None or c != _reversal_centre(ag):
         c = _reversal_centre(af, ag)
         swap = c is not None
     shifts, mirrors = _arc(c, m, len(af))
+    if m == len(af) and len(shifts) >= _PERIODIC_MIN_ROTATIONS:
+        arrays = af, ag
+        out = [_periodic_numerators(arrays[i], arrays[j]) for i, j in pairs]
+        if all(nums is not None for nums in out):
+            return out
     partner = {(i, j): (1 - j, 1 - i) if swap else (i, j) for i, j in pairs}
     taken = list(dict.fromkeys([*pairs, *partner.values()]))
     start = int(shifts[0])
@@ -414,7 +358,7 @@ def _lockstep_numerators(
     count = len(shifts)
     dots = np.fromiter((dot(b) for _ in steps for dot, b in products), np.float64, count * len(taken))
     cols = dots.reshape(count, len(taken)).T
-    walked = {(i, j): walks[i].numerators(walks[j], col) for col, (i, j) in zip(cols, taken)}
+    walked = {pair: 2 * col.astype(np.int64) for col, pair in zip(cols, taken)}
     out = []
     for pair in pairs:
         nums = np.empty(len(af), dtype=np.int64)
@@ -428,11 +372,11 @@ def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarr
     """ADF numerator (sum of squared off-peak correlations) of
     resize(cyclic_shift(f, r), m) for every shift r, as int64; divide by m^2.
 
-    Each numerator is scale w . w + pc . pc / 2 over the rotation walk's
-    vector, O(m) per shift and half that for m = l, exact in float64 within
-    the shift-search window budget (see the module docstring).  When f is a
-    rotation of its own reversal, up to sign, the numerators are mirrored,
-    N(r) = N(sigma - r), and only l//2 + 1 rotations are walked.
+    At m = l they come from _periodic_numerators, unless the walk would
+    take fewer than _PERIODIC_MIN_ROTATIONS rotations.  Else each is 2 w . w
+    over the rotation walk's vector, O(m) per shift, and when f is a
+    rotation of its own reversal, up to sign, only l//2 + 1 rotations are
+    walked and N(r) = N(sigma - r) gives the rest (see the module docstring).
     """
     ell = len(arr)
     if m is None:
@@ -442,74 +386,159 @@ def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarr
     budget.check("shift-search length", ell)
     budget.check("shift-search window", m)
     shifts, mirrors = _arc(_reversal_centre(arr), m, ell)
+    if m == ell and len(shifts) >= _PERIODIC_MIN_ROTATIONS:
+        nums = _periodic_numerators(arr, arr)
+        if nums is not None:
+            return nums
     # A single walk keeps its own loop: through _lockstep_numerators, whose
     # pair loop runs every step, this took 3-5% longer at l = 1000-2000.
     walk = _rotation_walk(arr, m, int(shifts[0]))
-    walked = walk.numerators(walk, np.fromiter(map(_dot_with(walk.w), walk.vectors), np.float64, len(shifts)))
+    walked = 2 * np.fromiter(map(_dot_with(walk.w), walk.vectors), np.float64, len(shifts)).astype(np.int64)
     nums = np.empty(ell, dtype=np.int64)
     nums[mirrors] = walked
     nums[shifts] = walked
     return nums
 
 
-def _pair_grid(af: np.ndarray, ag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _periodic_parts(x: np.ndarray, y: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(n0, rf, rg, p, q), all int64 but n0, for x = f and y = g (y may be
+    x itself; see the module docstring): the numerator n0 at rotation 0,
+    rf[a] = d^f_a . w^g_0, rg[a] = w^f_0 . d^g_a, p = P and q = Q.  With
+    V(s) = C_0(s) - C_0(l-s), so that w_0 = V(1 .. h) and V(-s) = -V(s),
+    d^f_a . w^g_0 = 2 x[a] sum_{0<|s|<=h} x[a-s] V^g(s) = -2 x[a] PC_{x,V^g}(a).
+    """
+    ell, same = len(x), y is x
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    cx = corr._corr(x, x)[ell - 1 :]
+    cy = cx if same else corr._corr(y, y)[ell - 1 :]
+    vx, vy = (np.concatenate(([0], c[1:] - c[:0:-1])) for c in (cx, cy))
+    n0 = 2 * int(cx[1:] @ cy[1:])
+    if same:
+        p = cx.copy()
+        p[1:] += cx[:0:-1]
+    else:
+        p = corr._periodic_corr(y, x)
+    q = corr._periodic_corr(y, np.concatenate((x[:1], x[:0:-1])))  # x[-t]
+    rf = -2 * x * corr._periodic_corr(x, vy)
+    rg = rf if same else -2 * y * corr._periodic_corr(y, vx)
+    return n0, rf, rg, p, q
+
+
+# A full period is walked below this many walked rotations (l, or l//2 + 1
+# when mirrored).  ADF numerators of every rotation on two cores, medians of
+# 301 calls alternating, walk vs periodic engine: random l = 48 / 56, 0.27
+# vs 0.26 / 0.30 vs 0.27 ms; Legendre p = 109 / 137 (55 / 69 rotations
+# walked), 0.36 vs 0.38 / 0.42 vs 0.42 ms.  At p = 251 (small_batch) the
+# engine takes half the walk's time.
+_PERIODIC_MIN_ROTATIONS = 56
+
+# A level of _hankel_prefix_sums is one float64 einsum when its half-blocks
+# h are at most the first of these or its products at most the second, else
+# one batched FFT.  Direct vs FFT on two cores, padded length n: n = 1024,
+# h = 256 / 512 (2^17 / 2^18 products), 61 vs 78 / 122 vs 77 us; n = 4096,
+# h = 128 / 256, 128 vs 152 / 250 vs 164 us; n = 16384, h = 64 / 128, 282 vs
+# 454 / 505 vs 433 us.
+_HANKEL_DIRECT_HALF, _HANKEL_DIRECT_WORK = 64, 1 << 17
+
+
+def _hankel_prefix_sums(w: np.ndarray, q: np.ndarray) -> np.ndarray | None:
+    """S[k, a] = sum_{j<a} w[k, j] q[(a + j) mod l] for each row k of the
+    int64 array w (k x l) and a = 0 .. l-1, int64; None if an FFT output
+    fails corr._rounded.
+
+    The length is padded to a power of two n.  Each (j, a), j < a, lies in
+    one 2h-block with j in its lower half and a in its upper half, for one
+    h; so level h adds to a = b0 + h + u the correlation sum_{v<h} w[b0+v]
+    q[2 b0 + h + u + v] of the lower half of the block at b0 with a window
+    of q, for the blocks whose upper half starts below l, by one einsum over
+    a strided Hankel view of q or by FFTs of all blocks at once.
+    """
+    from numpy import fft  # loaded on first use, as in corr
+
+    rows, ell = w.shape
+    n = 1 << (ell - 1).bit_length()
+    wp = np.zeros((rows, n))
+    wp[:, :ell] = w
+    qe = q[np.arange(3 * n) % ell].astype(np.float64)
+    # hankel[i, v] = qe[i + v]; its rows from h on, taken 4h at a time, are
+    # the blocks' windows
+    hankel = as_strided(qe, (5 * n // 2, n // 2), (qe.itemsize,) * 2, writeable=False)
+    out = np.zeros((rows, n))  # exact: every sum is an integer below l^2
+    h = 1
+    while h < n:
+        blocks = (ell + h - 1) // (2 * h)
+        span = h if blocks > 1 else min(h, ell - h)  # the a of each upper half that count
+        lower = wp.reshape(rows, -1, 2 * h)[:, :blocks, :h]
+        upper = out.reshape(rows, -1, 2 * h)[:, :blocks, h : h + span]
+        rows_q = slice(h, h + 4 * h * blocks)
+        if h <= _HANKEL_DIRECT_HALF or blocks * span * h <= _HANKEL_DIRECT_WORK:
+            upper += np.einsum("buv,kbv->kbu", hankel[rows_q].reshape(blocks, 4 * h, -1)[:, :span, :h], lower)
+        else:
+            prod = fft.rfft(lower, 2 * h).conj()
+            prod *= fft.rfft(qe[rows_q].reshape(blocks, 4 * h)[:, : 2 * h])
+            sums = corr._rounded(fft.irfft(prod, 2 * h)[..., :span])
+            if sums is None:
+                return None
+            upper += sums
+        h *= 2
+    return out[:, :ell].astype(np.int64)
+
+
+def _periodic_numerators(af: np.ndarray, ag: np.ndarray) -> np.ndarray | None:
+    """The numerators of _lockstep_numerators at m = l, for every rotation
+    a of f and g (ag being af for an ADF), from periodic correlations in
+    O(l log^2 l) (see the module docstring); None unless they pass both
+    exactness checks.
+    """
+    ell, same = len(af), ag is af
+    n0, rf, rg, p, q = _periodic_parts(af, ag)
+    x, y = np.asarray(af, dtype=np.int64), np.asarray(ag, dtype=np.int64)
+    s = _hankel_prefix_sums(x[None] if same else np.stack((y, x)), q)
+    if s is None:
+        return None
+    zero = np.zeros(1, dtype=np.int64)
+    # t_f[a] = sum_{j<a} d^f_a . d^g_j = 4 x[a] sum_{j<a} y[j] (P(j-a) - Q(a+j)),
+    # t_g[a] = sum_{i<a} d^f_i . d^g_a likewise; P(j-a) is a causal convolution
+    t_f = 4 * x * (corr._corr(y, np.concatenate((p[1:], zero)))[:ell] - s[0])
+    t_g = t_f if same else 4 * y * (corr._corr(x, np.concatenate((p[:0:-1], zero)))[:ell] - s[1])
+    steps = rf + rg + t_f + t_g + 4 * x * y * (p[0] - q[2 * np.arange(ell) % ell])
+    if steps.sum() != 0:  # rotation l is rotation 0
+        return None
+    nums = np.empty(ell, dtype=np.int64)
+    nums[0] = n0
+    np.cumsum(steps[:-1], out=nums[1:])
+    nums[1:] += n0
+    return nums
+
+
+def _pair_grid(af: np.ndarray, ag: np.ndarray, adfs: bool = True) -> tuple[np.ndarray, ...]:
     """CDF numerators of (cyclic_shift(f, rf), cyclic_shift(g, rg)) over
-    the full (rf, rg) grid and ADF numerators of every rotation of f and of
-    g, all float64; divide by l^2.
-
-    With g's folded walk kept as rows R_g (l x (l-1)//2), row rf of the
-    grid is l^2 + pc_f . pc_g / 2 + R_g w^f_rf, one dgemv per step of f's
-    walk, which is not kept.  Every entry is below l^3, exact in float64
-    within the pair-grid budget.  Peak memory is 1.5 l^2 words: R_g and the
-    grid.  Only psc reads the ADF numerators (the walks' squared norms), but
-    at O(l^2) next to the grid's O(l^3 / 2) they are formed for every caller.
-
-    A rotation's folded vector is its mirror's (see the module docstring).
-    So for a g that is a rotation of its own reversal R_g holds the l//2 + 1
-    rows of its arc, and each row of the grid is taken from R_g w^f_rf; for
-    such an f only its arc is walked, and each row is copied to its mirror.
-    For a swap pair g's vector at sigma - r is f's at r: f is walked once
-    into R_g and g not at all.
+    the full (rf, rg) grid and, unless adfs is false, ADF numerators of
+    every rotation of f and of g, all float64; divide by l^2.  Entry (a, b)
+    is l^2 + 2 sum_s C^f_a(s) C^g_b(s), summed in place from its second
+    differences d^f_a . d^g_b (see the module docstring).
     """
     ell = len(af)
     if len(ag) != ell:
         raise ValueError("pair shift grid requires equal lengths")
     budget.check("pair-grid length", ell)
-    cf, cg = _reversal_centre(af), _reversal_centre(ag)
-    c = _reversal_centre(af, ag) if cf is None and cg is None else None
-    if c is None:
-        (g_shifts, g_mirrors), (f_shifts, f_mirrors) = _arc(cg, ell, ell), _arc(cf, ell, ell)
-        gw = _rotation_walk(ag, ell, int(g_shifts[0]))
-        rows_g = np.empty((len(g_shifts), (ell - 1) // 2))
-        for row, w in zip(rows_g, gw.vectors):
-            row[:] = w
-        fw = _rotation_walk(af, ell, int(f_shifts[0]))
-        f_steps = zip(f_shifts.tolist(), f_mirrors.tolist(), fw.vectors)
-    else:
-        fw = gw = _rotation_walk(af, ell)  # pc_g = pc_f: g is f reversed
-        rows_g = np.empty((ell, (ell - 1) // 2))
-        g_of_f = (c + 1 - np.arange(ell)) % ell  # sigma - r, with m = l
-        for rg, w in zip(g_of_f, fw.vectors):
-            rows_g[rg] = w
-        f_steps = ((rf, rf, rows_g[rg]) for rf, rg in enumerate(g_of_f.tolist()))
-    col_g = None
-    if cg is not None:  # column rg of the grid is row col_g[rg] of R_g
-        col_g = np.empty(ell, dtype=np.intp)
-        col_g[g_mirrors] = col_g[g_shifts] = np.arange(len(g_shifts))
-    grid, adf_f = np.empty((ell, ell)), np.empty(ell)
-    for rf, rf_mirror, w in f_steps:
-        row = grid[rf]
-        if col_g is None:
-            np.dot(rows_g, w, out=row)
-        else:
-            np.take(rows_g @ w, col_g, out=row)
-        if rf_mirror != rf:
-            grid[rf_mirror] = row
-        adf_f[rf] = adf_f[rf_mirror] = w.dot(w)
-    grid += ell * ell + fw.offset(gw)
-    adf_f += fw.offset(fw)
-    adf_g = np.einsum("ij,ij->i", rows_g, rows_g) + gw.offset(gw)
-    return grid, adf_f, adf_g if col_g is None else adf_g[col_g]
+    n0, rf, rg, p, q = _periodic_parts(af, ag)
+    grid = np.empty((ell, ell))
+    inner = grid[1:, 1:]
+    pp, qq = (np.concatenate((v, v)).astype(np.float64) for v in (p, q))
+    # row i of the first view is P(j - i), of the second Q(i + j), j < l-1
+    circulant = as_strided(pp[ell:], (ell - 1, ell - 1), (-pp.itemsize, pp.itemsize), writeable=False)
+    hankel = as_strided(qq, (ell - 1, ell - 1), (qq.itemsize,) * 2, writeable=False)
+    np.subtract(circulant, hankel, out=inner)
+    inner *= 4.0 * af[:-1, None]
+    inner *= ag[:-1]
+    grid[0, 0] = ell * ell + n0
+    grid[1:, 0], grid[0, 1:] = rf[:-1], rg[:-1]
+    np.cumsum(grid, axis=0, out=grid)
+    np.cumsum(grid, axis=1, out=grid)
+    if not adfs:
+        return (grid,)
+    return grid, *(adf_numerators_all_shifts(a).astype(np.float64) for a in (af, ag))
 
 
 def _first_minimum(cdf: np.ndarray, adf_f: np.ndarray | None = None, adf_g: np.ndarray | None = None) -> int:
@@ -545,11 +574,9 @@ def best_pair_shifts(f: BinarySequence, g: BinarySequence, objective: str = "cdf
     """Shift pair (rf, rg) minimizing cdf or psc.
 
     Lengths within the pair-grid budget search the full (rf, rg) grid;
-    longer sequences use the equal-shift diagonal heuristic.  Either way f
-    and g are walked at most once each, over half their rotations when they
-    mirror: the PSC's ADF numerators come from the grid's walks or from the
-    diagonal's lockstep pass.  Ties break to the
-    first (smallest rf, then rg) candidate.
+    longer sequences use the equal-shift diagonal heuristic.  The PSC's ADF
+    numerators, of every rotation of f and of g, are taken only for that
+    objective.  Ties break to the first (smallest rf, then rg) candidate.
     """
     if len(f) != len(g):
         raise ValueError("pair shift search requires equal lengths")
@@ -558,8 +585,9 @@ def best_pair_shifts(f: BinarySequence, g: BinarySequence, objective: str = "cdf
     ell = len(f)
     af, ag = f.terms, g.terms
     if ell <= budget.BUDGETS["pair-grid length"].limit:
-        cdf, adf_f, adf_g = _pair_grid(af, ag)
-        adfs = (adf_f[:, None], adf_g) if objective == "psc" else ()
+        cdf, *adfs = _pair_grid(af, ag, objective == "psc")
+        if adfs:
+            adfs[0] = adfs[0][:, None]
         return divmod(_first_minimum(cdf, *adfs), ell)
     budget.check("shift-search length", ell)
     pairs = ((0, 1), (0, 0), (1, 1)) if objective == "psc" else ((0, 1),)

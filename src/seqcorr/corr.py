@@ -7,27 +7,26 @@ satisfies PC(s) = C(s) + C(s - l) for equal lengths l.
 
 All values are integers; demerit factors are Fractions, and a DemeritReport
 stores the three of a pair and derives PSC from them.  The private kernel
-_corr computes the correlations of spectra, demerit factors, Golay checks
-and the Monte Carlo baseline; only the rotation walk of analysis, which
-updates a spectrum from _corr one shift at a time, and golay._tail_keys,
-the autocorrelation tails of every sign row for the seed census and the
-pair search, compute correlations themselves.  While the shorter input is
-below the crossover _FFT_MIN_LEN = 512 the kernel is numpy's direct
-correlation, O(l^2), on float64 copies of the +-1 terms, since numpy runs it
-on SIMD dot products for float64 and as a plain loop for int64.  It is
-exact: every partial sum is an integer of absolute value at most l <= 2^20
-under the exact-length budget, far below 2^53, so no rounding occurs, and
-the result is cast back to int64.  Above the crossover,
-the spectrum is irfft(rfft(a) * conj(rfft(b))) over a power-of-two length,
+_corr computes the correlations of spectra, demerit factors, Golay checks,
+the Monte Carlo baseline and the shift searches; only the shift-search
+engines of analysis and golay._tail_keys also sum correlations themselves.
+While the shorter input is below the crossover _FFT_MIN_LEN = 512 the
+kernel is numpy's direct correlation, O(l^2), on float64 copies of the
+terms, since numpy runs it on SIMD dot products for float64 and as a plain
+loop for int64.  It is exact: every partial sum is an integer of absolute
+value at most l <= 2^20 for +-1 terms under the exact-length budget, and
+at most l^2 <= 2^28 for the integer vectors (|values| <= l against +-1
+terms) of the shift searches, far below 2^53.  Above the crossover, the
+spectrum is irfft(rfft(a) * conj(rfft(b))) over a power-of-two length,
 O(l log l), one transform fewer for autocorrelations, rounded to int64.
 Two equal-shape stacks of rows are correlated row by row and always take
 the FFT path, since one transform call serves every row.  Every FFT result
-is checked: each value must lie within 0.25 of its integer and each row
-must satisfy sum_s C(s) = (sum a)(sum b) exactly; otherwise the kernel
-returns the direct result, row by row for a stack.  Either way it refuses
-lengths over the exact-length budget (see budget), within which the values
-and their squared sums are exact in int64, and every value is exact in
-float64.
+is checked: each value must lie within 0.25 of its integer (_rounded) and
+each row must satisfy sum_s C(s) = (sum a)(sum b) exactly; otherwise the
+kernel returns the direct result, row by row for a stack.  Either way it
+refuses lengths over the exact-length budget (see budget), within which
+the values and their squared sums are exact in int64, and every value is
+exact in float64.
 """
 
 from __future__ import annotations
@@ -83,16 +82,32 @@ def _fft_corr(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     # circ[k] = C(k) for k < la and C(k - size) for k > size - lb
     x = np.concatenate((circ[..., size - lb + 1 :], circ[..., :la]), axis=-1)
     del circ
+    c = _rounded(x)
+    # |sum a|, |sum b| <= 2^20 within the exact-length budget: int64 products
+    if c is None or not np.array_equal(c.sum(axis=-1), a.sum(axis=-1) * b.sum(axis=-1)):
+        return None
+    return c
+
+
+def _rounded(x: np.ndarray) -> np.ndarray | None:
+    """x rounded to int64, or None unless every value lies within 0.25 of
+    its integer.  Overwrites x."""
     c = np.rint(x)
     x -= c
     np.abs(x, out=x)
     if not x.max() < 0.25:  # fails on NaN too
         return None
-    c = c.astype(np.int64)
-    # |sum a|, |sum b| <= 2^20 within the exact-length budget: int64 products
-    if not np.array_equal(c.sum(axis=-1), a.sum(axis=-1) * b.sum(axis=-1)):
-        return None
-    return c
+    return c.astype(np.int64)
+
+
+def _periodic_corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """PC_{a,b}(d) = sum_t a[(t+d) mod l] b[t], d = 0 .. l-1, as int64."""
+    ell = len(a)
+    # c[k] = C(k - (l-1)): PC(d) = C(d) + C(d - l) is c[l-1+d] + c[d-1]
+    c = _corr(a, b)
+    pc = c[ell - 1 :]
+    pc[1:] += c[: ell - 1]
+    return pc
 
 
 def xcorr_values(f: BinarySequence, g: BinarySequence) -> list[int]:
@@ -115,12 +130,7 @@ def aperiodic_xcorr(f: BinarySequence, g: BinarySequence) -> CorrelationSpectrum
 def periodic_xcorr(f: BinarySequence, g: BinarySequence) -> CorrelationSpectrum:
     if len(f) != len(g):
         raise ValueError("periodic crosscorrelation requires equal lengths")
-    ell = len(f)
-    # c[k] = C(k - (ell-1)): PC(s) = C(s) + C(s - ell) is c[ell-1+s] + c[s-1]
-    c = _corr(f.terms, g.terms)
-    pc = c[ell - 1 :]
-    pc[1:] += c[: ell - 1]
-    return CorrelationSpectrum(dict(zip(range(ell), pc.tolist())))
+    return CorrelationSpectrum(dict(enumerate(_periodic_corr(f.terms, g.terms).tolist())))
 
 
 def _adf_of(c: np.ndarray, ell: int) -> Fraction:

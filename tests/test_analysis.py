@@ -278,7 +278,7 @@ class TestEngines:
     @pytest.mark.parametrize(
         "search, words",
         [
-            # g's folded rows (l x (l-1)/2) and the grid; f's walk is streamed
+            # the grid, filled and summed in place; every other array is O(l)
             (lambda f, g: analysis._pair_grid(f.terms, g.terms), 1.5),
             # then the grid and the PSC's root term
             (lambda f, g: best_pair_shifts(f, g, "psc"), 2),
@@ -287,8 +287,7 @@ class TestEngines:
     )
     def test_grid_peak_memory(self, search, words):
         # words: the peak in l^2 float64 words, for a random pair, a pair of
-        # sequences that are their own reversals (half of g's rows kept) and
-        # a swap pair (g's rows taken from f's walk)
+        # sequences that are their own reversals and a swap pair
         ell = BUDGETS["pair-grid length"].limit
         rng = random.Random(69)
         f, g = random_sequence(rng, ell), random_sequence(rng, ell)
@@ -316,9 +315,10 @@ def _pm1(min_size, max_size):
     )
 
 
-# Full-period (m = l) examples, where the walk is folded: l = 1 .. 4, then an
-# odd and an even l whose first rotation is correlated on the FFT path (an
-# even l has the middle lag l/2), and the largest odd and even pair-grid l.
+# Full-period (m = l) examples: l = 1 .. 4, which are walked, then an odd and
+# an even l above the FFT crossover, which the periodic engine reads (for an
+# even l its two middle terms cancel), and the largest odd and even
+# pair-grid l.
 _ODD, _ODD_G, _EVEN, _EVEN_G = (
     random_sequence(random.Random(71 + i), corr._FFT_MIN_LEN + 89 - i // 2) for i in range(4)
 )
@@ -329,7 +329,8 @@ _GRID_ODD, _GRID_ODD_G, _GRID_EVEN, _GRID_EVEN_G = (
 
 # Long inputs that are rotations of their own reversal: a rotated Legendre
 # sequence with p = 1 mod 4 above the FFT crossover, whose ADF numerators
-# are walked on an arc of l//2 + 1 shifts and mirrored to the rest.
+# at m = l come from the periodic engine and at m = l + 30 are walked on an
+# arc of l//2 + 1 shifts and mirrored to the rest.
 _MIRRORED = cyclic_shift(legendre(521), 100)
 
 
@@ -369,7 +370,7 @@ class TestEngineProperties:
     @given(case=st.integers(1, 24).flatmap(
         lambda n: st.tuples(_pm1(n, n) | _mirrored(n), st.integers(1, 2 * n + 3))))
     @example(case=(BinarySequence((1,)), 1))  # l = m = 1: the lag vector is empty
-    @example(case=(BinarySequence((1, -1)), 2))  # the folded vector is empty too
+    @example(case=(BinarySequence((1, -1)), 2))  # one lag, so (l-1)//2 = 0 folded
     @example(case=(BinarySequence((1, 1, -1)), 3))
     @example(case=(BinarySequence((1, -1, -1, -1)), 4))
     @example(case=(_ODD, len(_ODD)))
@@ -513,13 +514,14 @@ class TestPairMirror:
     @pytest.mark.parametrize("ell", [512, 513])  # the largest grid, then the diagonal
     def test_mirrored_searches_equal_full_walks(self, ell, monkeypatch, walk_counts):
         grid = ell <= BUDGETS["pair-grid length"].limit
+        pairs3 = ((0, 1), (0, 0), (1, 1))
 
         def search(f, g):
             """The engine's arrays, then the answers of both objectives."""
             if grid:
                 arrays = analysis._pair_grid(f.terms, g.terms)
             else:
-                arrays = analysis._lockstep_numerators(f.terms, g.terms, ell, ((0, 1), (0, 0), (1, 1)))
+                arrays = analysis._lockstep_numerators(f.terms, g.terms, ell, pairs3)
             return arrays, [best_pair_shifts(f, g, objective) for objective in ("cdf", "psc")]
 
         rng = random.Random(84 + ell)
@@ -531,14 +533,20 @@ class TestPairMirror:
         for name, (f, g) in pairs.items():
             walk_counts.clear()
             arrays, answers = search(f, g)
-            # three searches: each walks the arcs of f and g, or a swap's grid f alone
-            expect = [[ell, ell]] * 3 if grid and name == "swap" else [[ell, ell // 2 + 1]] * 6
-            assert walk_counts == expect, name
+            # full-period searches read every rotation from periodic correlations
+            assert walk_counts == [], name
             with monkeypatch.context() as mp:
                 mp.setattr(analysis, "_reversal_centre", lambda a, b=None: None)
+                mp.setattr(analysis, "_PERIODIC_MIN_ROTATIONS", ell + 1)
                 walk_counts.clear()
-                full_arrays, full_answers = search(f, g)
-                assert all(taken == ell for _, taken in walk_counts), name
+                if grid:
+                    full_arrays = _walked_grid(f, g)
+                    cdf, adf_f, adf_g = full_arrays
+                    full_answers = [divmod(analysis._first_minimum(cdf, *adfs), ell)
+                                    for adfs in ((), (adf_f[:, None], adf_g))]
+                else:
+                    full_arrays, full_answers = search(f, g)
+                assert walk_counts and all(taken == ell for _, taken in walk_counts), name
             assert answers == full_answers, name
             for got, expect in zip(arrays, full_arrays):
                 assert got.dtype == expect.dtype and np.array_equal(got, expect), name
@@ -546,6 +554,125 @@ class TestPairMirror:
             rf, rg = answers[0]
             cdf_num = arrays[0][rf, rg] if grid else ell * ell + arrays[0][rf]
             assert Fraction(int(cdf_num), ell * ell) == oracle_cdf(cyclic_shift(f, rf), cyclic_shift(g, rg))
+
+
+def _walked_grid(f, g):
+    """The grid, f's and g's ADF numerators as _pair_grid returns them, from
+    a full rotation walk of each sequence: entry (a, b) is l^2 plus twice
+    the dot product of the walks' vectors at rotations a and b."""
+    ell = len(f)
+    rows = [np.array([w.copy() for w in analysis._rotation_walk(s.terms, ell).vectors]).reshape(ell, ell - 1)
+            for s in (f, g)]
+    return ell * ell + 2 * rows[0] @ rows[1].T, *(2 * np.einsum("ij,ij->i", r, r) for r in rows)
+
+
+def _walked(f, g, pairs=((0, 1), (0, 0), (1, 1))):
+    """_lockstep_numerators at m = l from full rotation walks of f and g:
+    the numerators that the periodic engine must equal."""
+    saved = analysis._PERIODIC_MIN_ROTATIONS, analysis._reversal_centre
+    analysis._PERIODIC_MIN_ROTATIONS, analysis._reversal_centre = len(f) + 1, lambda a, b=None: None
+    try:
+        return analysis._lockstep_numerators(f.terms, g.terms, len(f), pairs)
+    finally:
+        analysis._PERIODIC_MIN_ROTATIONS, analysis._reversal_centre = saved
+
+
+def _quartic(p):
+    ctx = families.make_prime_field(p)
+    return families.quartic_f(ctx), families.quartic_g(ctx)
+
+
+def _reversing(n):
+    ctx = families.make_binary_field(n)
+    return families.msequence_pair(ctx, ctx.order - 1)
+
+
+class TestPeriodicEngine:
+    """The full-period engines, which read every rotation from periodic
+    correlations, against full rotation walks, value for value."""
+
+    @staticmethod
+    def check(f, g):
+        cross, adf_f, adf_g = _walked(f, g)
+        x, y = f.terms, g.terms
+        for got, expect in ((analysis._periodic_numerators(x, y), cross),
+                            (analysis._periodic_numerators(x, x), adf_f),
+                            (analysis._periodic_numerators(y, y), adf_g)):
+            assert got.dtype == np.int64 and np.array_equal(got, expect)
+        if len(f) <= BUDGETS["pair-grid length"].limit:
+            for got, expect in zip(analysis._pair_grid(x, y), _walked_grid(f, g)):
+                assert got.dtype == np.float64 and np.array_equal(got, expect)
+
+    def test_random_pairs_every_length_to_70(self):
+        rng = random.Random(90)
+        for ell in range(1, 71):
+            for _ in range(2):
+                self.check(random_sequence(rng, ell), random_sequence(rng, ell))
+
+    @pytest.mark.parametrize("p", [1019, 1021, 4099, 4129])  # 3 and 1 mod 4
+    def test_legendre(self, p):
+        f = legendre(p)
+        nums = adf_numerators_all_shifts(f.terms)
+        assert np.array_equal(nums, _walked(f, f, ((0, 0),))[0])
+        r = int(nums.argmin())
+        assert Fraction(int(nums[r]), p * p) == adf(cyclic_shift(f, r))
+
+    @pytest.mark.parametrize("p", [257, 389, 521, 1013])  # 1, 5, 1, 5 mod 8; grid, then diagonal
+    def test_quartic_pairs(self, p):
+        self.check(*_quartic(p))
+
+    @pytest.mark.parametrize("n", [7, 10])  # swap pairs, g[i] = f[-i]: grid, then diagonal
+    def test_reversing_mseq_pairs(self, n):
+        self.check(*_reversing(n))
+
+    def test_lengths_about_the_crossover_and_the_grid_budget(self):
+        rng = random.Random(91)
+        least, limit = analysis._PERIODIC_MIN_ROTATIONS, BUDGETS["pair-grid length"].limit
+        for ell in (least - 1, least, least + 1, 2 * least - 1, 2 * least, limit - 1, limit, limit + 1):
+            self.check(random_sequence(rng, ell), random_sequence(rng, ell))
+        for ell in (2 * least - 2, 2 * least):  # mirrored: l//2 + 1 rotations walked
+            f = _mirror_of(random_sequence(rng, ell).terms, 1, 3)
+            self.check(f, _mirror_of(random_sequence(rng, ell).terms, 1, 3))
+            self.check(f, _swap_of(f.terms, 4, -1))
+
+    def test_failed_rounding_check_falls_back_to_the_walk(self, monkeypatch, walk_counts):
+        """With every FFT output refused, the searches walk and return the
+        same arrays: at l = 1000 the engine's top Hankel level is an FFT
+        (and corr falls back to its direct path)."""
+        ell = 1000
+        rng = random.Random(92)
+        f, g = random_sequence(rng, ell), random_sequence(rng, ell)
+        pairs = ((0, 1), (0, 0), (1, 1))
+        expect = analysis._lockstep_numerators(f.terms, g.terms, ell, pairs)
+        expect_adf = adf_numerators_all_shifts(f.terms)
+        assert walk_counts == []
+        monkeypatch.setattr(corr, "_rounded", lambda x: None)
+        assert analysis._periodic_numerators(f.terms, g.terms) is None
+        got = analysis._lockstep_numerators(f.terms, g.terms, ell, pairs)
+        assert walk_counts == [[ell, ell], [ell, ell]]
+        walk_counts.clear()
+        got_adf = adf_numerators_all_shifts(f.terms)
+        assert walk_counts == [[ell, ell]]
+        for a, b in zip([*got, got_adf], [*expect, expect_adf]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_failed_wrap_check_falls_back_to_the_walk(self, monkeypatch, walk_counts):
+        """An error in one Hankel sum breaks sum_a (D(a+1) - D(a)) = 0,
+        rotation l being rotation 0, and the search walks instead."""
+        f = legendre(1031)
+        expect = adf_numerators_all_shifts(f.terms)
+        hankel = analysis._hankel_prefix_sums
+
+        def off_by_one(w, q):
+            s = hankel(w, q)
+            s[0, 500] += 1
+            return s
+
+        monkeypatch.setattr(analysis, "_hankel_prefix_sums", off_by_one)
+        assert analysis._periodic_numerators(f.terms, f.terms) is None
+        walk_counts.clear()
+        assert np.array_equal(adf_numerators_all_shifts(f.terms), expect)
+        assert walk_counts == [[1031, 1031]]
 
 
 class TestShiftSearch:
@@ -606,7 +733,7 @@ class TestShiftSearch:
         adf_f, adf_g = (adf_numerators_all_shifts(s.terms).astype(np.float64) for s in (f, g))
         if ell <= BUDGETS["pair-grid length"].limit:
             grid, grid_adf_f, grid_adf_g = analysis._pair_grid(f.terms, g.terms)
-            # the search's ADF numerators are the squared norms of the walks' vectors
+            # the search's ADF numerators are those of adf_numerators_all_shifts
             assert np.array_equal(grid_adf_f, adf_f) and np.array_equal(grid_adf_g, adf_g)
             expect = divmod(int(np.argmin(grid + np.sqrt(np.outer(adf_f, adf_g)))), ell)
         else:
@@ -623,36 +750,49 @@ class TestShiftSearch:
     def test_one_walk_per_sequence(self, walk_counts):
         walks = walk_counts
         rng = random.Random(79)
-        for ell in (64, 600):  # the grid, then the diagonal
+        # From _PERIODIC_MIN_ROTATIONS rotations on, full-period searches read
+        # every rotation from periodic correlations: the grid, its PSC's ADF
+        # numerators and the diagonal take no walk step.
+        least = analysis._PERIODIC_MIN_ROTATIONS
+        for ell in (least, 600):  # the grid, then the diagonal
             f, g = random_sequence(rng, ell), random_sequence(rng, ell)
             for objective in ("cdf", "psc"):
                 walks.clear()
                 best_pair_shifts(f, g, objective)
-                assert walks == [[ell, ell], [ell, ell]]
-        # Mirrored pairs walk the arc of l//2 + 1 rotations: the half-Legendre
-        # halves (p = 1 mod 4) and the reversing m-sequences on the lockstep
-        # pass are swaps, and a quartic pair with p = 1 mod 8 on the grid is
-        # two sequences that are their own reversals.  On the grid a swap
-        # walks f alone, in full.
+                assert walks == []
+        # Below it the PSC grid walks f and g once each for their ADFs.
+        ell = least - 1
+        f, g = random_sequence(rng, ell), random_sequence(rng, ell)
+        for objective, expect in (("cdf", []), ("psc", [[ell, ell], [ell, ell]])):
+            walks.clear()
+            best_pair_shifts(f, g, objective)
+            assert walks == expect
+        # Windows shorter than the period walk the arc of l//2 + 1 rotations
+        # when the pair mirrors: the half-Legendre halves (p = 1 mod 4) are a
+        # swap.  The reversing m-sequences and the quartic pairs search full
+        # periods.
         for construction, params, expect in (
             ("half_legendre", {"p": 29}, [[14, 15], [14, 15]]),
-            ("reversing_mseq", {"n": 10, "k": 3}, [[1023, 512], [1023, 512]]),
-            ("reversing_mseq", {"n": 7, "k": 1}, [[127, 127]]),
-            ("quartic_pair", {"p": 257}, [[257, 129], [257, 129]]),
+            ("half_legendre", {"p": 509}, [[254, 255], [254, 255]]),
+            ("half_legendre", {"p": 31}, [[15, 31], [15, 31]]),
+            ("reversing_mseq", {"n": 10, "k": 3}, []),
+            ("reversing_mseq", {"n": 7, "k": 1}, []),
+            ("quartic_pair", {"p": 257}, []),
         ):
             walks.clear()
             report_pairs(construction, **params)
             assert walks == expect, construction
         walks.clear()
         best_shift(random_sequence(rng, 600))
-        assert walks == [[600, 600]]
+        assert walks == []
         # p = 1 mod 4: the Legendre sequence is its own reversal, so half
-        # the rotations and the shift they mirror to give every numerator
-        for p, rotations in ((29, 15), (31, 31)):
-            for m in (p, p + 3):
+        # the rotations and the shift they mirror to give every numerator;
+        # resize= windows walk, and so do full periods of fewer rotations
+        for p, rotations in ((29, 15), (31, 31), (1033, 517), (1031, 1031)):
+            for m in (p, p + 3, round(1.0578 * p)):
                 walks.clear()
                 best_shift(legendre(p), resize_len=m)
-                assert walks == [[m, rotations]]
+                assert walks == ([] if m == p and rotations >= least else [[m, rotations]])
 
     def test_pair_search_validates(self):
         rng = random.Random(66)
