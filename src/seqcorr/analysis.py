@@ -37,9 +37,12 @@ d_a(s) = 2 x[a] (x[a-s] - x[a+s]), indices mod l, and for x = f, y = g
 the two h-term sums x[i-s] y[j-s] + x[i+s] y[j+s] and x[i-s] y[j+s] +
 x[i+s] y[j-s] fill whole periods of x[i+t] y[j+t] and x[i+t] y[j-t] but
 for t = 0, and for an even l t = l/2, where the two periods have the same
-terms, x[i] y[j] and x[i+l/2] y[j+l/2], which cancel.  _pair_grid fills
-the (l-1)^2 second differences of the grid from a circulant view of P
-minus a Hankel view of Q, its first row and column from w^f_0 . d^g_b and
+terms, x[i] y[j] and x[i+l/2] y[j+l/2], which cancel.  Every term below is
+a correlation or a convolution of the sequences or of vectors they yield,
+taken by _convolutions for every requested product at once: batched rfft
+and irfft of at least 2l - 1 terms, or direct convolutions while short.  _pair_grid fills the
+(l-1)^2 second differences of the grid from a circulant view of P minus a
+Hankel view of Q, its first row and column from w^f_0 . d^g_b and
 d^f_a . w^g_0, and sums its columns and rows in place: O(l^2), one l x l
 array, every partial sum an integer below l^3 <= 2^27 (pair-grid length).
 _periodic_numerators sums the diagonal D(a) = w^f_a . w^g_a over steps
@@ -48,9 +51,9 @@ sum_{j<a} d^f_a . d^g_j and sum_{i<a} d^f_i . d^g_a, each a causal
 convolution with P minus a truncated Hankel sum S(a) = sum_{j<a} y[j]
 Q(a+j) (_hankel_prefix_sums): O(l log^2 l), values below l^3/2 < 2^41
 (shift-search length).  It is exact or not used: every FFT output must lie
-within 0.25 of its integer (corr._rounded), and the steps must sum to 0
-over a period, since rotation l is rotation 0; else the search walks.  So
-does a full period of fewer than _PERIODIC_MIN_ROTATIONS walked rotations.
+within 0.25 of its integer (corr._rounded; a convolution that fails is
+taken directly instead), and the steps must sum to 0 over a period, since
+rotation l is rotation 0; else the search walks.
 
 The RNG is SplitMix64, fixed by its constants so that any implementation
 can reproduce the streams.  With G = 0x9E3779B97F4A7C15 and
@@ -332,23 +335,29 @@ def _lockstep_numerators(
     """For each (i, j) in pairs, where 0 stands for f and 1 for g,
     2 sum_{s=1}^{m-1} C^i_r(s) C^j_r(s) for every rotation r, as int64, C^f_r
     and C^g_r being the autocorrelations of window r of f and of g (see
-    _rotation_walk).  At m = l each comes from _periodic_numerators, unless
-    the walk would take fewer than _PERIODIC_MIN_ROTATIONS rotations.  Else
-    f and g are walked once each, in lockstep, one dot product per product
-    a step, over the arc of l//2 + 1 rotations when the pair mirrors; each
-    product is copied to its mirror, (0, 1) as itself, and under a swap
-    (0, 0) mirrors to (1, 1), so the partner of an ADF product is taken too.
+    _rotation_walk).  At m = l they come from _periodic_numerators, and
+    under a swap g's ADF numerators are f's, mirrored.  Else, or if the
+    periodic engine fails its checks, f and g are walked once each, in
+    lockstep, one dot product per product a step, over the arc of l//2 + 1
+    rotations when the pair mirrors; each product is copied to its mirror,
+    (0, 1) as itself, and under a swap (0, 0) mirrors to (1, 1), so the
+    partner of an ADF product is taken too.
     """
+    ell = len(af)
+    if m == ell:
+        c = _reversal_centre(af, ag) if (0, 0) in pairs and (1, 1) in pairs else None
+        asked = [pair for pair in pairs if c is None or pair != (1, 1)]
+        got = _periodic_numerators((af, ag), asked)
+        if got is not None:
+            out = dict(zip(asked, got))
+            if c is not None:  # N_g(r) = N_f(sigma - r), sigma = c + 1 at m = l
+                out[1, 1] = out[0, 0][(c + 1 - np.arange(ell)) % ell]
+            return [out[pair] for pair in pairs]
     c, swap = _reversal_centre(af), False
     if c is None or c != _reversal_centre(ag):
         c = _reversal_centre(af, ag)
         swap = c is not None
-    shifts, mirrors = _arc(c, m, len(af))
-    if m == len(af) and len(shifts) >= _PERIODIC_MIN_ROTATIONS:
-        arrays = af, ag
-        out = [_periodic_numerators(arrays[i], arrays[j]) for i, j in pairs]
-        if all(nums is not None for nums in out):
-            return out
+    shifts, mirrors = _arc(c, m, ell)
     partner = {(i, j): (1 - j, 1 - i) if swap else (i, j) for i, j in pairs}
     taken = list(dict.fromkeys([*pairs, *partner.values()]))
     start = int(shifts[0])
@@ -361,7 +370,7 @@ def _lockstep_numerators(
     walked = {pair: 2 * col.astype(np.int64) for col, pair in zip(cols, taken)}
     out = []
     for pair in pairs:
-        nums = np.empty(len(af), dtype=np.int64)
+        nums = np.empty(ell, dtype=np.int64)
         nums[mirrors] = walked[partner[pair]]
         nums[shifts] = walked[pair]
         out.append(nums)
@@ -372,11 +381,11 @@ def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarr
     """ADF numerator (sum of squared off-peak correlations) of
     resize(cyclic_shift(f, r), m) for every shift r, as int64; divide by m^2.
 
-    At m = l they come from _periodic_numerators, unless the walk would
-    take fewer than _PERIODIC_MIN_ROTATIONS rotations.  Else each is 2 w . w
-    over the rotation walk's vector, O(m) per shift, and when f is a
-    rotation of its own reversal, up to sign, only l//2 + 1 rotations are
-    walked and N(r) = N(sigma - r) gives the rest (see the module docstring).
+    At m = l they come from _periodic_numerators.  Else, or if that fails
+    its checks, each is 2 w . w over the rotation walk's vector, O(m) per
+    shift, and when f is a rotation of its own reversal, up to sign, only
+    l//2 + 1 rotations are walked and N(r) = N(sigma - r) gives the rest
+    (see the module docstring).
     """
     ell = len(arr)
     if m is None:
@@ -385,11 +394,11 @@ def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarr
         raise ValueError(f"resized length {m} must be >= 1")
     budget.check("shift-search length", ell)
     budget.check("shift-search window", m)
-    shifts, mirrors = _arc(_reversal_centre(arr), m, ell)
-    if m == ell and len(shifts) >= _PERIODIC_MIN_ROTATIONS:
-        nums = _periodic_numerators(arr, arr)
+    if m == ell:
+        nums = _periodic_numerators((arr,), ((0, 0),))
         if nums is not None:
-            return nums
+            return nums[0]
+    shifts, mirrors = _arc(_reversal_centre(arr), m, ell)
     # A single walk keeps its own loop: through _lockstep_numerators, whose
     # pair loop runs every step, this took 3-5% longer at l = 1000-2000.
     walk = _rotation_walk(arr, m, int(shifts[0]))
@@ -400,37 +409,115 @@ def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarr
     return nums
 
 
-def _periodic_parts(x: np.ndarray, y: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(n0, rf, rg, p, q), all int64 but n0, for x = f and y = g (y may be
-    x itself; see the module docstring): the numerator n0 at rotation 0,
-    rf[a] = d^f_a . w^g_0, rg[a] = w^f_0 . d^g_a, p = P and q = Q.  With
-    V(s) = C_0(s) - C_0(l-s), so that w_0 = V(1 .. h) and V(-s) = -V(s),
-    d^f_a . w^g_0 = 2 x[a] sum_{0<|s|<=h} x[a-s] V^g(s) = -2 x[a] PC_{x,V^g}(a).
+# _convolutions convolves directly while products x l is at most this, else
+# by batched FFTs.  Direct vs FFT on two cores: 2 products at l = 384 / 500,
+# 0.060 vs 0.069 / 0.086 vs 0.071 ms; 4 at l = 192 / 251, 0.068 vs 0.073 /
+# 0.098 vs 0.080 ms; 8 at l = 100 / 128, 0.047 vs 0.052 / 0.104 vs 0.086 ms.
+_CONVOLVE_DIRECT_WORK = 768
+
+
+def _convolutions(rows: np.ndarray, products: list[tuple[int, int]]) -> np.ndarray:
+    """Row t is the linear convolution rows[a] * rows[b], (a, b) =
+    products[t], of the float64 rows of length l, which hold integers: 2l - 1
+    terms, as int64.
+    Above _CONVOLVE_DIRECT_WORK, one batched rfft and one irfft at a power
+    of two of at least 2l - 1, so nothing wraps, each output within 0.25 of
+    its integer (corr._rounded); else, or if that check fails, np.convolve
+    on float64, which is exact since every partial sum is an integer below
+    2 l^2 <= 2^29 (shift-search length)."""
+    ell = rows.shape[1]
+    if len(products) * ell > _CONVOLVE_DIRECT_WORK:
+        from numpy import fft  # loaded on first use, as in corr
+
+        n = 1 << (2 * ell - 2).bit_length()
+        spectra = fft.rfft(rows, n)
+        prod = np.empty((len(products), spectra.shape[1]), dtype=spectra.dtype)
+        for t, (i, j) in enumerate(products):  # no temporary of every product
+            np.multiply(spectra[i], spectra[j], out=prod[t])
+        del spectra
+        circ = fft.irfft(prod, n)
+        del prod
+        out = corr._rounded(circ[:, : 2 * ell - 1])
+        if out is not None:
+            return out
+    return np.array([np.convolve(rows[i], rows[j]) for i, j in products]).astype(np.int64)
+
+
+class _Parts(NamedTuple):
+    """The periodic-correlation terms of one product (see _periodic_parts)."""
+
+    n0: int
+    rf: np.ndarray
+    rg: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    tf: np.ndarray | None
+    tg: np.ndarray | None
+
+
+def _periodic_parts(seqs, pairs, tails: bool = False) -> list[_Parts]:
+    """For each (i, j) in pairs, with x = seqs[i] and y = seqs[j] (see the
+    module docstring), all int64 but n0: the numerator n0 at rotation 0,
+    rf[a] = d^f_a . w^g_0, rg[a] = w^f_0 . d^g_a, p = P, q = Q and, given
+    tails, the P parts of the triangle sums, tf[a] = sum_{j<a} y[j] P(j-a)
+    and tg[a] = sum_{i<a} x[i] P(a-i).  With V(s) = C_0(s) - C_0(l-s), so
+    that w_0 = V(1 .. h) and V(-s) = -V(s), d^f_a . w^g_0 = 2 x[a]
+    sum_{0<|s|<=h} x[a-s] V^g(s) = -2 x[a] sum_t x[t+a] V^g(t).
+
+    Each term is a correlation or a convolution, so two rounds of
+    _convolutions give every pair's: the autocorrelations, P and Q of the
+    sequences, then the terms of the V and P that the first round yields.
+    The correlation sum_t a[t+d] b[t] is a * (b reversed) at l - 1 + d.
     """
-    ell, same = len(x), y is x
-    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
-    cx = corr._corr(x, x)[ell - 1 :]
-    cy = cx if same else corr._corr(y, y)[ell - 1 :]
-    vx, vy = (np.concatenate(([0], c[1:] - c[:0:-1])) for c in (cx, cy))
-    n0 = 2 * int(cx[1:] @ cy[1:])
-    if same:
-        p = cx.copy()
-        p[1:] += cx[:0:-1]
-    else:
-        p = corr._periodic_corr(y, x)
-    q = corr._periodic_corr(y, np.concatenate((x[:1], x[:0:-1])))  # x[-t]
-    rf = -2 * x * corr._periodic_corr(x, vy)
-    rg = rf if same else -2 * y * corr._periodic_corr(y, vx)
-    return n0, rf, rg, p, q
+    x = np.asarray(seqs, dtype=np.int64)
+    k, ell = x.shape
 
+    def periodic(row):  # sum_t a[(t+d) mod l] b[t], from a * (b reversed)
+        pc = row[ell - 1 :].copy()
+        pc[1:] += row[: ell - 1]
+        return pc
 
-# A full period is walked below this many walked rotations (l, or l//2 + 1
-# when mirrored).  ADF numerators of every rotation on two cores, medians of
-# 301 calls alternating, walk vs periodic engine: random l = 48 / 56, 0.27
-# vs 0.26 / 0.30 vs 0.27 ms; Legendre p = 109 / 137 (55 / 69 rotations
-# walked), 0.36 vs 0.38 / 0.42 vs 0.42 ms.  At p = 251 (small_batch) the
-# engine takes half the walk's time.
-_PERIODIC_MIN_ROTATIONS = 56
+    def cyclic(row):  # sum_t a[t] b[(e-t) mod l], from a * b
+        c = row[:ell].copy()
+        c[:-1] += row[ell:]
+        return c
+
+    # row k + i is x[i] reversed: C_i from (i, k+i), P from (j, k+i), Q from (i, j)
+    first = list(dict.fromkeys([*((i, k + i) for i in range(k)), *((j, k + i) for i, j in pairs), *pairs]))
+    # float64 rows: a stack of int64 rows transforms at half the speed
+    got = dict(zip(first, _convolutions(np.concatenate((x, x[:, ::-1]), dtype=np.float64), first)))
+    autos = [got[i, k + i][ell - 1 :].copy() for i in range(k)]  # C(0 .. l-1)
+    ps = [periodic(got[j, k + i]) for i, j in pairs]
+    qs = [cyclic(got[pair]) for pair in pairs]
+    del got
+    # row k + i is V_i reversed; tails add the rows [0, P(-1), P(-2), ..]
+    # for tf, over y, and [0, P(1), P(2), ..] for tg, over x
+    second = [prod for i, j in pairs for prod in ((i, k + j), (j, k + i))]
+    tail_prods, tail_ps = [], []
+    for (i, j), p in zip(pairs, ps if tails else ()):
+        tf = (j, 2 * k + len(tail_ps))
+        tail_ps.append(p[:0:-1])
+        tg = tf  # when y is x, as P(-d) = P(d)
+        if i != j:
+            tg = (i, 2 * k + len(tail_ps))
+            tail_ps.append(p[1:])
+        tail_prods.append((tf, tg))
+        second += [tf, tg]
+    rows = np.zeros((2 * k + len(tail_ps), ell))
+    rows[:k] = x
+    for i, c in enumerate(autos):  # V(l-1), .., V(1), 0
+        rows[k + i, :-1] = c[:0:-1] - c[1:]
+    for row, tail in zip(rows[2 * k :], tail_ps):
+        row[1:] = tail
+    second = list(dict.fromkeys(second))
+    got = dict(zip(second, _convolutions(rows, second)))
+    parts = []
+    for t, ((i, j), p, q) in enumerate(zip(pairs, ps, qs)):
+        rf, rg = (-2 * x[a] * periodic(got[a, k + b]) for a, b in ((i, j), (j, i)))
+        tf, tg = (got[prod][:ell] for prod in tail_prods[t]) if tails else (None, None)
+        parts.append(_Parts(2 * int(autos[i][1:] @ autos[j][1:]), rf, rg, p, q, tf, tg))
+    return parts
+
 
 # A level of _hankel_prefix_sums is one float64 einsum when its half-blocks
 # h are at most the first of these or its products at most the second, else
@@ -442,9 +529,9 @@ _HANKEL_DIRECT_HALF, _HANKEL_DIRECT_WORK = 64, 1 << 17
 
 
 def _hankel_prefix_sums(w: np.ndarray, q: np.ndarray) -> np.ndarray | None:
-    """S[k, a] = sum_{j<a} w[k, j] q[(a + j) mod l] for each row k of the
-    int64 array w (k x l) and a = 0 .. l-1, int64; None if an FFT output
-    fails corr._rounded.
+    """S[k, a] = sum_{j<a} w[k, j] q[k, (a + j) mod l] for each row k of
+    the int64 arrays w and q (k x l) and a = 0 .. l-1, int64; None if an
+    FFT output fails corr._rounded.
 
     The length is padded to a power of two n.  Each (j, a), j < a, lies in
     one 2h-block with j in its lower half and a in its upper half, for one
@@ -459,10 +546,10 @@ def _hankel_prefix_sums(w: np.ndarray, q: np.ndarray) -> np.ndarray | None:
     n = 1 << (ell - 1).bit_length()
     wp = np.zeros((rows, n))
     wp[:, :ell] = w
-    qe = q[np.arange(3 * n) % ell].astype(np.float64)
-    # hankel[i, v] = qe[i + v]; its rows from h on, taken 4h at a time, are
-    # the blocks' windows
-    hankel = as_strided(qe, (5 * n // 2, n // 2), (qe.itemsize,) * 2, writeable=False)
+    qe = np.ascontiguousarray(q[:, np.arange(3 * n) % ell], dtype=np.float64)
+    # hankel[k, i, v] = qe[k, i + v]; its rows from h on, taken 4h at a time,
+    # are the blocks' windows
+    hankel = as_strided(qe, (rows, 5 * n // 2, n // 2), (qe.strides[0], qe.itemsize, qe.itemsize), writeable=False)
     out = np.zeros((rows, n))  # exact: every sum is an integer below l^2
     h = 1
     while h < n:
@@ -472,11 +559,15 @@ def _hankel_prefix_sums(w: np.ndarray, q: np.ndarray) -> np.ndarray | None:
         upper = out.reshape(rows, -1, 2 * h)[:, :blocks, h : h + span]
         rows_q = slice(h, h + 4 * h * blocks)
         if h <= _HANKEL_DIRECT_HALF or blocks * span * h <= _HANKEL_DIRECT_WORK:
-            upper += np.einsum("buv,kbv->kbu", hankel[rows_q].reshape(blocks, 4 * h, -1)[:, :span, :h], lower)
+            windows = hankel[:, rows_q].reshape(rows, blocks, 4 * h, -1)[:, :, :span, :h]
+            upper += np.einsum("kbuv,kbv->kbu", windows, lower)
         else:
-            prod = fft.rfft(lower, 2 * h).conj()
-            prod *= fft.rfft(qe[rows_q].reshape(blocks, 4 * h)[:, : 2 * h])
-            sums = corr._rounded(fft.irfft(prod, 2 * h)[..., :span])
+            prod = fft.rfft(lower, 2 * h)
+            np.conjugate(prod, out=prod)
+            prod *= fft.rfft(qe[:, rows_q].reshape(rows, blocks, 4 * h)[..., : 2 * h])
+            circ = fft.irfft(prod, 2 * h)
+            del prod
+            sums = corr._rounded(circ[..., :span])
             if sums is None:
                 return None
             upper += sums
@@ -484,61 +575,63 @@ def _hankel_prefix_sums(w: np.ndarray, q: np.ndarray) -> np.ndarray | None:
     return out[:, :ell].astype(np.int64)
 
 
-def _periodic_numerators(af: np.ndarray, ag: np.ndarray) -> np.ndarray | None:
-    """The numerators of _lockstep_numerators at m = l, for every rotation
-    a of f and g (ag being af for an ADF), from periodic correlations in
-    O(l log^2 l) (see the module docstring); None unless they pass both
-    exactness checks.
+def _periodic_numerators(seqs, pairs) -> list[np.ndarray] | None:
+    """The numerators of _lockstep_numerators at m = l, for each (i, j) in
+    pairs and every rotation a of seqs[i] and seqs[j], from periodic
+    correlations in O(l log^2 l) (see the module docstring); None unless
+    they pass both exactness checks.
     """
-    ell, same = len(af), ag is af
-    n0, rf, rg, p, q = _periodic_parts(af, ag)
-    x, y = np.asarray(af, dtype=np.int64), np.asarray(ag, dtype=np.int64)
-    s = _hankel_prefix_sums(x[None] if same else np.stack((y, x)), q)
+    parts = _periodic_parts(seqs, pairs, tails=True)
+    x = np.asarray(seqs, dtype=np.int64)
+    ell = x.shape[1]
+    # the Hankel sums of each pair, over y and, unless y is x, over x
+    over = [(a, part.q) for (i, j), part in zip(pairs, parts) for a in dict.fromkeys((j, i))]
+    s = _hankel_prefix_sums(x[[a for a, _ in over]], np.array([q for _, q in over]))
     if s is None:
         return None
-    zero = np.zeros(1, dtype=np.int64)
-    # t_f[a] = sum_{j<a} d^f_a . d^g_j = 4 x[a] sum_{j<a} y[j] (P(j-a) - Q(a+j)),
-    # t_g[a] = sum_{i<a} d^f_i . d^g_a likewise; P(j-a) is a causal convolution
-    t_f = 4 * x * (corr._corr(y, np.concatenate((p[1:], zero)))[:ell] - s[0])
-    t_g = t_f if same else 4 * y * (corr._corr(x, np.concatenate((p[:0:-1], zero)))[:ell] - s[1])
-    steps = rf + rg + t_f + t_g + 4 * x * y * (p[0] - q[2 * np.arange(ell) % ell])
-    if steps.sum() != 0:  # rotation l is rotation 0
-        return None
-    nums = np.empty(ell, dtype=np.int64)
-    nums[0] = n0
-    np.cumsum(steps[:-1], out=nums[1:])
-    nums[1:] += n0
-    return nums
+    sums = iter(s)
+    out = []
+    for (i, j), part in zip(pairs, parts):
+        # t_f[a] = sum_{j<a} d^f_a . d^g_j = 4 x[a] sum_{j<a} y[j] (P(j-a) - Q(a+j)),
+        # t_g[a] = sum_{i<a} d^f_i . d^g_a likewise
+        t_f = 4 * x[i] * (part.tf - next(sums))
+        t_g = t_f if i == j else 4 * x[j] * (part.tg - next(sums))
+        steps = part.rf + part.rg + t_f + t_g + 4 * x[i] * x[j] * (part.p[0] - part.q[2 * np.arange(ell) % ell])
+        if steps.sum() != 0:  # rotation l is rotation 0
+            return None
+        nums = np.empty(ell, dtype=np.int64)
+        nums[0] = part.n0
+        np.cumsum(steps[:-1], out=nums[1:])
+        nums[1:] += part.n0
+        out.append(nums)
+    return out
 
 
-def _pair_grid(af: np.ndarray, ag: np.ndarray, adfs: bool = True) -> tuple[np.ndarray, ...]:
+def _pair_grid(af: np.ndarray, ag: np.ndarray) -> np.ndarray:
     """CDF numerators of (cyclic_shift(f, rf), cyclic_shift(g, rg)) over
-    the full (rf, rg) grid and, unless adfs is false, ADF numerators of
-    every rotation of f and of g, all float64; divide by l^2.  Entry (a, b)
-    is l^2 + 2 sum_s C^f_a(s) C^g_b(s), summed in place from its second
+    the full (rf, rg) grid, float64; divide by l^2.  Entry (a, b) is
+    l^2 + 2 sum_s C^f_a(s) C^g_b(s), summed in place from its second
     differences d^f_a . d^g_b (see the module docstring).
     """
     ell = len(af)
     if len(ag) != ell:
         raise ValueError("pair shift grid requires equal lengths")
     budget.check("pair-grid length", ell)
-    n0, rf, rg, p, q = _periodic_parts(af, ag)
+    (part,) = _periodic_parts((af, ag), ((0, 1),))
     grid = np.empty((ell, ell))
     inner = grid[1:, 1:]
-    pp, qq = (np.concatenate((v, v)).astype(np.float64) for v in (p, q))
+    pp, qq = (np.concatenate((v, v)).astype(np.float64) for v in (part.p, part.q))
     # row i of the first view is P(j - i), of the second Q(i + j), j < l-1
     circulant = as_strided(pp[ell:], (ell - 1, ell - 1), (-pp.itemsize, pp.itemsize), writeable=False)
     hankel = as_strided(qq, (ell - 1, ell - 1), (qq.itemsize,) * 2, writeable=False)
     np.subtract(circulant, hankel, out=inner)
     inner *= 4.0 * af[:-1, None]
     inner *= ag[:-1]
-    grid[0, 0] = ell * ell + n0
-    grid[1:, 0], grid[0, 1:] = rf[:-1], rg[:-1]
+    grid[0, 0] = ell * ell + part.n0
+    grid[1:, 0], grid[0, 1:] = part.rf[:-1], part.rg[:-1]
     np.cumsum(grid, axis=0, out=grid)
     np.cumsum(grid, axis=1, out=grid)
-    if not adfs:
-        return (grid,)
-    return grid, *(adf_numerators_all_shifts(a).astype(np.float64) for a in (af, ag))
+    return grid
 
 
 def _first_minimum(cdf: np.ndarray, adf_f: np.ndarray | None = None, adf_g: np.ndarray | None = None) -> int:
@@ -585,10 +678,11 @@ def best_pair_shifts(f: BinarySequence, g: BinarySequence, objective: str = "cdf
     ell = len(f)
     af, ag = f.terms, g.terms
     if ell <= budget.BUDGETS["pair-grid length"].limit:
-        cdf, *adfs = _pair_grid(af, ag, objective == "psc")
-        if adfs:
-            adfs[0] = adfs[0][:, None]
-        return divmod(_first_minimum(cdf, *adfs), ell)
+        cdf = _pair_grid(af, ag)
+        if objective == "cdf":
+            return divmod(_first_minimum(cdf), ell)
+        adf_f, adf_g = _lockstep_numerators(af, ag, ell, ((0, 0), (1, 1)))
+        return divmod(_first_minimum(cdf, adf_f[:, None], adf_g), ell)
     budget.check("shift-search length", ell)
     pairs = ((0, 1), (0, 0), (1, 1)) if objective == "psc" else ((0, 1),)
     cross, *adfs = _lockstep_numerators(af, ag, ell, pairs)

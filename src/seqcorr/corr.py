@@ -8,15 +8,15 @@ satisfies PC(s) = C(s) + C(s - l) for equal lengths l.
 All values are integers; demerit factors are Fractions, and a DemeritReport
 stores the three of a pair and derives PSC from them.  The private kernel
 _corr computes the correlations of spectra, demerit factors, Golay checks,
-the Monte Carlo baseline and the shift searches; only the shift-search
-engines of analysis and golay._tail_keys also sum correlations themselves.
-While the shorter input is below the crossover _FFT_MIN_LEN = 512 the
-kernel is numpy's direct correlation, O(l^2), on float64 copies of the
-terms, since numpy runs it on SIMD dot products for float64 and as a plain
-loop for int64.  It is exact: every partial sum is an integer of absolute
-value at most l <= 2^20 for +-1 terms under the exact-length budget, and
-at most l^2 <= 2^28 for the integer vectors (|values| <= l against +-1
-terms) of the shift searches, far below 2^53.  Above the crossover, the
+the Monte Carlo baseline and the first rotation of a shift search's walk;
+only the shift-search engines of analysis, which batch their own
+transforms and check them with _rounded, and golay._tail_keys also sum
+correlations themselves.  While the shorter input is below the crossover
+_FFT_MIN_LEN = 512 the kernel is numpy's direct correlation, O(l^2), on
+float64 copies of the +-1 terms, since numpy runs it on SIMD dot products
+for float64 and as a plain loop for int64.  It is exact: every partial sum
+is an integer of absolute value at most l <= 2^20 under the exact-length
+budget, far below 2^53.  Above the crossover, the
 spectrum is irfft(rfft(a) * conj(rfft(b))) over a power-of-two length,
 O(l log l), one transform fewer for autocorrelations, rounded to int64.
 Two equal-shape stacks of rows are correlated row by row and always take
@@ -90,24 +90,16 @@ def _fft_corr(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 
 
 def _rounded(x: np.ndarray) -> np.ndarray | None:
-    """x rounded to int64, or None unless every value lies within 0.25 of
-    its integer.  Overwrites x."""
+    """x (float64) rounded to int64, or None unless every value lies within
+    0.25 of its integer.  Overwrites x, whose memory the result takes."""
     c = np.rint(x)
     x -= c
     np.abs(x, out=x)
     if not x.max() < 0.25:  # fails on NaN too
         return None
-    return c.astype(np.int64)
-
-
-def _periodic_corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """PC_{a,b}(d) = sum_t a[(t+d) mod l] b[t], d = 0 .. l-1, as int64."""
-    ell = len(a)
-    # c[k] = C(k - (l-1)): PC(d) = C(d) + C(d - l) is c[l-1+d] + c[d-1]
-    c = _corr(a, b)
-    pc = c[ell - 1 :]
-    pc[1:] += c[: ell - 1]
-    return pc
+    out = x.view(np.int64)
+    np.copyto(out, c, casting="unsafe")
+    return out
 
 
 def xcorr_values(f: BinarySequence, g: BinarySequence) -> list[int]:
@@ -130,7 +122,12 @@ def aperiodic_xcorr(f: BinarySequence, g: BinarySequence) -> CorrelationSpectrum
 def periodic_xcorr(f: BinarySequence, g: BinarySequence) -> CorrelationSpectrum:
     if len(f) != len(g):
         raise ValueError("periodic crosscorrelation requires equal lengths")
-    return CorrelationSpectrum(dict(enumerate(_periodic_corr(f.terms, g.terms).tolist())))
+    ell = len(f)
+    # c[k] = C(k - (ell-1)): PC(s) = C(s) + C(s - ell) is c[ell-1+s] + c[s-1]
+    c = _corr(f.terms, g.terms)
+    pc = c[ell - 1 :]
+    pc[1:] += c[: ell - 1]
+    return CorrelationSpectrum(dict(zip(range(ell), pc.tolist())))
 
 
 def _adf_of(c: np.ndarray, ell: int) -> Fraction:

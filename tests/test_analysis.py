@@ -201,7 +201,7 @@ class TestEngines:
             ell = rng.randrange(2, 11)
             f = random_sequence(rng, ell)
             g = random_sequence(rng, ell)
-            grid = analysis._pair_grid(f.terms, g.terms)[0]
+            grid = analysis._pair_grid(f.terms, g.terms)
             for rf in range(ell):
                 for rg in range(ell):
                     expect = oracle_cdf(cyclic_shift(f, rf), cyclic_shift(g, rg))
@@ -213,7 +213,7 @@ class TestEngines:
             ell = rng.randrange(2, 14)
             f = random_sequence(rng, ell)
             g = random_sequence(rng, ell)
-            grid = analysis._pair_grid(f.terms, g.terms)[0]
+            grid = analysis._pair_grid(f.terms, g.terms)
             diag = diagonal_of(f.terms, g.terms)
             assert np.array_equal(np.diag(grid), diag)
 
@@ -272,8 +272,8 @@ class TestEngines:
         for out in (adf_numerators_all_shifts(f, 12), *analysis._lockstep_numerators(f, g, 9, pairs)):
             assert out.dtype == np.int64
         # the pair grid stays float64, every entry an exact integer
-        for out in analysis._pair_grid(f, g):
-            assert out.dtype == np.float64 and np.array_equal(out, out.astype(np.int64))
+        grid = analysis._pair_grid(f, g)
+        assert grid.dtype == np.float64 and np.array_equal(grid, grid.astype(np.int64))
 
     @pytest.mark.parametrize(
         "search, words",
@@ -315,10 +315,9 @@ def _pm1(min_size, max_size):
     )
 
 
-# Full-period (m = l) examples: l = 1 .. 4, which are walked, then an odd and
-# an even l above the FFT crossover, which the periodic engine reads (for an
-# even l its two middle terms cancel), and the largest odd and even
-# pair-grid l.
+# Full-period (m = l) examples, which the periodic engine reads: l = 1 .. 4,
+# then an odd and an even l above the FFT crossover (for an even l its two
+# middle terms cancel), and the largest odd and even pair-grid l.
 _ODD, _ODD_G, _EVEN, _EVEN_G = (
     random_sequence(random.Random(71 + i), corr._FFT_MIN_LEN + 89 - i // 2) for i in range(4)
 )
@@ -412,7 +411,9 @@ class TestEngineProperties:
     def test_grid(self, fg):
         f, g = fg
         ell = len(f)
-        grid, adf_f, adf_g = analysis._pair_grid(f.terms, g.terms)
+        grid = analysis._pair_grid(f.terms, g.terms)
+        # the ADF numerators that the PSC grid takes
+        adf_f, adf_g = analysis._lockstep_numerators(f.terms, g.terms, ell, ((0, 0), (1, 1)))
         assert grid.shape == (ell, ell) and adf_f.shape == adf_g.shape == (ell,)
         shifts = _shifts(ell)
         cells = [(rf, rg) for rf in shifts for rg in shifts] if ell <= 24 else zip(shifts, reversed(shifts))
@@ -474,7 +475,8 @@ class TestPairMirror:
     def check_grid(f, g):
         ell = len(f)
         cdf, adf_f, adf_g = oracle_shift_numerators(f, g, [(rf, rg) for rf in range(ell) for rg in range(ell)])
-        grid, grid_adf_f, grid_adf_g = analysis._pair_grid(f.terms, g.terms)
+        grid = analysis._pair_grid(f.terms, g.terms)
+        grid_adf_f, grid_adf_g = analysis._lockstep_numerators(f.terms, g.terms, ell, ((0, 0), (1, 1)))
         assert grid.ravel().tolist() == cdf
         assert grid_adf_f.tolist() == adf_f[::ell] and grid_adf_g.tolist() == adf_g[:ell]
         assert best_pair_shifts(f, g, "cdf") == divmod(oracle_first_minimum(cdf), ell)
@@ -505,10 +507,13 @@ class TestPairMirror:
             "one term off a swap": (h, _flip(_swap_of(h.terms, 6, -1), 2)),
         }
         for name, (f, g) in cases.items():
-            for m in (ell, ell - 4, ell + 3):
+            for m in (ell - 4, ell + 3):
                 walk_counts.clear()
                 self.check_lockstep(f, g, m)
-                assert all(taken == [m, ell] for taken in walk_counts), name
+                assert walk_counts and all(taken == [m, ell] for taken in walk_counts), name
+            walk_counts.clear()
+            self.check_lockstep(f, g, ell)  # a full period is not walked
+            assert walk_counts == [], name
             self.check_grid(f, g)
 
     @pytest.mark.parametrize("ell", [512, 513])  # the largest grid, then the diagonal
@@ -519,7 +524,8 @@ class TestPairMirror:
         def search(f, g):
             """The engine's arrays, then the answers of both objectives."""
             if grid:
-                arrays = analysis._pair_grid(f.terms, g.terms)
+                adfs = analysis._lockstep_numerators(f.terms, g.terms, ell, ((0, 0), (1, 1)))
+                arrays = analysis._pair_grid(f.terms, g.terms), *adfs
             else:
                 arrays = analysis._lockstep_numerators(f.terms, g.terms, ell, pairs3)
             return arrays, [best_pair_shifts(f, g, objective) for objective in ("cdf", "psc")]
@@ -537,10 +543,10 @@ class TestPairMirror:
             assert walk_counts == [], name
             with monkeypatch.context() as mp:
                 mp.setattr(analysis, "_reversal_centre", lambda a, b=None: None)
-                mp.setattr(analysis, "_PERIODIC_MIN_ROTATIONS", ell + 1)
+                mp.setattr(analysis, "_periodic_numerators", lambda seqs, pairs: None)
                 walk_counts.clear()
                 if grid:
-                    full_arrays = _walked_grid(f, g)
+                    full_arrays = _walked_grid(f, g), *_walked(f, g, ((0, 0), (1, 1)))
                     cdf, adf_f, adf_g = full_arrays
                     full_answers = [divmod(analysis._first_minimum(cdf, *adfs), ell)
                                     for adfs in ((), (adf_f[:, None], adf_g))]
@@ -557,24 +563,24 @@ class TestPairMirror:
 
 
 def _walked_grid(f, g):
-    """The grid, f's and g's ADF numerators as _pair_grid returns them, from
-    a full rotation walk of each sequence: entry (a, b) is l^2 plus twice
-    the dot product of the walks' vectors at rotations a and b."""
+    """The grid as _pair_grid returns it, from a full rotation walk of each
+    sequence: entry (a, b) is l^2 plus twice the dot product of the walks'
+    vectors at rotations a and b."""
     ell = len(f)
     rows = [np.array([w.copy() for w in analysis._rotation_walk(s.terms, ell).vectors]).reshape(ell, ell - 1)
             for s in (f, g)]
-    return ell * ell + 2 * rows[0] @ rows[1].T, *(2 * np.einsum("ij,ij->i", r, r) for r in rows)
+    return ell * ell + 2 * rows[0] @ rows[1].T
 
 
 def _walked(f, g, pairs=((0, 1), (0, 0), (1, 1))):
     """_lockstep_numerators at m = l from full rotation walks of f and g:
     the numerators that the periodic engine must equal."""
-    saved = analysis._PERIODIC_MIN_ROTATIONS, analysis._reversal_centre
-    analysis._PERIODIC_MIN_ROTATIONS, analysis._reversal_centre = len(f) + 1, lambda a, b=None: None
+    saved = analysis._periodic_numerators, analysis._reversal_centre
+    analysis._periodic_numerators, analysis._reversal_centre = lambda seqs, pairs: None, lambda a, b=None: None
     try:
         return analysis._lockstep_numerators(f.terms, g.terms, len(f), pairs)
     finally:
-        analysis._PERIODIC_MIN_ROTATIONS, analysis._reversal_centre = saved
+        analysis._periodic_numerators, analysis._reversal_centre = saved
 
 
 def _quartic(p):
@@ -593,15 +599,18 @@ class TestPeriodicEngine:
 
     @staticmethod
     def check(f, g):
-        cross, adf_f, adf_g = _walked(f, g)
+        """Every product alone, all three at once, the lockstep pass (which
+        mirrors g's ADF numerators from f's under a swap) and the grid."""
+        ell, pairs = len(f), ((0, 1), (0, 0), (1, 1))
+        walked = _walked(f, g)
         x, y = f.terms, g.terms
-        for got, expect in ((analysis._periodic_numerators(x, y), cross),
-                            (analysis._periodic_numerators(x, x), adf_f),
-                            (analysis._periodic_numerators(y, y), adf_g)):
-            assert got.dtype == np.int64 and np.array_equal(got, expect)
-        if len(f) <= BUDGETS["pair-grid length"].limit:
-            for got, expect in zip(analysis._pair_grid(x, y), _walked_grid(f, g)):
-                assert got.dtype == np.float64 and np.array_equal(got, expect)
+        alone = [analysis._periodic_numerators((x, y), (pair,))[0] for pair in pairs]
+        for got in (alone, analysis._periodic_numerators((x, y), pairs), analysis._lockstep_numerators(x, y, ell, pairs)):
+            for nums, expect in zip(got, walked):
+                assert nums.dtype == np.int64 and np.array_equal(nums, expect)
+        if ell <= BUDGETS["pair-grid length"].limit:
+            grid = analysis._pair_grid(x, y)
+            assert grid.dtype == np.float64 and np.array_equal(grid, _walked_grid(f, g))
 
     def test_random_pairs_every_length_to_70(self):
         rng = random.Random(90)
@@ -625,15 +634,18 @@ class TestPeriodicEngine:
     def test_reversing_mseq_pairs(self, n):
         self.check(*_reversing(n))
 
-    def test_lengths_about_the_crossover_and_the_grid_budget(self):
+    def test_lengths_about_the_grid_budget_and_mirrored_pairs(self):
         rng = random.Random(91)
-        least, limit = analysis._PERIODIC_MIN_ROTATIONS, BUDGETS["pair-grid length"].limit
-        for ell in (least - 1, least, least + 1, 2 * least - 1, 2 * least, limit - 1, limit, limit + 1):
+        limit = BUDGETS["pair-grid length"].limit
+        for ell in (limit - 1, limit, limit + 1):
             self.check(random_sequence(rng, ell), random_sequence(rng, ell))
-        for ell in (2 * least - 2, 2 * least):  # mirrored: l//2 + 1 rotations walked
+        # own reversals about one centre, swaps (g's ADFs mirrored from f's),
+        # and a mirrored f with a g that is not
+        for ell in (2, 3, 111, 112, limit + 1):
             f = _mirror_of(random_sequence(rng, ell).terms, 1, 3)
             self.check(f, _mirror_of(random_sequence(rng, ell).terms, 1, 3))
             self.check(f, _swap_of(f.terms, 4, -1))
+            self.check(f, random_sequence(rng, ell))
 
     def test_failed_rounding_check_falls_back_to_the_walk(self, monkeypatch, walk_counts):
         """With every FFT output refused, the searches walk and return the
@@ -645,9 +657,13 @@ class TestPeriodicEngine:
         pairs = ((0, 1), (0, 0), (1, 1))
         expect = analysis._lockstep_numerators(f.terms, g.terms, ell, pairs)
         expect_adf = adf_numerators_all_shifts(f.terms)
+        small = f.terms[:300], g.terms[:300]
+        expect_grid = analysis._pair_grid(*small)
         assert walk_counts == []
         monkeypatch.setattr(corr, "_rounded", lambda x: None)
-        assert analysis._periodic_numerators(f.terms, g.terms) is None
+        # the grid's correlations are taken directly instead
+        assert np.array_equal(analysis._pair_grid(*small), expect_grid)
+        assert analysis._periodic_numerators((f.terms, g.terms), pairs) is None
         got = analysis._lockstep_numerators(f.terms, g.terms, ell, pairs)
         assert walk_counts == [[ell, ell], [ell, ell]]
         walk_counts.clear()
@@ -669,7 +685,7 @@ class TestPeriodicEngine:
             return s
 
         monkeypatch.setattr(analysis, "_hankel_prefix_sums", off_by_one)
-        assert analysis._periodic_numerators(f.terms, f.terms) is None
+        assert analysis._periodic_numerators((f.terms,), ((0, 0),)) is None
         walk_counts.clear()
         assert np.array_equal(adf_numerators_all_shifts(f.terms), expect)
         assert walk_counts == [[1031, 1031]]
@@ -732,9 +748,10 @@ class TestShiftSearch:
         f, g = random_sequence(rng, ell), random_sequence(rng, ell)
         adf_f, adf_g = (adf_numerators_all_shifts(s.terms).astype(np.float64) for s in (f, g))
         if ell <= BUDGETS["pair-grid length"].limit:
-            grid, grid_adf_f, grid_adf_g = analysis._pair_grid(f.terms, g.terms)
+            grid = analysis._pair_grid(f.terms, g.terms)
             # the search's ADF numerators are those of adf_numerators_all_shifts
-            assert np.array_equal(grid_adf_f, adf_f) and np.array_equal(grid_adf_g, adf_g)
+            search_adfs = analysis._lockstep_numerators(f.terms, g.terms, ell, ((0, 0), (1, 1)))
+            assert all(np.array_equal(a, b) for a, b in zip(search_adfs, (adf_f, adf_g)))
             expect = divmod(int(np.argmin(grid + np.sqrt(np.outer(adf_f, adf_g)))), ell)
         else:
             r = int(np.argmin(diagonal_of(f.terms, g.terms) + np.sqrt(adf_f * adf_g)))
@@ -750,23 +767,15 @@ class TestShiftSearch:
     def test_one_walk_per_sequence(self, walk_counts):
         walks = walk_counts
         rng = random.Random(79)
-        # From _PERIODIC_MIN_ROTATIONS rotations on, full-period searches read
-        # every rotation from periodic correlations: the grid, its PSC's ADF
-        # numerators and the diagonal take no walk step.
-        least = analysis._PERIODIC_MIN_ROTATIONS
-        for ell in (least, 600):  # the grid, then the diagonal
+        # Full-period searches read every rotation from periodic
+        # correlations: the grid, its PSC's ADF numerators and the diagonal
+        # take no walk step, at every length.
+        for ell in (2, 20, 600):  # the grid, then the diagonal
             f, g = random_sequence(rng, ell), random_sequence(rng, ell)
             for objective in ("cdf", "psc"):
                 walks.clear()
                 best_pair_shifts(f, g, objective)
                 assert walks == []
-        # Below it the PSC grid walks f and g once each for their ADFs.
-        ell = least - 1
-        f, g = random_sequence(rng, ell), random_sequence(rng, ell)
-        for objective, expect in (("cdf", []), ("psc", [[ell, ell], [ell, ell]])):
-            walks.clear()
-            best_pair_shifts(f, g, objective)
-            assert walks == expect
         # Windows shorter than the period walk the arc of l//2 + 1 rotations
         # when the pair mirrors: the half-Legendre halves (p = 1 mod 4) are a
         # swap.  The reversing m-sequences and the quartic pairs search full
@@ -787,12 +796,12 @@ class TestShiftSearch:
         assert walks == []
         # p = 1 mod 4: the Legendre sequence is its own reversal, so half
         # the rotations and the shift they mirror to give every numerator;
-        # resize= windows walk, and so do full periods of fewer rotations
+        # resize= windows walk, full periods do not
         for p, rotations in ((29, 15), (31, 31), (1033, 517), (1031, 1031)):
             for m in (p, p + 3, round(1.0578 * p)):
                 walks.clear()
                 best_shift(legendre(p), resize_len=m)
-                assert walks == ([] if m == p and rotations >= least else [[m, rotations]])
+                assert walks == ([] if m == p else [[m, rotations]])
 
     def test_pair_search_validates(self):
         rng = random.Random(66)

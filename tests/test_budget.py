@@ -115,7 +115,7 @@ class TestEntryPointBoundaries:
     def test_pair_grid_length(self):
         ell = limit("pair-grid length")
         ones = np.ones(ell, dtype=np.int64)
-        grid = analysis._pair_grid(ones, ones)[0]
+        grid = analysis._pair_grid(ones, ones)
         assert grid.shape == (ell, ell)
         assert (grid == all_ones_numerator(ell)).all()
         with pytest.raises(ValueError, match="pair-grid budget"):
