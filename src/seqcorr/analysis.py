@@ -39,21 +39,21 @@ x[i+s] y[j-s] fill whole periods of x[i+t] y[j+t] and x[i+t] y[j-t] but
 for t = 0, and for an even l t = l/2, where the two periods have the same
 terms, x[i] y[j] and x[i+l/2] y[j+l/2], which cancel.  Every term below is
 a correlation or a convolution of the sequences or of vectors they yield,
-taken by _convolutions for every requested product at once: batched rfft
-and irfft of at least 2l - 1 terms, or direct convolutions while short.  _pair_grid fills the
-(l-1)^2 second differences of the grid from a circulant view of P minus a
-Hankel view of Q, its first row and column from w^f_0 . d^g_b and
-d^f_a . w^g_0, and sums its columns and rows in place: O(l^2), one l x l
-array, every partial sum an integer below l^3 <= 2^27 (pair-grid length).
+taken by corr._correlations for every requested product at once, so each
+passes the kernel's exactness checks or is taken directly.  _pair_grid
+fills the (l-1)^2 second differences of the grid from a circulant view of
+P minus a Hankel view of Q, its first row and column from w^f_0 . d^g_b
+and d^f_a . w^g_0, and sums its columns and rows in place: O(l^2), one
+l x l array, every partial sum an integer below l^3 <= 2^27 (pair-grid
+length).
 _periodic_numerators sums the diagonal D(a) = w^f_a . w^g_a over steps
 d^f_a . w^g_0 + w^f_0 . d^g_a + d^f_a . d^g_a plus the triangle sums
 sum_{j<a} d^f_a . d^g_j and sum_{i<a} d^f_i . d^g_a, each a causal
 convolution with P minus a truncated Hankel sum S(a) = sum_{j<a} y[j]
 Q(a+j) (_hankel_prefix_sums): O(l log^2 l), values below l^3/2 < 2^41
-(shift-search length).  It is exact or not used: every FFT output must lie
-within 0.25 of its integer (corr._rounded; a convolution that fails is
-taken directly instead), and the steps must sum to 0 over a period, since
-rotation l is rotation 0; else the search walks.
+(shift-search length).  It is exact or not used: each Hankel level taken
+by FFTs must pass corr._rounded, and the steps must sum to 0 over a
+period, since rotation l is rotation 0; else the search walks.
 
 The RNG is SplitMix64, fixed by its constants so that any implementation
 can reproduce the streams.  With G = 0x9E3779B97F4A7C15 and
@@ -265,7 +265,8 @@ def _rotation_walk(arr: np.ndarray, m: int, start: int = 0) -> _Walk:
     ell = len(arr)
     n, k = ell + m, m - 1
     x = np.resize(np.asarray(arr, dtype=np.int64), start + n)[start:]
-    w = corr._corr(x[:m], x[:m])[m:].astype(np.float64)
+    first = x[:m]
+    w = corr._corr(first, first)[m:].astype(np.float64)
     up = (x > 0).astype(np.intp)
     x = x.astype(np.float64)
     xr = x[::-1].copy()  # contiguous, so the adds stay vectorised
@@ -335,24 +336,16 @@ def _lockstep_numerators(
     """For each (i, j) in pairs, where 0 stands for f and 1 for g,
     2 sum_{s=1}^{m-1} C^i_r(s) C^j_r(s) for every rotation r, as int64, C^f_r
     and C^g_r being the autocorrelations of window r of f and of g (see
-    _rotation_walk).  At m = l they come from _periodic_numerators, and
-    under a swap g's ADF numerators are f's, mirrored.  Else, or if the
-    periodic engine fails its checks, f and g are walked once each, in
+    _rotation_walk).  At m = l they come from _periodic_numerators.  Else,
+    or if the periodic engine fails its checks, f and g are walked once each, in
     lockstep, one dot product per product a step, over the arc of l//2 + 1
     rotations when the pair mirrors; each product is copied to its mirror,
     (0, 1) as itself, and under a swap (0, 0) mirrors to (1, 1), so the
     partner of an ADF product is taken too.
     """
     ell = len(af)
-    if m == ell:
-        c = _reversal_centre(af, ag) if (0, 0) in pairs and (1, 1) in pairs else None
-        asked = [pair for pair in pairs if c is None or pair != (1, 1)]
-        got = _periodic_numerators((af, ag), asked)
-        if got is not None:
-            out = dict(zip(asked, got))
-            if c is not None:  # N_g(r) = N_f(sigma - r), sigma = c + 1 at m = l
-                out[1, 1] = out[0, 0][(c + 1 - np.arange(ell)) % ell]
-            return [out[pair] for pair in pairs]
+    if m == ell and (got := _periodic_numerators((af, ag), pairs)) is not None:
+        return got
     c, swap = _reversal_centre(af), False
     if c is None or c != _reversal_centre(ag):
         c = _reversal_centre(af, ag)
@@ -409,40 +402,6 @@ def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarr
     return nums
 
 
-# _convolutions convolves directly while products x l is at most this, else
-# by batched FFTs.  Direct vs FFT on two cores: 2 products at l = 384 / 500,
-# 0.060 vs 0.069 / 0.086 vs 0.071 ms; 4 at l = 192 / 251, 0.068 vs 0.073 /
-# 0.098 vs 0.080 ms; 8 at l = 100 / 128, 0.047 vs 0.052 / 0.104 vs 0.086 ms.
-_CONVOLVE_DIRECT_WORK = 768
-
-
-def _convolutions(rows: np.ndarray, products: list[tuple[int, int]]) -> np.ndarray:
-    """Row t is the linear convolution rows[a] * rows[b], (a, b) =
-    products[t], of the float64 rows of length l, which hold integers: 2l - 1
-    terms, as int64.
-    Above _CONVOLVE_DIRECT_WORK, one batched rfft and one irfft at a power
-    of two of at least 2l - 1, so nothing wraps, each output within 0.25 of
-    its integer (corr._rounded); else, or if that check fails, np.convolve
-    on float64, which is exact since every partial sum is an integer below
-    2 l^2 <= 2^29 (shift-search length)."""
-    ell = rows.shape[1]
-    if len(products) * ell > _CONVOLVE_DIRECT_WORK:
-        from numpy import fft  # loaded on first use, as in corr
-
-        n = 1 << (2 * ell - 2).bit_length()
-        spectra = fft.rfft(rows, n)
-        prod = np.empty((len(products), spectra.shape[1]), dtype=spectra.dtype)
-        for t, (i, j) in enumerate(products):  # no temporary of every product
-            np.multiply(spectra[i], spectra[j], out=prod[t])
-        del spectra
-        circ = fft.irfft(prod, n)
-        del prod
-        out = corr._rounded(circ[:, : 2 * ell - 1])
-        if out is not None:
-            return out
-    return np.array([np.convolve(rows[i], rows[j]) for i, j in products]).astype(np.int64)
-
-
 class _Parts(NamedTuple):
     """The periodic-correlation terms of one product (see _periodic_parts)."""
 
@@ -465,14 +424,15 @@ def _periodic_parts(seqs, pairs, tails: bool = False) -> list[_Parts]:
     sum_{0<|s|<=h} x[a-s] V^g(s) = -2 x[a] sum_t x[t+a] V^g(t).
 
     Each term is a correlation or a convolution, so two rounds of
-    _convolutions give every pair's: the autocorrelations, P and Q of the
-    sequences, then the terms of the V and P that the first round yields.
-    The correlation sum_t a[t+d] b[t] is a * (b reversed) at l - 1 + d.
+    corr._correlations give every pair's: the autocorrelations, P and Q of
+    the sequences, then the terms of the V and P rows that the first round
+    yields.  Row l - 1 + d of C_{a,b} is sum_t a[t+d] b[t], and row e of
+    the convolution a * b is sum_t a[t] b[e-t].
     """
     x = np.asarray(seqs, dtype=np.int64)
     k, ell = x.shape
 
-    def periodic(row):  # sum_t a[(t+d) mod l] b[t], from a * (b reversed)
+    def periodic(row):  # sum_t a[(t+d) mod l] b[t], from C_{a,b}
         pc = row[ell - 1 :].copy()
         pc[1:] += row[: ell - 1]
         return pc
@@ -482,35 +442,37 @@ def _periodic_parts(seqs, pairs, tails: bool = False) -> list[_Parts]:
         c[:-1] += row[ell:]
         return c
 
-    # row k + i is x[i] reversed: C_i from (i, k+i), P from (j, k+i), Q from (i, j)
-    first = list(dict.fromkeys([*((i, k + i) for i in range(k)), *((j, k + i) for i, j in pairs), *pairs]))
+    # C_i from (i, i), P from (j, i), Q from the convolution (i, ~j)
+    first = [*((i, i) for i in range(k)), *((j, i) for i, j in pairs), *((i, ~j) for i, j in pairs)]
+    first = list(dict.fromkeys(first))
     # float64 rows: a stack of int64 rows transforms at half the speed
-    got = dict(zip(first, _convolutions(np.concatenate((x, x[:, ::-1]), dtype=np.float64), first)))
-    autos = [got[i, k + i][ell - 1 :].copy() for i in range(k)]  # C(0 .. l-1)
-    ps = [periodic(got[j, k + i]) for i, j in pairs]
-    qs = [cyclic(got[pair]) for pair in pairs]
+    got = dict(zip(first, corr._correlations(x.astype(np.float64), first)))
+    autos = [got[i, i][ell - 1 :].copy() for i in range(k)]  # C(0 .. l-1)
+    ps = [periodic(got[j, i]) for i, j in pairs]
+    qs = [cyclic(got[i, ~j]) for i, j in pairs]
     del got
-    # row k + i is V_i reversed; tails add the rows [0, P(-1), P(-2), ..]
-    # for tf, over y, and [0, P(1), P(2), ..] for tg, over x
+    # row k + i is [0, V_i(1), .., V_i(l-1)]; tails add the rows
+    # [0, P(-1), P(-2), ..] for tf, convolved with y, and [0, P(1), P(2), ..]
+    # for tg, with x
     second = [prod for i, j in pairs for prod in ((i, k + j), (j, k + i))]
     tail_prods, tail_ps = [], []
     for (i, j), p in zip(pairs, ps if tails else ()):
-        tf = (j, 2 * k + len(tail_ps))
+        tf = (j, ~(2 * k + len(tail_ps)))
         tail_ps.append(p[:0:-1])
         tg = tf  # when y is x, as P(-d) = P(d)
         if i != j:
-            tg = (i, 2 * k + len(tail_ps))
+            tg = (i, ~(2 * k + len(tail_ps)))
             tail_ps.append(p[1:])
         tail_prods.append((tf, tg))
         second += [tf, tg]
     rows = np.zeros((2 * k + len(tail_ps), ell))
     rows[:k] = x
-    for i, c in enumerate(autos):  # V(l-1), .., V(1), 0
-        rows[k + i, :-1] = c[:0:-1] - c[1:]
+    for i, c in enumerate(autos):
+        rows[k + i, 1:] = c[1:] - c[:0:-1]
     for row, tail in zip(rows[2 * k :], tail_ps):
         row[1:] = tail
     second = list(dict.fromkeys(second))
-    got = dict(zip(second, _convolutions(rows, second)))
+    got = dict(zip(second, corr._correlations(rows, second)))
     parts = []
     for t, ((i, j), p, q) in enumerate(zip(pairs, ps, qs)):
         rf, rg = (-2 * x[a] * periodic(got[a, k + b]) for a, b in ((i, j), (j, i)))
@@ -789,8 +751,8 @@ def monte_carlo_baseline(length: int, trials: int, rng_seed: int) -> tuple[Fract
 
     Trial t takes f from draw 2t and g from draw 2t+1 of the run seeded
     rng_seed, so any partitioning of the trial range reproduces the same
-    means.  Trials run in blocks: one draw and two stacked correlations
-    per block.
+    means.  Trials run in blocks: one draw and one corr._correlations call
+    for C_ff and C_fg per block, so each f is transformed once.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -803,11 +765,11 @@ def monte_carlo_baseline(length: int, trials: int, rng_seed: int) -> tuple[Fract
     cdf_num = 0
     for t in range(0, trials, per_block):
         rows = random_rows(rng_seed, 2 * t, 2 * min(per_block, trials - t), length)
-        f, g = rows[0::2], rows[1::2]
-        cff = corr._corr(f, f)
-        cfg = corr._corr(f, g)
-        adf_num += sum(np.einsum("ij,ij->i", cff, cff).tolist())
-        cdf_num += sum(np.einsum("ij,ij->i", cfg, cfg).tolist())
+        fg = rows.reshape(-1, 2, length).swapaxes(0, 1)  # the stack of f, then of g
+        c = corr._correlations(fg, [(0, 0), (0, 1)])
+        adf_sq, cdf_sq = np.einsum("tij,tij->ti", c, c).tolist()
+        adf_num += sum(adf_sq)
+        cdf_num += sum(cdf_sq)
     denom = trials * length * length
     return Fraction(adf_num, denom), Fraction(cdf_num, denom)
 

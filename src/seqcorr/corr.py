@@ -6,26 +6,32 @@ so the support is -(len(g)-1) <= s <= len(f)-1.  Periodic correlation
 satisfies PC(s) = C(s) + C(s - l) for equal lengths l.
 
 All values are integers; demerit factors are Fractions, and a DemeritReport
-stores the three of a pair and derives PSC from them.  The private kernel
-_corr computes the correlations of spectra, demerit factors, Golay checks,
-the Monte Carlo baseline and the first rotation of a shift search's walk;
-only the shift-search engines of analysis, which batch their own
-transforms and check them with _rounded, and golay._tail_keys also sum
-correlations themselves.  While the shorter input is below the crossover
-_FFT_MIN_LEN = 512 the kernel is numpy's direct correlation, O(l^2), on
-float64 copies of the +-1 terms, since numpy runs it on SIMD dot products
-for float64 and as a plain loop for int64.  It is exact: every partial sum
-is an integer of absolute value at most l <= 2^20 under the exact-length
-budget, far below 2^53.  Above the crossover, the
-spectrum is irfft(rfft(a) * conj(rfft(b))) over a power-of-two length,
-O(l log l), one transform fewer for autocorrelations, rounded to int64.
-Two equal-shape stacks of rows are correlated row by row and always take
-the FFT path, since one transform call serves every row.  Every FFT result
-is checked: each value must lie within 0.25 of its integer (_rounded) and
-each row must satisfy sum_s C(s) = (sum a)(sum b) exactly; otherwise the
-kernel returns the direct result, row by row for a stack.  Either way it
-refuses lengths over the exact-length budget (see budget), within which
-the values and their squared sums are exact in int64, and every value is
+stores the three of a pair and derives PSC from them.  Every correlation in
+the package comes from one private kernel, _correlations(rows, products),
+whose entry t is C_{rows[i], rows[j]} for (i, j) = products[t], row by row
+when the two are stacks of rows, or for j = ~r the convolution of rows[i]
+with rows[r], a correlation with rows[r] reversed; only golay._tail_keys
+and the circular block sums of analysis._hankel_prefix_sums sum
+correlations of another shape themselves.  _corr calls it for one pair of
+term arrays or of stacks, the shift-search engines of analysis with
+several products of one row each, and the Monte Carlo baseline with two
+products of stacks.  While the products times the rows of a stack times
+the shorter length is at most _DIRECT_WORK = 768, the kernel is numpy's
+direct correlation, O(l^2), on float64 copies of the rows, since numpy
+runs it on SIMD dot products for float64 and as a plain loop for int64.
+It is exact for every caller: each partial sum is an integer far below
+2^53, at most l <= 2^20 in absolute value for +-1 rows within the
+exact-length budget, and below 2l^2 <= 2^29 for the engines' rows
+(|V| <= 2l within the shift-search length).  Above it, each row is
+transformed once at a power of two of at least la + lb - 1 terms, so
+nothing wraps, and product t is irfft(rfft(rows[i]) * conj(rfft(rows[j]))),
+O(l log l), without the conjugate for a convolution: an autocorrelation
+takes one transform, and a reversed row none.  Every FFT result is
+checked: each value must lie within 0.25 of its integer (_rounded) and
+each row of each product must satisfy sum_s C(s) = (sum a)(sum b) exactly,
+in int64; otherwise the whole call is computed directly.  _corr refuses
+lengths over the exact-length budget (see budget), within which the
+values and their squared sums are exact in int64, and every value is
 exact in float64.
 """
 
@@ -40,53 +46,77 @@ import numpy as np
 from . import budget
 from .sequence import BinarySequence
 
-# _corr takes the FFT path when both lengths reach this.  Measured on two
-# cores the direct float64 correlation loses to the FFT near l = 700 (59 vs
-# 84 us a call at l = 512, 110 vs 124 us at 700); between 512 and 700 the
-# two differ by under 25 us a call, so the crossover stays at 512.
-_FFT_MIN_LEN = 512
+# _correlations is direct while the products times the rows of a stack times
+# the shorter length is at most this, else by FFTs.  Direct vs FFT on two
+# cores, one crosscorrelation at l = 512 / 700 / 768 / 900: 0.070 / 0.114 /
+# 0.170 / 0.218 vs 0.099 / 0.154 / 0.155 / 0.140 ms; 2 products at l = 384 /
+# 500, 0.060 vs 0.069 / 0.086 vs 0.071 ms; 4 at l = 192 / 251, 0.068 vs
+# 0.073 / 0.098 vs 0.080 ms; 8 at l = 100 / 128, 0.047 vs 0.052 / 0.104 vs
+# 0.086 ms.
+_DIRECT_WORK = 768
 
 
 def _corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """C_{a,b}(s) for s = -(len(b)-1) .. len(a)-1, from int64 term arrays;
-    for two equal-shape stacks of rows, row i is C_{a_i,b_i}.
-
-    Direct below the crossover; above it, and for every stack, the FFT
-    result, returned only when it passes the exactness checks (see the
-    module docstring).
-    """
+    for two equal-shape stacks of rows, row i is C_{a_i,b_i}."""
     budget.check("exact length", max(a.shape[-1], b.shape[-1]))
-    if a.ndim == 2 or min(len(a), len(b)) >= _FFT_MIN_LEN:
-        c = _fft_corr(a, b)
-        if c is not None:
-            return c
-    a, b = a.astype(np.float64), b.astype(np.float64)  # exact: see the module docstring
-    if a.ndim == 2:
-        return np.array([np.correlate(x, y, mode="full") for x, y in zip(a, b)]).astype(np.int64)
-    return np.correlate(a, b, mode="full").astype(np.int64)
+    rows = (a,) if b is a else (a, b)
+    return _correlations(rows, [(0, len(rows) - 1)])[0]
 
 
-def _fft_corr(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """The FFT correlation along the last axis as int64, or None if it
-    fails an exactness check."""
-    from numpy import fft  # loaded on first use, not at package import
+def _correlations(rows, products) -> np.ndarray:
+    """Entry t is C_{rows[i], rows[j]} for (i, j) = products[t], as int64;
+    for stacks of rows, row by row (see _corr).  A negative j = ~r names
+    rows[r] reversed, so that entry t is the convolution rows[i] * rows[r].
+    rows is a sequence of 1-D arrays of integers, or of equal-shape stacks
+    of them (an array is the sequence along its first axis).  Every product
+    has the lengths la, lb of the first, so la + lb - 1 terms.
 
+    Direct while the products times the rows of a stack times min(la, lb)
+    is at most _DIRECT_WORK; else the FFT correlation, returned only when
+    it passes both exactness checks (see the module docstring).  A reversed
+    row is not transformed: the spectrum of the convolution is
+    rfft(rows[i]) * rfft(rows[r]).
+    """
+    i, j = products[0]
+    a, b = rows[i], rows[max(j, ~j)]
     la, lb = a.shape[-1], b.shape[-1]
-    size = 1 << (la + lb - 2).bit_length()  # >= la + lb - 1: no wraparound
-    fa = fft.rfft(a, size)
-    prod = fa.conj() if b is a else fft.rfft(b, size).conj()
-    prod *= fa
-    del fa
-    circ = fft.irfft(prod, size)
-    del prod
-    # circ[k] = C(k) for k < la and C(k - size) for k > size - lb
-    x = np.concatenate((circ[..., size - lb + 1 :], circ[..., :la]), axis=-1)
-    del circ
-    c = _rounded(x)
-    # |sum a|, |sum b| <= 2^20 within the exact-length budget: int64 products
-    if c is None or not np.array_equal(c.sum(axis=-1), a.sum(axis=-1) * b.sum(axis=-1)):
-        return None
-    return c
+    if len(products) * (a.size // la) * min(la, lb) > _DIRECT_WORK:
+        from numpy import fft  # loaded on first use, not at package import
+
+        n = 1 << (la + lb - 2).bit_length()  # >= la + lb - 1: no wraparound
+        stacked = isinstance(rows, np.ndarray)
+        spectra = fft.rfft(rows, n) if stacked else [fft.rfft(x, n) for x in rows]
+        # exact in int64 (float64 rows hold integers, a tuple int64 terms):
+        # |sum a| |sum b| <= 2^40 for +-1 rows, <= 2 l^3 for the engines' rows
+        sums = rows.sum(axis=-1).astype(np.int64) if stacked else [x.sum(axis=-1) for x in rows]
+        prod = np.empty((len(products), *spectra[i].shape), dtype=complex)
+        expect, convolved = [], []
+        for t, (i, j) in enumerate(products):  # views of the spectra: no copies
+            if j < 0:
+                np.multiply(spectra[i], spectra[~j], out=prod[t])
+                convolved.append(t)
+            else:
+                np.conjugate(spectra[j], out=prod[t])
+                prod[t] *= spectra[i]
+            expect.append(sums[i] * sums[max(j, ~j)])
+        del spectra
+        circ = fft.irfft(prod, n)
+        del prod
+        # circ[k] = C(k) for k < la and C(k - n) for k > n - lb
+        x = np.concatenate((circ[..., n - lb + 1 :], circ[..., :la]), axis=-1)
+        for t in convolved:  # a convolution does not wrap
+            x[t] = circ[t, ..., : la + lb - 1]
+        del circ
+        c = _rounded(x)
+        if c is not None and (c.sum(axis=-1) == expect).all():
+            return c
+    rows = [x.astype(np.float64) for x in rows]  # exact: see the module docstring
+    out = np.empty((len(products), *a.shape[:-1], la + lb - 1), dtype=np.int64)
+    for t, (i, j) in enumerate(products):
+        x, y = rows[i], rows[j] if j >= 0 else rows[~j][..., ::-1]
+        out[t] = np.correlate(x, y, "full") if x.ndim == 1 else [np.correlate(u, v, "full") for u, v in zip(x, y)]
+    return out
 
 
 def _rounded(x: np.ndarray) -> np.ndarray | None:

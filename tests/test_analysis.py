@@ -244,8 +244,8 @@ class TestEngines:
                 best_pair_shifts(BinarySequence((1,) * longer), BinarySequence((1,) * ell_g))
 
     def test_walk_seeded_above_fft_crossover(self):
-        ell = corr._FFT_MIN_LEN + 88  # the first rotation is correlated on the FFT path
-        m = ell + 50
+        m = corr._DIRECT_WORK + 1  # the first rotation is correlated on the FFT path
+        ell = m - 50
         rng = random.Random(68)
         f = random_sequence(rng, ell)
         g = random_sequence(rng, ell)
@@ -316,10 +316,12 @@ def _pm1(min_size, max_size):
 
 
 # Full-period (m = l) examples, which the periodic engine reads: l = 1 .. 4,
-# then an odd and an even l above the FFT crossover (for an even l its two
-# middle terms cancel), and the largest odd and even pair-grid l.
+# then an odd and an even l above the FFT crossover, which the engine's
+# correlations of two or more products of l terms pass at l > 384 (for an
+# even l its two middle terms cancel), and the largest odd and even
+# pair-grid l.
 _ODD, _ODD_G, _EVEN, _EVEN_G = (
-    random_sequence(random.Random(71 + i), corr._FFT_MIN_LEN + 89 - i // 2) for i in range(4)
+    random_sequence(random.Random(71 + i), corr._DIRECT_WORK // 2 + 217 - i // 2) for i in range(4)
 )
 _GRID_ODD, _GRID_ODD_G, _GRID_EVEN, _GRID_EVEN_G = (
     random_sequence(random.Random(75 + i), BUDGETS["pair-grid length"].limit - 1 + i // 2) for i in range(4)
@@ -599,8 +601,8 @@ class TestPeriodicEngine:
 
     @staticmethod
     def check(f, g):
-        """Every product alone, all three at once, the lockstep pass (which
-        mirrors g's ADF numerators from f's under a swap) and the grid."""
+        """Every product alone, all three at once, the lockstep pass and the
+        grid."""
         ell, pairs = len(f), ((0, 1), (0, 0), (1, 1))
         walked = _walked(f, g)
         x, y = f.terms, g.terms
@@ -639,8 +641,8 @@ class TestPeriodicEngine:
         limit = BUDGETS["pair-grid length"].limit
         for ell in (limit - 1, limit, limit + 1):
             self.check(random_sequence(rng, ell), random_sequence(rng, ell))
-        # own reversals about one centre, swaps (g's ADFs mirrored from f's),
-        # and a mirrored f with a g that is not
+        # own reversals about one centre, swaps, and a mirrored f with a g
+        # that is not
         for ell in (2, 3, 111, 112, limit + 1):
             f = _mirror_of(random_sequence(rng, ell).terms, 1, 3)
             self.check(f, _mirror_of(random_sequence(rng, ell).terms, 1, 3))
@@ -671,6 +673,29 @@ class TestPeriodicEngine:
         assert walk_counts == [[ell, ell]]
         for a, b in zip([*got, got_adf], [*expect, expect_adf]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_integer_error_in_a_batched_inverse_is_caught(self, monkeypatch, walk_counts):
+        """An FFT output moved by a whole integer rounds cleanly; the kernel's
+        sum identity refuses it and correlates directly, so the grid, which
+        has no wrap check behind it, and the periodic ADF numerators, which
+        do not walk, come out unchanged."""
+        f, g = _quartic(389)
+        h = legendre(4099).terms
+        expect_grid = analysis._pair_grid(f.terms, g.terms)
+        expect_adf = adf_numerators_all_shifts(h)
+        real = np.fft.irfft
+
+        def irfft(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if out.ndim == 2:
+                out[0, 0] += 1.0
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        walk_counts.clear()
+        assert np.array_equal(analysis._pair_grid(f.terms, g.terms), expect_grid)
+        assert np.array_equal(adf_numerators_all_shifts(h), expect_adf)
+        assert walk_counts == []
 
     def test_failed_wrap_check_falls_back_to_the_walk(self, monkeypatch, walk_counts):
         """An error in one Hankel sum breaks sum_a (D(a+1) - D(a)) = 0,
@@ -840,7 +865,9 @@ class TestBaseline:
         a3, _ = monte_carlo_baseline(16, 25, 10)
         assert a3 != a1
 
-    @pytest.mark.parametrize("length", [1, 40, 64, corr._FFT_MIN_LEN + 188])  # the last takes the FFT path
+    # 1 is direct throughout; above 1 the blocks take the FFT path, and one
+    # trial a block takes it only for the last length
+    @pytest.mark.parametrize("length", [1, 40, 64, corr._DIRECT_WORK // 2 + 316])
     def test_partition_invariance(self, monkeypatch, length):
         blocked = monte_carlo_baseline(length, 23, -3)
         monkeypatch.setattr(analysis, "_BASELINE_BLOCK", 1)  # one trial per block

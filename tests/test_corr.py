@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,7 +112,13 @@ class TestAperiodicXcorr:
             assert aperiodic_xcorr(f, f).values[0] == len(f)
 
 
-X = corr._FFT_MIN_LEN
+# X is the shortest length whose correlation with another of its length (one
+# product) takes the FFT path.  N is the longest length whose correlation
+# with another of its length is transformed at 1024 points, 2N - 1 < 1024 <
+# 2(N + 1) - 1: one product takes the direct path there, a stack of five
+# the FFT.
+X = corr._DIRECT_WORK + 1
+N = 512
 
 
 def spectrum_of(c, len_g):
@@ -122,7 +130,10 @@ class TestKernel:
 
     @pytest.mark.parametrize(
         "len_f, len_g",
-        [(1, 1), (X - 1, X - 1), (X, X), (X + 1, X + 1), (X + 37, X), (X, X + 3), (X + 5, 3)],
+        [
+            (1, 1), (N - 1, N - 1), (N, N), (N + 1, N + 1), (N + 37, N), (N, N + 3), (N + 5, 3),
+            (X - 1, X - 1), (X, X), (X + 37, X), (X + 5, 3),
+        ],
     )
     def test_matches_oracle(self, len_f, len_g):
         rng = random.Random(len_f * 1000 + len_g)
@@ -132,7 +143,7 @@ class TestKernel:
         assert c.dtype == np.int64
         assert spectrum_of(c, len_g) == oracle_spectrum(f, g)
 
-    @pytest.mark.parametrize("ell", [1, X - 1, X, X + 1])
+    @pytest.mark.parametrize("ell", [1, N - 1, N, N + 1, X - 1, X])
     def test_autocorrelation_of_one_array(self, ell):
         f = random_sequence(random.Random(ell), ell)
         arr = f.terms
@@ -153,11 +164,15 @@ class TestKernel:
         assert np.array_equal(corr._corr(at, at), expected)
         with pytest.raises(AssertionError):
             corr._corr(below, below)
+        # one product decides on its shorter length: 3 terms against many
+        # stay direct
+        with pytest.raises(AssertionError):
+            corr._corr(rng.choice([-1, 1], 50 * X).astype(np.int64), at[:3])
 
     def test_demerit_factors_above_crossover(self):
         rng = random.Random(600)
-        f = random_sequence(rng, 600)
-        g = random_sequence(rng, 600)
+        f = random_sequence(rng, X + 31)
+        g = random_sequence(rng, X + 31)
         assert adf(f) == oracle_adf(f)
         assert cdf(f, g) == oracle_cdf(f, g)
 
@@ -168,7 +183,8 @@ class TestKernel:
 
 
 class TestStackedKernel:
-    @pytest.mark.parametrize("ell", [1, 2, 63, X - 1, X, 700])
+    # five products: direct while 5 l <= corr._DIRECT_WORK, to l = 153
+    @pytest.mark.parametrize("ell", [1, 2, 63, 153, 154, N - 1, N, 700])
     @pytest.mark.parametrize("auto", [True, False])
     def test_rows_equal_one_dimensional_calls(self, ell, auto):
         rng = np.random.default_rng(ell)
@@ -181,48 +197,116 @@ class TestStackedKernel:
 
 
 class TestKernelGuard:
-    """A wrong FFT result is caught and replaced by the direct one."""
+    """A wrong FFT result is caught and replaced by the direct one, for each
+    kind of kernel call."""
 
-    @staticmethod
-    def perturb_irfft(monkeypatch, delta):
-        real = np.fft.irfft
+    @pytest.fixture
+    def perturbed(self, monkeypatch, request):
+        """Counts of [irfft, np.correlate] calls, with irfft's shift-0 value
+        moved by request.param."""
+        delta, calls = request.param, [0, 0]
+        real_irfft, real_correlate = np.fft.irfft, np.correlate
 
         def irfft(*args, **kwargs):
-            out = real(*args, **kwargs)
-            if out.ndim == 1:
-                out[0] += delta  # the shift-0 value
-            else:  # rows 0 and 1 cancel, so only a per-row check sees them
-                out[0, 0] += delta
-                out[1, 0] -= delta
+            calls[0] += 1
+            out = real_irfft(*args, **kwargs)
+            rows = out.reshape(-1, out.shape[-1])
+            rows[0, 0] += delta
+            if len(rows) > 1:  # rows 0 and 1 cancel, so only a per-row check sees them
+                rows[1, 0] -= delta
             return out
 
-        monkeypatch.setattr(np.fft, "irfft", irfft)
+        def correlate(*args, **kwargs):
+            calls[1] += 1
+            return real_correlate(*args, **kwargs)
 
-    @pytest.mark.parametrize("delta", [0.3, 1.0])  # rounding margin; sum identity
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        monkeypatch.setattr(np, "correlate", correlate)
+        return calls
+
+    # 0.3 fails the rounding margin; 1.0 rounds cleanly and fails the sum identity
+    deltas = pytest.mark.parametrize("perturbed", [0.3, 1.0], indirect=True, ids=["0.3", "1.0"])
+
+    @deltas
     @pytest.mark.parametrize("auto", [True, False])
-    def test_perturbed_inverse_falls_back(self, monkeypatch, delta, auto):
+    def test_perturbed_inverse_falls_back(self, perturbed, auto):
         rng = np.random.default_rng(11)
         a = rng.choice([-1, 1], 2 * X).astype(np.int64)
         b = a if auto else rng.choice([-1, 1], 2 * X).astype(np.int64)
         expected = np.correlate(a, b, mode="full")
-        self.perturb_irfft(monkeypatch, delta)
-        assert corr._fft_corr(a, b) is None
+        perturbed[:] = [0, 0]
         c = corr._corr(a, b)
+        assert perturbed == [1, 1]  # one transform round, then the direct path
         assert c.dtype == np.int64
         assert np.array_equal(c, expected)
 
-    @pytest.mark.parametrize("delta", [0.3, 1.0])
+    @deltas
     @pytest.mark.parametrize("auto", [True, False])
-    def test_perturbed_inverse_falls_back_on_a_stack(self, monkeypatch, delta, auto):
+    def test_perturbed_inverse_falls_back_on_a_stack(self, perturbed, auto):
         rng = np.random.default_rng(12)
-        a = rng.choice([-1, 1], (3, 40)).astype(np.int64)
-        b = a if auto else rng.choice([-1, 1], (3, 40)).astype(np.int64)
+        a = rng.choice([-1, 1], (3, 300)).astype(np.int64)
+        b = a if auto else rng.choice([-1, 1], (3, 300)).astype(np.int64)
         expected = np.array([np.correlate(x, y, mode="full") for x, y in zip(a, b)])
-        self.perturb_irfft(monkeypatch, delta)
-        assert corr._fft_corr(a, b) is None
+        perturbed[:] = [0, 0]
         c = corr._corr(a, b)
+        assert perturbed == [1, 3]
         assert c.dtype == np.int64
         assert np.array_equal(c, expected)
+
+    @deltas
+    def test_perturbed_inverse_falls_back_on_products(self, perturbed):
+        """A products call whose rows repeat, with a convolution (a reversed
+        row), on float64 rows as the engines pass them."""
+        rng = np.random.default_rng(13)
+        rows = rng.choice([-1.0, 1.0], (3, 300))
+        rows[2] = np.cumsum(rows[2])  # integers beyond +-1
+        products = [(0, 1), (0, 0), (2, 0), (1, ~2), (0, 1)]
+        expected = np.array([np.correlate(rows[i], rows[j], mode="full") for i, j in products[:3]]
+                            + [np.convolve(rows[1], rows[2]), np.correlate(rows[0], rows[1], mode="full")])
+        perturbed[:] = [0, 0]
+        c = corr._correlations(rows, products)
+        assert perturbed == [1, len(products)]
+        assert c.dtype == np.int64
+        assert np.array_equal(c, expected)
+
+
+class TestProductsKernel:
+    @pytest.mark.parametrize("ell", [1, 40, 300])  # direct, then FFT
+    def test_rows_equal_one_dimensional_calls(self, ell):
+        """Repeated rows and products, and convolutions: ~j names row j
+        reversed."""
+        rng = np.random.default_rng(ell)
+        rows = rng.choice([-1, 1], (4, ell)).astype(np.int64)
+        products = [(0, 0), (1, 0), (0, 1), (3, 3), (2, 0), (0, 0), (0, ~1), (2, ~2)]
+        c = corr._correlations(rows, products)
+        assert c.dtype == np.int64 and c.shape == (len(products), 2 * ell - 1)
+        for (i, j), row in zip(products, c):
+            expect = corr._corr(rows[i], rows[j]) if j >= 0 else np.convolve(rows[i], rows[~j])
+            assert np.array_equal(row, expect)
+        long = rng.choice([-1, 1], (2, ell + X)).astype(np.int64)  # one convolution, by FFT
+        assert np.array_equal(corr._correlations(long, [(1, ~0)])[0], np.convolve(long[1], long[0]))
+
+    def test_only_the_kernel_transforms(self):
+        """Every FFT correlation passes the kernel's checks: numpy.fft is
+        used only by corr._correlations and by the circular block sums of
+        analysis._hankel_prefix_sums."""
+        names = set(np.fft.__all__)
+        users = set()
+
+        def scan(node, module, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+                if (
+                    isinstance(child, ast.Attribute) and child.attr in names
+                    or isinstance(child, ast.ImportFrom) and (child.module or "").startswith("numpy")
+                    and ("fft" in (child.module or "") or any(a.name == "fft" for a in child.names))
+                ):
+                    users.add((module, scope))
+                scan(child, module, inner)
+
+        for path in sorted(Path(corr.__file__).parent.glob("*.py")):
+            scan(ast.parse(path.read_text()), path.stem, None)
+        assert users == {("corr", "_correlations"), ("analysis", "_hankel_prefix_sums")}
 
 
 class TestPeriodicXcorr:
@@ -258,7 +342,7 @@ class TestPeriodicXcorr:
 
     @settings(max_examples=30, deadline=None)
     @given(ell=st.one_of(st.integers(1, 40),
-                         st.integers(corr._FFT_MIN_LEN - 24, corr._FFT_MIN_LEN + 24)),
+                         st.integers(X - 24, X + 24)),
            seed=st.integers(0, 2**32))
     def test_matches_oracle_across_kernel_crossover(self, ell, seed):
         rng = random.Random(seed)
