@@ -5,21 +5,25 @@ division by the squared length happens only at the edge.  A shift search
 scores 2 sum_{s=1}^{m-1} C^f(s) C^g(s) over the aperiodic autocorrelations
 of two windows of length m at every shift: with g = f an ADF numerator,
 and m^2 plus it a CDF numerator, since sum_s C_fg(s)^2 = sum_t C_ff(t)
-C_gg(t).  Every search takes its answer from _first_minimum.
+C_gg(t).  Every search reads its numerators from one entry, _numerators,
+for one sequence or two of equal length, and takes its answer from
+_first_minimum.
 
 Windows resize(cyclic_shift(f, r), m) with m != l (resize=, the
-half-Legendre halves) are scored by a rotation walk: C(1..m-1) of the
-first window from corr._corr, an O(m) update to each next rotation and one
-dot product per shift, in float64, exact since every partial sum is an
-integer below m^3/3 < 2^45 (shift-search window).  A sequence with x[(c - i)
+half-Legendre halves) are scored by a rotation walk of each sequence:
+C(1..m-1) of the first window from corr._corr, an O(m) update to each
+next rotation and one dot product per product a shift, in float64, exact
+since every partial sum is an integer below m^3/3 < 2^45 (shift-search
+window).  A sequence with x[(c - i)
 mod l] = eps x[i] for every i and one eps = +-1 (Legendre p = 1 mod 4,
 quartic p = 1 mod 8) has N(r) = N(sigma - r), sigma = (c - m + 1) mod l,
 since reversing the window at r gives eps times the window at sigma - r
 and reversal or negation leaves C unchanged; its walk takes l//2 + 1
 rotations and copies each numerator to its mirror.  _reversal_centre(f, g)
 finds a c with g[i] = eps f[(c - i) mod l]: under such a swap (the
-half-Legendre pairs with p = 1 mod 4, about c = -half) the lockstep pass
-mirrors the cross product to itself and f's ADF numerators to g's.
+half-Legendre pairs with p = 1 mod 4, about c = -half) the two walks,
+taken in step, mirror the cross product to itself and f's ADF numerators
+to g's.
 
 A full-period window (m = l) is read from periodic correlations, as
 Hoholdt & Jensen read the merit factor of rotated Legendre sequences.
@@ -51,9 +55,10 @@ d^f_a . w^g_0 + w^f_0 . d^g_a + d^f_a . d^g_a plus the triangle sums
 sum_{j<a} d^f_a . d^g_j and sum_{i<a} d^f_i . d^g_a, each a causal
 convolution with P minus a truncated Hankel sum S(a) = sum_{j<a} y[j]
 Q(a+j) (_hankel_prefix_sums): O(l log^2 l), values below l^3/2 < 2^41
-(shift-search length).  It is exact or not used: each Hankel level taken
-by FFTs must pass corr._rounded, and the steps must sum to 0 over a
-period, since rotation l is rotation 0; else the search walks.
+(shift-search length).  Every FFT output it reads passes corr._exact, or
+that correlation or Hankel level is taken directly; and the steps must
+sum to 0 over a period, since rotation l is rotation 0, else the search
+walks.
 
 The RNG is SplitMix64, fixed by its constants so that any implementation
 can reproduce the streams.  With G = 0x9E3779B97F4A7C15 and
@@ -330,36 +335,37 @@ def _arc(c: int | None, m: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
     return shifts, (sigma - shifts) % ell
 
 
-def _lockstep_numerators(
-    af: np.ndarray, ag: np.ndarray, m: int, pairs: tuple[tuple[int, int], ...]
-) -> list[np.ndarray]:
-    """For each (i, j) in pairs, where 0 stands for f and 1 for g,
-    2 sum_{s=1}^{m-1} C^i_r(s) C^j_r(s) for every rotation r, as int64, C^f_r
-    and C^g_r being the autocorrelations of window r of f and of g (see
-    _rotation_walk).  At m = l they come from _periodic_numerators.  Else,
-    or if the periodic engine fails its checks, f and g are walked once each, in
-    lockstep, one dot product per product a step, over the arc of l//2 + 1
-    rotations when the pair mirrors; each product is copied to its mirror,
-    (0, 1) as itself, and under a swap (0, 0) mirrors to (1, 1), so the
-    partner of an ADF product is taken too.
+def _numerators(seqs, m: int, pairs: tuple[tuple[int, int], ...]) -> list[np.ndarray]:
+    """For each (i, j) in pairs, 2 sum_{s=1}^{m-1} C^i_r(s) C^j_r(s) for
+    every rotation r, as int64, C^i_r being the autocorrelation of window r
+    of seqs[i] (see _rotation_walk); seqs is one sequence or two of equal
+    length.  At m = l they come from _periodic_numerators.  Else, or if its
+    wrap check fails, each sequence is walked once, in lockstep, one dot
+    product per product a step, over the arc of l//2 + 1 rotations when
+    the sequences mirror; each product is copied to its mirror, (0, 1) as
+    itself, and under a swap (0, 0) mirrors to (1, 1), so the partner of an
+    ADF product is taken too.
     """
-    ell = len(af)
-    if m == ell and (got := _periodic_numerators((af, ag), pairs)) is not None:
+    ell = len(seqs[0])
+    budget.check("shift-search length", ell)
+    budget.check("shift-search window", m)
+    if m == ell and (got := _periodic_numerators(seqs, pairs)) is not None:
         return got
-    c, swap = _reversal_centre(af), False
-    if c is None or c != _reversal_centre(ag):
-        c = _reversal_centre(af, ag)
+    c, swap = _reversal_centre(seqs[0]), False
+    if len(seqs) == 2 and (c is None or c != _reversal_centre(seqs[1])):
+        c = _reversal_centre(*seqs)
         swap = c is not None
     shifts, mirrors = _arc(c, m, ell)
     partner = {(i, j): (1 - j, 1 - i) if swap else (i, j) for i, j in pairs}
     taken = list(dict.fromkeys([*pairs, *partner.values()]))
-    start = int(shifts[0])
-    walks = _rotation_walk(af, m, start), _rotation_walk(ag, m, start)
-    products = [(_dot_with(walks[i].w), walks[j].w) for i, j in taken]
-    steps = zip(walks[0].vectors, walks[1].vectors)
+    walks = [_rotation_walk(x, m, int(shifts[0])) for x in seqs]
+    if len(walks) == 1:  # (0, 0) alone: a loop over products took 2-15% longer
+        dots = map(_dot_with(walks[0].w), walks[0].vectors)
+    else:
+        products = [(_dot_with(walks[i].w), walks[j].w) for i, j in taken]
+        dots = (dot(b) for _ in zip(*(walk.vectors for walk in walks)) for dot, b in products)
     count = len(shifts)
-    dots = np.fromiter((dot(b) for _ in steps for dot, b in products), np.float64, count * len(taken))
-    cols = dots.reshape(count, len(taken)).T
+    cols = np.fromiter(dots, np.float64, count * len(taken)).reshape(count, len(taken)).T
     walked = {pair: 2 * col.astype(np.int64) for col, pair in zip(cols, taken)}
     out = []
     for pair in pairs:
@@ -372,34 +378,14 @@ def _lockstep_numerators(
 
 def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarray:
     """ADF numerator (sum of squared off-peak correlations) of
-    resize(cyclic_shift(f, r), m) for every shift r, as int64; divide by m^2.
-
-    At m = l they come from _periodic_numerators.  Else, or if that fails
-    its checks, each is 2 w . w over the rotation walk's vector, O(m) per
-    shift, and when f is a rotation of its own reversal, up to sign, only
-    l//2 + 1 rotations are walked and N(r) = N(sigma - r) gives the rest
-    (see the module docstring).
+    resize(cyclic_shift(f, r), m) for every shift r, as int64; divide by m^2
+    (see _numerators).
     """
-    ell = len(arr)
     if m is None:
-        m = ell
+        m = len(arr)
     if m < 1:
         raise ValueError(f"resized length {m} must be >= 1")
-    budget.check("shift-search length", ell)
-    budget.check("shift-search window", m)
-    if m == ell:
-        nums = _periodic_numerators((arr,), ((0, 0),))
-        if nums is not None:
-            return nums[0]
-    shifts, mirrors = _arc(_reversal_centre(arr), m, ell)
-    # A single walk keeps its own loop: through _lockstep_numerators, whose
-    # pair loop runs every step, this took 3-5% longer at l = 1000-2000.
-    walk = _rotation_walk(arr, m, int(shifts[0]))
-    walked = 2 * np.fromiter(map(_dot_with(walk.w), walk.vectors), np.float64, len(shifts)).astype(np.int64)
-    nums = np.empty(ell, dtype=np.int64)
-    nums[mirrors] = walked
-    nums[shifts] = walked
-    return nums
+    return _numerators((arr,), m, ((0, 0),))[0]
 
 
 class _Parts(NamedTuple):
@@ -432,11 +418,6 @@ def _periodic_parts(seqs, pairs, tails: bool = False) -> list[_Parts]:
     x = np.asarray(seqs, dtype=np.int64)
     k, ell = x.shape
 
-    def periodic(row):  # sum_t a[(t+d) mod l] b[t], from C_{a,b}
-        pc = row[ell - 1 :].copy()
-        pc[1:] += row[: ell - 1]
-        return pc
-
     def cyclic(row):  # sum_t a[t] b[(e-t) mod l], from a * b
         c = row[:ell].copy()
         c[:-1] += row[ell:]
@@ -448,7 +429,7 @@ def _periodic_parts(seqs, pairs, tails: bool = False) -> list[_Parts]:
     # float64 rows: a stack of int64 rows transforms at half the speed
     got = dict(zip(first, corr._correlations(x.astype(np.float64), first)))
     autos = [got[i, i][ell - 1 :].copy() for i in range(k)]  # C(0 .. l-1)
-    ps = [periodic(got[j, i]) for i, j in pairs]
+    ps = [corr._periodic(got[j, i]) for i, j in pairs]
     qs = [cyclic(got[i, ~j]) for i, j in pairs]
     del got
     # row k + i is [0, V_i(1), .., V_i(l-1)]; tails add the rows
@@ -475,7 +456,7 @@ def _periodic_parts(seqs, pairs, tails: bool = False) -> list[_Parts]:
     got = dict(zip(second, corr._correlations(rows, second)))
     parts = []
     for t, ((i, j), p, q) in enumerate(zip(pairs, ps, qs)):
-        rf, rg = (-2 * x[a] * periodic(got[a, k + b]) for a, b in ((i, j), (j, i)))
+        rf, rg = (-2 * x[a] * corr._periodic(got[a, k + b]) for a, b in ((i, j), (j, i)))
         tf, tg = (got[prod][:ell] for prod in tail_prods[t]) if tails else (None, None)
         parts.append(_Parts(2 * int(autos[i][1:] @ autos[j][1:]), rf, rg, p, q, tf, tg))
     return parts
@@ -490,17 +471,19 @@ def _periodic_parts(seqs, pairs, tails: bool = False) -> list[_Parts]:
 _HANKEL_DIRECT_HALF, _HANKEL_DIRECT_WORK = 64, 1 << 17
 
 
-def _hankel_prefix_sums(w: np.ndarray, q: np.ndarray) -> np.ndarray | None:
+def _hankel_prefix_sums(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     """S[k, a] = sum_{j<a} w[k, j] q[k, (a + j) mod l] for each row k of
-    the int64 arrays w and q (k x l) and a = 0 .. l-1, int64; None if an
-    FFT output fails corr._rounded.
+    the int64 arrays w and q (k x l) and a = 0 .. l-1, int64.
 
     The length is padded to a power of two n.  Each (j, a), j < a, lies in
     one 2h-block with j in its lower half and a in its upper half, for one
     h; so level h adds to a = b0 + h + u the correlation sum_{v<h} w[b0+v]
     q[2 b0 + h + u + v] of the lower half of the block at b0 with a window
     of q, for the blocks whose upper half starts below l, by one einsum over
-    a strided Hankel view of q or by FFTs of all blocks at once.
+    a strided Hankel view of q or by FFTs of all blocks at once.  An FFT
+    level's circular correlation of each lower half with its 2h-window must
+    pass corr._exact, its sum being (sum of the half)(sum of the window),
+    or the level is taken by the einsum.
     """
     from numpy import fft  # loaded on first use, as in corr
 
@@ -520,38 +503,37 @@ def _hankel_prefix_sums(w: np.ndarray, q: np.ndarray) -> np.ndarray | None:
         lower = wp.reshape(rows, -1, 2 * h)[:, :blocks, :h]
         upper = out.reshape(rows, -1, 2 * h)[:, :blocks, h : h + span]
         rows_q = slice(h, h + 4 * h * blocks)
-        if h <= _HANKEL_DIRECT_HALF or blocks * span * h <= _HANKEL_DIRECT_WORK:
-            windows = hankel[:, rows_q].reshape(rows, blocks, 4 * h, -1)[:, :, :span, :h]
-            upper += np.einsum("kbuv,kbv->kbu", windows, lower)
-        else:
+        sums = None
+        if h > _HANKEL_DIRECT_HALF and blocks * span * h > _HANKEL_DIRECT_WORK:
+            window = qe[:, rows_q].reshape(rows, blocks, 4 * h)[..., : 2 * h]
             prod = fft.rfft(lower, 2 * h)
             np.conjugate(prod, out=prod)
-            prod *= fft.rfft(qe[:, rows_q].reshape(rows, blocks, 4 * h)[..., : 2 * h])
+            prod *= fft.rfft(window)
+            # exact in int64: float64 sums of integers below 2^53
+            expect = lower.sum(axis=-1).astype(np.int64) * window.sum(axis=-1).astype(np.int64)
             circ = fft.irfft(prod, 2 * h)
             del prod
-            sums = corr._rounded(circ[..., :span])
-            if sums is None:
-                return None
-            upper += sums
+            sums = corr._exact(circ, expect)
+        if sums is None:
+            windows = hankel[:, rows_q].reshape(rows, blocks, 4 * h, -1)[:, :, :span, :h]
+            sums = np.einsum("kbuv,kbv->kbu", windows, lower)
+        upper += sums[..., :span]
         h *= 2
     return out[:, :ell].astype(np.int64)
 
 
 def _periodic_numerators(seqs, pairs) -> list[np.ndarray] | None:
-    """The numerators of _lockstep_numerators at m = l, for each (i, j) in
-    pairs and every rotation a of seqs[i] and seqs[j], from periodic
-    correlations in O(l log^2 l) (see the module docstring); None unless
-    they pass both exactness checks.
+    """The numerators of _numerators at m = l, for each (i, j) in pairs and
+    every rotation a of seqs[i] and seqs[j], from periodic correlations in
+    O(l log^2 l) (see the module docstring); None unless the steps of each
+    product sum to 0 over a period.
     """
     parts = _periodic_parts(seqs, pairs, tails=True)
     x = np.asarray(seqs, dtype=np.int64)
     ell = x.shape[1]
     # the Hankel sums of each pair, over y and, unless y is x, over x
     over = [(a, part.q) for (i, j), part in zip(pairs, parts) for a in dict.fromkeys((j, i))]
-    s = _hankel_prefix_sums(x[[a for a, _ in over]], np.array([q for _, q in over]))
-    if s is None:
-        return None
-    sums = iter(s)
+    sums = iter(_hankel_prefix_sums(x[[a for a, _ in over]], np.array([q for _, q in over])))
     out = []
     for (i, j), part in zip(pairs, parts):
         # t_f[a] = sum_{j<a} d^f_a . d^g_j = 4 x[a] sum_{j<a} y[j] (P(j-a) - Q(a+j)),
@@ -643,11 +625,10 @@ def best_pair_shifts(f: BinarySequence, g: BinarySequence, objective: str = "cdf
         cdf = _pair_grid(af, ag)
         if objective == "cdf":
             return divmod(_first_minimum(cdf), ell)
-        adf_f, adf_g = _lockstep_numerators(af, ag, ell, ((0, 0), (1, 1)))
+        adf_f, adf_g = _numerators((af, ag), ell, ((0, 0), (1, 1)))
         return divmod(_first_minimum(cdf, adf_f[:, None], adf_g), ell)
-    budget.check("shift-search length", ell)
     pairs = ((0, 1), (0, 0), (1, 1)) if objective == "psc" else ((0, 1),)
-    cross, *adfs = _lockstep_numerators(af, ag, ell, pairs)
+    cross, *adfs = _numerators((af, ag), ell, pairs)
     r = _first_minimum(ell * ell + cross, *adfs)
     return r, r
 
@@ -793,15 +774,15 @@ def _half_legendre(p):
     """The half-Legendre pair at the shift minimizing its PSC (first on ties).
 
     At shift r the halves are the length-half windows of the Legendre
-    sequence starting at r and at r + half, so one lockstep pass of the
-    walks of the sequence and of its rotation by half gives every ADF
-    numerator of the first half and every CDF numerator; the second half's
-    ADF numerators are the first's, rotated by half.
+    sequence starting at r and at r + half, so one _numerators pass over
+    the sequence and its rotation by half gives every ADF numerator of the
+    first half and every CDF numerator; the second half's ADF numerators
+    are the first's, rotated by half.
     """
     budget.check("shift-search length", p)
     arr = families.legendre(p).terms
     half = (p - 1) // 2
-    adf_a, cross = _lockstep_numerators(arr, np.roll(arr, -half), half, ((0, 0), (0, 1)))
+    adf_a, cross = _numerators((arr, np.roll(arr, -half)), half, ((0, 0), (0, 1)))
     r = _first_minimum(half * half + cross, adf_a, np.roll(adf_a, -half))
     yield f"p={p} shift={r}", *families.half_legendre_pair(p, r)
 

@@ -5,34 +5,36 @@ C_{f,g}(s) = sum_j f_{j+s} g_j with out-of-range terms treated as zero,
 so the support is -(len(g)-1) <= s <= len(f)-1.  Periodic correlation
 satisfies PC(s) = C(s) + C(s - l) for equal lengths l.
 
-All values are integers; demerit factors are Fractions, and a DemeritReport
-stores the three of a pair and derives PSC from them.  Every correlation in
-the package comes from one private kernel, _correlations(rows, products),
-whose entry t is C_{rows[i], rows[j]} for (i, j) = products[t], row by row
-when the two are stacks of rows, or for j = ~r the convolution of rows[i]
-with rows[r], a correlation with rows[r] reversed; only golay._tail_keys
-and the circular block sums of analysis._hankel_prefix_sums sum
-correlations of another shape themselves.  _corr calls it for one pair of
-term arrays or of stacks, the shift-search engines of analysis with
-several products of one row each, and the Monte Carlo baseline with two
-products of stacks.  While the products times the rows of a stack times
-the shorter length is at most _DIRECT_WORK = 768, the kernel is numpy's
-direct correlation, O(l^2), on float64 copies of the rows, since numpy
-runs it on SIMD dot products for float64 and as a plain loop for int64.
-It is exact for every caller: each partial sum is an integer far below
-2^53, at most l <= 2^20 in absolute value for +-1 rows within the
-exact-length budget, and below 2l^2 <= 2^29 for the engines' rows
-(|V| <= 2l within the shift-search length).  Above it, each row is
-transformed once at a power of two of at least la + lb - 1 terms, so
-nothing wraps, and product t is irfft(rfft(rows[i]) * conj(rfft(rows[j]))),
-O(l log l), without the conjugate for a convolution: an autocorrelation
-takes one transform, and a reversed row none.  Every FFT result is
-checked: each value must lie within 0.25 of its integer (_rounded) and
-each row of each product must satisfy sum_s C(s) = (sum a)(sum b) exactly,
-in int64; otherwise the whole call is computed directly.  _corr refuses
-lengths over the exact-length budget (see budget), within which the
-values and their squared sums are exact in int64, and every value is
-exact in float64.
+All values are integers; demerit factors are Fractions, and a
+DemeritReport stores the three of a pair and derives PSC from them.
+Every correlation in the package comes from one private kernel,
+_correlations(rows, products), whose entry t is C_{rows[i], rows[j]} for
+(i, j) = products[t], row by row when the two are stacks of rows, or for
+j = ~r the convolution of rows[i] with rows[r], a correlation with
+rows[r] reversed; only golay._tail_keys (int8 sums, no FFT) and the
+circular block sums of analysis._hankel_prefix_sums sum correlations of
+another shape themselves.  _corr calls it for one pair of term arrays or
+of stacks, the shift-search engines of analysis with several products of
+one row each, and the Monte Carlo baseline with two products of stacks.
+While the products times the rows of a stack times the shorter length is
+at most _DIRECT_WORK = 768, the kernel is numpy's direct correlation,
+O(l^2), on float64 copies of the rows, since numpy runs it on SIMD dot
+products for float64 and as a plain loop for int64.  It is exact for
+every caller: each partial sum is an integer far below 2^53, at most l
+<= 2^20 in absolute value for +-1 rows within the exact-length budget,
+and below 2l^2 <= 2^29 for the engines' rows (|V| <= 2l within the
+shift-search length).  Above it, each row is transformed once at a power
+of two of at least la + lb - 1 terms, so nothing wraps, and product t is
+irfft(rfft(rows[i]) * conj(rfft(rows[j]))), O(l log l), without the
+conjugate for a convolution: an autocorrelation takes one transform, and
+a reversed row none.  Every FFT output in the package, the Hankel block
+sums' too, passes one check, _exact: each value must lie within 0.25 of
+its integer, and each row of each product must satisfy
+sum_s C(s) = (sum a)(sum b) exactly, in int64.  Otherwise the kernel
+computes the whole call directly, and the Hankel sums that level.  _corr
+refuses lengths over the exact-length budget (see
+budget), within which the values and their squared sums are exact in
+int64, and every value is exact in float64.
 """
 
 from __future__ import annotations
@@ -108,8 +110,7 @@ def _correlations(rows, products) -> np.ndarray:
         for t in convolved:  # a convolution does not wrap
             x[t] = circ[t, ..., : la + lb - 1]
         del circ
-        c = _rounded(x)
-        if c is not None and (c.sum(axis=-1) == expect).all():
+        if (c := _exact(x, expect)) is not None:
             return c
     rows = [x.astype(np.float64) for x in rows]  # exact: see the module docstring
     out = np.empty((len(products), *a.shape[:-1], la + lb - 1), dtype=np.int64)
@@ -119,9 +120,11 @@ def _correlations(rows, products) -> np.ndarray:
     return out
 
 
-def _rounded(x: np.ndarray) -> np.ndarray | None:
-    """x (float64) rounded to int64, or None unless every value lies within
-    0.25 of its integer.  Overwrites x, whose memory the result takes."""
+def _exact(x: np.ndarray, expect) -> np.ndarray | None:
+    """x (float64, an FFT output) rounded to int64, or None unless every
+    value lies within 0.25 of its integer and the values along the last
+    axis sum to expect (int64, broadcast against x's other axes) exactly.
+    Overwrites x, whose memory the result takes."""
     c = np.rint(x)
     x -= c
     np.abs(x, out=x)
@@ -129,7 +132,7 @@ def _rounded(x: np.ndarray) -> np.ndarray | None:
         return None
     out = x.view(np.int64)
     np.copyto(out, c, casting="unsafe")
-    return out
+    return out if (out.sum(axis=-1) == expect).all() else None
 
 
 def xcorr_values(f: BinarySequence, g: BinarySequence) -> list[int]:
@@ -152,12 +155,16 @@ def aperiodic_xcorr(f: BinarySequence, g: BinarySequence) -> CorrelationSpectrum
 def periodic_xcorr(f: BinarySequence, g: BinarySequence) -> CorrelationSpectrum:
     if len(f) != len(g):
         raise ValueError("periodic crosscorrelation requires equal lengths")
-    ell = len(f)
-    # c[k] = C(k - (ell-1)): PC(s) = C(s) + C(s - ell) is c[ell-1+s] + c[s-1]
-    c = _corr(f.terms, g.terms)
-    pc = c[ell - 1 :]
+    return CorrelationSpectrum(dict(enumerate(_periodic(_corr(f.terms, g.terms)).tolist())))
+
+
+def _periodic(c: np.ndarray) -> np.ndarray:
+    """PC(s) = C(s) + C(s - l), s = 0 .. l-1, as a new array, from the
+    aperiodic c[k] = C(k - (l-1)) of two sequences of length l."""
+    ell = (len(c) + 1) // 2
+    pc = c[ell - 1 :].copy()
     pc[1:] += c[: ell - 1]
-    return CorrelationSpectrum(dict(zip(range(ell), pc.tolist())))
+    return pc
 
 
 def _adf_of(c: np.ndarray, ell: int) -> Fraction:

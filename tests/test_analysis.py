@@ -59,7 +59,7 @@ def diagonal_of(af, ag, m=None):
     """The CDF numerators m^2 + 2 sum_s C^f_r(s) C^g_r(s) of the windows
     of length m (l by default) of f and g at every equal shift r."""
     m = len(af) if m is None else m
-    return m * m + analysis._lockstep_numerators(af, ag, m, ((0, 1),))[0]
+    return m * m + analysis._numerators((af, ag), m, ((0, 1),))[0]
 
 
 @pytest.fixture
@@ -223,7 +223,7 @@ class TestEngines:
             ell = rng.randrange(2, 13)
             f = random_sequence(rng, ell)
             g = random_sequence(rng, ell)
-            # m = l + 1: an appended window, as the lockstep pass takes any m
+            # m = l + 1: an appended window, as _numerators takes any m
             for m in range(1, ell + 2):
                 diag = diagonal_of(f.terms, g.terms, m)
                 for r in range(ell):
@@ -237,7 +237,7 @@ class TestEngines:
                 adf_numerators_all_shifts(arr, m)
         with pytest.raises(ValueError):
             analysis._pair_grid(arr, np.ones(4, dtype=np.int64))
-        # the lockstep pass trusts its callers; best_pair_shifts checks lengths
+        # _numerators trusts its callers; best_pair_shifts checks lengths
         longer = BUDGETS["pair-grid length"].limit + 1
         for ell_g in (longer + 1, longer - 1):
             with pytest.raises(ValueError, match="equal lengths"):
@@ -269,7 +269,7 @@ class TestEngines:
         rng = random.Random(70)
         f, g = random_sequence(rng, 9).terms, random_sequence(rng, 9).terms
         pairs = ((0, 1), (0, 0), (1, 1))
-        for out in (adf_numerators_all_shifts(f, 12), *analysis._lockstep_numerators(f, g, 9, pairs)):
+        for out in (adf_numerators_all_shifts(f, 12), *analysis._numerators((f, g), 9, pairs)):
             assert out.dtype == np.int64
         # the pair grid stays float64, every entry an exact integer
         grid = analysis._pair_grid(f, g)
@@ -415,7 +415,7 @@ class TestEngineProperties:
         ell = len(f)
         grid = analysis._pair_grid(f.terms, g.terms)
         # the ADF numerators that the PSC grid takes
-        adf_f, adf_g = analysis._lockstep_numerators(f.terms, g.terms, ell, ((0, 0), (1, 1)))
+        adf_f, adf_g = analysis._numerators((f.terms, g.terms), ell, ((0, 0), (1, 1)))
         assert grid.shape == (ell, ell) and adf_f.shape == adf_g.shape == (ell,)
         shifts = _shifts(ell)
         cells = [(rf, rg) for rf in shifts for rg in shifts] if ell <= 24 else zip(shifts, reversed(shifts))
@@ -467,9 +467,9 @@ class TestPairMirror:
         expect = {(0, 1): [c - m * m for c in cdf], (0, 0): adf_f, (1, 1): adf_g}
         # half_legendre asks for ((0, 0), (0, 1)), the psc diagonal for all three
         for pairs in (((0, 1), (0, 0), (1, 1)), ((0, 0), (0, 1)), ((0, 1),), ((1, 1),)):
-            for pair, nums in zip(pairs, analysis._lockstep_numerators(f.terms, g.terms, m, pairs)):
+            for pair, nums in zip(pairs, analysis._numerators((f.terms, g.terms), m, pairs)):
                 assert nums.dtype == np.int64 and nums.tolist() == expect[pair], pair
-        cross, nf, ng = analysis._lockstep_numerators(f.terms, g.terms, m, ((0, 1), (0, 0), (1, 1)))
+        cross, nf, ng = analysis._numerators((f.terms, g.terms), m, ((0, 1), (0, 0), (1, 1)))
         assert analysis._first_minimum(m * m + cross) == oracle_first_minimum(cdf)
         assert analysis._first_minimum(m * m + cross, nf, ng) == oracle_first_minimum(cdf, adf_f, adf_g)
 
@@ -478,7 +478,7 @@ class TestPairMirror:
         ell = len(f)
         cdf, adf_f, adf_g = oracle_shift_numerators(f, g, [(rf, rg) for rf in range(ell) for rg in range(ell)])
         grid = analysis._pair_grid(f.terms, g.terms)
-        grid_adf_f, grid_adf_g = analysis._lockstep_numerators(f.terms, g.terms, ell, ((0, 0), (1, 1)))
+        grid_adf_f, grid_adf_g = analysis._numerators((f.terms, g.terms), ell, ((0, 0), (1, 1)))
         assert grid.ravel().tolist() == cdf
         assert grid_adf_f.tolist() == adf_f[::ell] and grid_adf_g.tolist() == adf_g[:ell]
         assert best_pair_shifts(f, g, "cdf") == divmod(oracle_first_minimum(cdf), ell)
@@ -526,10 +526,10 @@ class TestPairMirror:
         def search(f, g):
             """The engine's arrays, then the answers of both objectives."""
             if grid:
-                adfs = analysis._lockstep_numerators(f.terms, g.terms, ell, ((0, 0), (1, 1)))
+                adfs = analysis._numerators((f.terms, g.terms), ell, ((0, 0), (1, 1)))
                 arrays = analysis._pair_grid(f.terms, g.terms), *adfs
             else:
-                arrays = analysis._lockstep_numerators(f.terms, g.terms, ell, pairs3)
+                arrays = analysis._numerators((f.terms, g.terms), ell, pairs3)
             return arrays, [best_pair_shifts(f, g, objective) for objective in ("cdf", "psc")]
 
         rng = random.Random(84 + ell)
@@ -575,12 +575,12 @@ def _walked_grid(f, g):
 
 
 def _walked(f, g, pairs=((0, 1), (0, 0), (1, 1))):
-    """_lockstep_numerators at m = l from full rotation walks of f and g:
+    """_numerators at m = l from full rotation walks of f and g:
     the numerators that the periodic engine must equal."""
     saved = analysis._periodic_numerators, analysis._reversal_centre
     analysis._periodic_numerators, analysis._reversal_centre = lambda seqs, pairs: None, lambda a, b=None: None
     try:
-        return analysis._lockstep_numerators(f.terms, g.terms, len(f), pairs)
+        return analysis._numerators((f.terms, g.terms), len(f), pairs)
     finally:
         analysis._periodic_numerators, analysis._reversal_centre = saved
 
@@ -601,13 +601,13 @@ class TestPeriodicEngine:
 
     @staticmethod
     def check(f, g):
-        """Every product alone, all three at once, the lockstep pass and the
+        """Every product alone, all three at once, _numerators and the
         grid."""
         ell, pairs = len(f), ((0, 1), (0, 0), (1, 1))
         walked = _walked(f, g)
         x, y = f.terms, g.terms
         alone = [analysis._periodic_numerators((x, y), (pair,))[0] for pair in pairs]
-        for got in (alone, analysis._periodic_numerators((x, y), pairs), analysis._lockstep_numerators(x, y, ell, pairs)):
+        for got in (alone, analysis._periodic_numerators((x, y), pairs), analysis._numerators((x, y), ell, pairs)):
             for nums, expect in zip(got, walked):
                 assert nums.dtype == np.int64 and np.array_equal(nums, expect)
         if ell <= BUDGETS["pair-grid length"].limit:
@@ -649,28 +649,25 @@ class TestPeriodicEngine:
             self.check(f, _swap_of(f.terms, 4, -1))
             self.check(f, random_sequence(rng, ell))
 
-    def test_failed_rounding_check_falls_back_to_the_walk(self, monkeypatch, walk_counts):
-        """With every FFT output refused, the searches walk and return the
-        same arrays: at l = 1000 the engine's top Hankel level is an FFT
-        (and corr falls back to its direct path)."""
+    def test_refused_fft_outputs_are_taken_directly(self, monkeypatch, walk_counts):
+        """With every FFT output refused, the engines return the same arrays
+        without a walk: the kernel correlates directly, and each Hankel
+        level is taken by its einsum (at l = 1000 the top level is an FFT)."""
         ell = 1000
         rng = random.Random(92)
         f, g = random_sequence(rng, ell), random_sequence(rng, ell)
         pairs = ((0, 1), (0, 0), (1, 1))
-        expect = analysis._lockstep_numerators(f.terms, g.terms, ell, pairs)
+        expect = analysis._periodic_numerators((f.terms, g.terms), pairs)
         expect_adf = adf_numerators_all_shifts(f.terms)
         small = f.terms[:300], g.terms[:300]
         expect_grid = analysis._pair_grid(*small)
-        assert walk_counts == []
-        monkeypatch.setattr(corr, "_rounded", lambda x: None)
-        # the grid's correlations are taken directly instead
+        refused = []
+        monkeypatch.setattr(corr, "_exact", lambda x, expect: refused.append(x.shape))
         assert np.array_equal(analysis._pair_grid(*small), expect_grid)
-        assert analysis._periodic_numerators((f.terms, g.terms), pairs) is None
-        got = analysis._lockstep_numerators(f.terms, g.terms, ell, pairs)
-        assert walk_counts == [[ell, ell], [ell, ell]]
-        walk_counts.clear()
+        got = analysis._periodic_numerators((f.terms, g.terms), pairs)
         got_adf = adf_numerators_all_shifts(f.terms)
-        assert walk_counts == [[ell, ell]]
+        assert walk_counts == []
+        assert any(len(shape) == 3 for shape in refused)  # a Hankel level was refused
         for a, b in zip([*got, got_adf], [*expect, expect_adf]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -695,6 +692,29 @@ class TestPeriodicEngine:
         walk_counts.clear()
         assert np.array_equal(analysis._pair_grid(f.terms, g.terms), expect_grid)
         assert np.array_equal(adf_numerators_all_shifts(h), expect_adf)
+        assert walk_counts == []
+
+    def test_integer_error_in_a_hankel_level_is_caught(self, monkeypatch, walk_counts):
+        """Whole-integer errors in one Hankel level that cancel in the wrap
+        check: block sums refuse the level, and its einsum takes it, so the
+        numerators come out unchanged and nothing walks.  For Legendre
+        p = 4099 the first 3-D inverse is the h = 128 level, (1, 16, 256)."""
+        h = legendre(4099).terms
+        expect = adf_numerators_all_shifts(h)
+        real = np.fft.irfft
+        perturbed = []
+
+        def irfft(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if out.ndim == 3 and not perturbed:
+                perturbed.append(out.shape)
+                out[0, :2, 0] += 1.0
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        walk_counts.clear()
+        assert np.array_equal(adf_numerators_all_shifts(h), expect)
+        assert perturbed == [(1, 16, 256)]
         assert walk_counts == []
 
     def test_failed_wrap_check_falls_back_to_the_walk(self, monkeypatch, walk_counts):
@@ -775,7 +795,7 @@ class TestShiftSearch:
         if ell <= BUDGETS["pair-grid length"].limit:
             grid = analysis._pair_grid(f.terms, g.terms)
             # the search's ADF numerators are those of adf_numerators_all_shifts
-            search_adfs = analysis._lockstep_numerators(f.terms, g.terms, ell, ((0, 0), (1, 1)))
+            search_adfs = analysis._numerators((f.terms, g.terms), ell, ((0, 0), (1, 1)))
             assert all(np.array_equal(a, b) for a, b in zip(search_adfs, (adf_f, adf_g)))
             expect = divmod(int(np.argmin(grid + np.sqrt(np.outer(adf_f, adf_g)))), ell)
         else:

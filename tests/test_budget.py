@@ -99,7 +99,7 @@ class TestEntryPointBoundaries:
     def test_diagonal_at_shift_search_length(self):
         ell = limit("shift-search length")
         ones = np.ones(ell, dtype=np.int64)
-        (cross,) = analysis._lockstep_numerators(ones, ones, ell, ((0, 1),))
+        (cross,) = analysis._numerators((ones, ones), ell, ((0, 1),))
         assert (ell * ell + cross == all_ones_numerator(ell)).all()
         longer = BinarySequence((1,) * (ell + 1))
         with pytest.raises(ValueError, match="shift-search budget"):

@@ -287,11 +287,11 @@ class TestProductsKernel:
         assert np.array_equal(corr._correlations(long, [(1, ~0)])[0], np.convolve(long[1], long[0]))
 
     def test_only_the_kernel_transforms(self):
-        """Every FFT correlation passes the kernel's checks: numpy.fft is
-        used only by corr._correlations and by the circular block sums of
-        analysis._hankel_prefix_sums."""
+        """Every FFT output passes one check: numpy.fft is used only by
+        corr._correlations and by the circular block sums of
+        analysis._hankel_prefix_sums, and only corr._exact rounds."""
         names = set(np.fft.__all__)
-        users = set()
+        users, rounders = set(), set()
 
         def scan(node, module, scope):
             for child in ast.iter_child_nodes(node):
@@ -302,11 +302,14 @@ class TestProductsKernel:
                     and ("fft" in (child.module or "") or any(a.name == "fft" for a in child.names))
                 ):
                     users.add((module, scope))
+                if isinstance(child, ast.Attribute) and child.attr in ("rint", "round", "around"):
+                    rounders.add((module, scope))
                 scan(child, module, inner)
 
         for path in sorted(Path(corr.__file__).parent.glob("*.py")):
             scan(ast.parse(path.read_text()), path.stem, None)
         assert users == {("corr", "_correlations"), ("analysis", "_hankel_prefix_sums")}
+        assert rounders == {("corr", "_exact")}
 
 
 class TestPeriodicXcorr:
