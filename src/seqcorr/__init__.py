@@ -41,7 +41,6 @@ from .golay import (
     GolayPair,
     certify,
     compose_to_length,
-    golay_base,
     is_golay_pair,
     rsl_stem,
     search_golay_pairs,
@@ -81,7 +80,6 @@ __all__ = [
     "CertificationError",
     "certify",
     "is_golay_pair",
-    "golay_base",
     "compose_to_length",
     "search_optimal_seeds",
     "search_golay_pairs",

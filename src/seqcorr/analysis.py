@@ -14,16 +14,16 @@ half-Legendre halves) are scored by a rotation walk of each sequence:
 C(1..m-1) of the first window from corr._corr, an O(m) update to each
 next rotation and one dot product per product a shift, in float64, exact
 since every partial sum is an integer below m^3/3 < 2^45 (shift-search
-window).  A sequence with x[(c - i)
-mod l] = eps x[i] for every i and one eps = +-1 (Legendre p = 1 mod 4,
-quartic p = 1 mod 8) has N(r) = N(sigma - r), sigma = (c - m + 1) mod l,
-since reversing the window at r gives eps times the window at sigma - r
-and reversal or negation leaves C unchanged; its walk takes l//2 + 1
-rotations and copies each numerator to its mirror.  _reversal_centre(f, g)
-finds a c with g[i] = eps f[(c - i) mod l]: under such a swap (the
-half-Legendre pairs with p = 1 mod 4, about c = -half) the two walks,
-taken in step, mirror the cross product to itself and f's ADF numerators
-to g's.
+window).  Reversal or negation leaves C unchanged, so when
+_reversal_centre(f, g) finds a c with g[i] = eps f[(c - i) mod l] for every
+i and one eps = +-1, g's window at sigma - r, sigma = (c - m + 1) mod l, is
+eps times f's window at r reversed, and product (i, j) at r equals product
+(k - j, k - i) at sigma - r, k = len(seqs) - 1.  A sequence that is its own
+reversal (Legendre p = 1 mod 4, quartic p = 1 mod 8) is such a swap of
+itself, N(r) = N(sigma - r); of the pairs, the half-Legendre halves with
+p = 1 mod 4 are one, about c = -half, whose walks mirror the cross product
+to itself and f's ADF numerators to g's.  A mirrored walk takes l//2 + 1
+rotations and copies each numerator to its partner's mirror.
 
 A full-period window (m = l) is read from periodic correlations, as
 Hoholdt & Jensen read the merit factor of rotated Legendre sequences.
@@ -293,18 +293,17 @@ def _rotation_walk(arr: np.ndarray, m: int, start: int = 0) -> _Walk:
     return _Walk(w, vectors())
 
 
-def _reversal_centre(a: np.ndarray, b: np.ndarray | None = None) -> int | None:
+def _reversal_centre(a: np.ndarray, b: np.ndarray) -> int | None:
     """A c with a[(c - i) mod l] = eps b[i] for every i and one eps = +-1,
-    b being a unless given; or None.  For one sequence, cyclic_shift(f,
-    c + 1) reversed is eps f; for two, g is eps times f reversed about c.
+    or None: b is eps times a reversed about c.  With b = a,
+    cyclic_shift(a, c + 1) reversed is eps a.
 
     One bytes.find of b's reversed sign string in a's doubled one, linear
     in l, finds c for each eps, and np.array_equal on the terms confirms it.
-    For one sequence of odd length l there is an i with 2i = c (mod l),
-    where eps = -1 would need x[i] = -x[i], so that case tries eps = 1 only.
+    For b = a of odd length l there is an i with 2i = c (mod l), where
+    eps = -1 would need a[i] = -a[i], so that case tries eps = 1 only.
     """
-    a = np.asarray(a)
-    b = a if b is None else np.asarray(b)
+    a, b = np.asarray(a), np.asarray(b)
     ell = len(a)
     up = b > 0
     doubled = (a > 0).tobytes() * 2
@@ -341,22 +340,22 @@ def _numerators(seqs, m: int, pairs: tuple[tuple[int, int], ...]) -> list[np.nda
     of seqs[i] (see _rotation_walk); seqs is one sequence or two of equal
     length.  At m = l they come from _periodic_numerators.  Else, or if its
     wrap check fails, each sequence is walked once, in lockstep, one dot
-    product per product a step, over the arc of l//2 + 1 rotations when
-    the sequences mirror; each product is copied to its mirror, (0, 1) as
-    itself, and under a swap (0, 0) mirrors to (1, 1), so the partner of an
-    ADF product is taken too.
+    product per product a step.  When the last sequence is the first
+    reversed about a centre (_reversal_centre), the walk takes the arc of
+    l//2 + 1 rotations, and product (i, j) at rotation r is product
+    (k - j, k - i) at the mirror of r, k = len(seqs) - 1; so (0, 1) and a
+    lone sequence's (0, 0) mirror to themselves, and the partner (1, 1) of
+    (0, 0) is taken too.
     """
     ell = len(seqs[0])
     budget.check("shift-search length", ell)
     budget.check("shift-search window", m)
     if m == ell and (got := _periodic_numerators(seqs, pairs)) is not None:
         return got
-    c, swap = _reversal_centre(seqs[0]), False
-    if len(seqs) == 2 and (c is None or c != _reversal_centre(seqs[1])):
-        c = _reversal_centre(*seqs)
-        swap = c is not None
+    c = _reversal_centre(seqs[0], seqs[-1])
     shifts, mirrors = _arc(c, m, ell)
-    partner = {(i, j): (1 - j, 1 - i) if swap else (i, j) for i, j in pairs}
+    k = len(seqs) - 1
+    partner = {(i, j): (i, j) if c is None else (k - j, k - i) for i, j in pairs}
     taken = list(dict.fromkeys([*pairs, *partner.values()]))
     walks = [_rotation_walk(x, m, int(shifts[0])) for x in seqs]
     if len(walks) == 1:  # (0, 0) alone: a loop over products took 2-15% longer
@@ -833,7 +832,7 @@ def _legendre_plus_quartic(p):
     budget.check("shift-search length", p)
     ctx = families.make_prime_field(p)
     hf, qf = families.legendre(p), families.quartic_f(ctx)
-    (rf, _), (rg, _) = best_shift(hf), best_shift(qf)
+    rf, rg = map(_first_minimum, _numerators((hf.terms, qf.terms), p, ((0, 0), (1, 1))))
     yield f"p={p} shifts={rf}/{rg}", cyclic_shift(hf, rf), cyclic_shift(qf, rg)
 
 

@@ -169,13 +169,6 @@ _BASES = {len(a): GolayPair(parse_line(a), parse_line(b))
           for a, b in (("++", "+-"), ("-++-+-----", "+-+---++--"))}
 
 
-def golay_base(length: int) -> GolayPair:
-    """The built-in base pair of the given length, certified at import."""
-    if length not in _BASES:
-        raise ValueError(f"base pair lengths are {' and '.join(map(str, _BASES))}; got {length}")
-    return _BASES[length]
-
-
 def check_composable(length: int) -> list[int]:
     """The base lengths whose product is length, shortest first, after
     refusing lengths below 2, over the exact-length budget, or of any other

@@ -16,6 +16,7 @@ from seqcorr import (
     adf,
     analysis,
     cdf,
+    cli,
     corr,
     cyclic_shift,
     families,
@@ -53,6 +54,7 @@ from oracles import (
     oracle_shift_numerators,
     random_sequence,
 )
+from test_golden_cli import CASES as GOLDEN_CASES
 
 
 def diagonal_of(af, ag, m=None):
@@ -440,9 +442,11 @@ def _flip(f, i):
 
 
 def _mirror_pairs(n):
-    """Pairs of length n whose windows mirror (see analysis): both their
-    own reversals about one centre c, each with its own sign (-1 only for an
-    even n and an odd c), or a swap, g = eps f reversed about c."""
+    """Pairs of length n whose windows may mirror (see analysis): a swap,
+    g = eps f reversed about c, which the walk mirrors, or two sequences
+    that are each their own reversal about one centre c, each with its own
+    sign (-1 only for an even n and an odd c), which it mirrors only if
+    they also form a swap."""
     terms = st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
 
     def signs(c):
@@ -507,12 +511,19 @@ class TestPairMirror:
             "different centres": (f, _mirror_of(random_sequence(rng, ell).terms, 1, 4)),
             "one term off a common centre": (f, _flip(_mirror_of(random_sequence(rng, ell).terms, 1, 3), 5)),
             "one term off a swap": (h, _flip(_swap_of(h.terms, 6, -1), 2)),
+            # each its own reversal about centre 3, but not a swap: only a
+            # swap mirrors
+            "a common centre": (f, _mirror_of(random_sequence(rng, ell).terms, 1, 3)),
         }
         for name, (f, g) in cases.items():
+            assert analysis._reversal_centre(f.terms, g.terms) is None, name
             for m in (ell - 4, ell + 3):
                 walk_counts.clear()
                 self.check_lockstep(f, g, m)
                 assert walk_counts and all(taken == [m, ell] for taken in walk_counts), name
+                walk_counts.clear()
+                analysis._numerators((f.terms, g.terms), m, ((0, 1), (0, 0), (1, 1)))
+                assert walk_counts == [[m, ell], [m, ell]], name
             walk_counts.clear()
             self.check_lockstep(f, g, ell)  # a full period is not walked
             assert walk_counts == [], name
@@ -544,7 +555,7 @@ class TestPairMirror:
             # full-period searches read every rotation from periodic correlations
             assert walk_counts == [], name
             with monkeypatch.context() as mp:
-                mp.setattr(analysis, "_reversal_centre", lambda a, b=None: None)
+                mp.setattr(analysis, "_reversal_centre", lambda a, b: None)
                 mp.setattr(analysis, "_periodic_numerators", lambda seqs, pairs: None)
                 walk_counts.clear()
                 if grid:
@@ -578,7 +589,7 @@ def _walked(f, g, pairs=((0, 1), (0, 0), (1, 1))):
     """_numerators at m = l from full rotation walks of f and g:
     the numerators that the periodic engine must equal."""
     saved = analysis._periodic_numerators, analysis._reversal_centre
-    analysis._periodic_numerators, analysis._reversal_centre = lambda seqs, pairs: None, lambda a, b=None: None
+    analysis._periodic_numerators, analysis._reversal_centre = lambda seqs, pairs: None, lambda a, b: None
     try:
         return analysis._numerators((f.terms, g.terms), len(f), pairs)
     finally:
@@ -746,7 +757,7 @@ class TestShiftSearch:
         x[3] = -x[3]
         near.append(BinarySequence(tuple(x)))
         for f in near:
-            assert analysis._reversal_centre(f.terms) is None
+            assert analysis._reversal_centre(f.terms, f.terms) is None
             ell = len(f)
             for m in (ell, ell - 5, ell + 4):
                 nums = adf_numerators_all_shifts(f.terms, m)
@@ -847,6 +858,45 @@ class TestShiftSearch:
                 walks.clear()
                 best_shift(legendre(p), resize_len=m)
                 assert walks == ([] if m == p else [[m, rotations]])
+
+    def test_golden_walks(self, walk_counts):
+        """The walks of the golden corpus's shift searches: resize= and
+        the half-Legendre halves walk a mirrored arc, full periods none."""
+        expect = {
+            "generate_legendre_1033_best_resize": [[1093, 517]],
+            "pairs_half_legendre_29": [[14, 15], [14, 15]],
+            "pairs_half_legendre_509": [[254, 255], [254, 255]],
+            "sweep_quartic_f_best": [],
+            "pairs_quartic_pair_337": [],
+            "pairs_reversing_mseq": [],
+            "pairs_reversing_mseq_grid511": [],
+            "pairs_reversing_mseq_diag1023": [],
+        }
+        for name, walks in expect.items():
+            argv, code = GOLDEN_CASES[name]
+            walk_counts.clear()
+            assert cli.main(argv) == code, name
+            assert walk_counts == walks, name
+
+    @pytest.mark.parametrize("p", [13, 101, 509])
+    def test_legendre_plus_quartic_asks_the_engines_once(self, p, monkeypatch, walk_counts):
+        hf, qf = legendre(p), families.quartic_f(families.make_prime_field(p))
+        (rf, _), (rg, _) = best_shift(hf), best_shift(qf)
+        target = TARGETS["psc-legendre-quartic"].value
+        expect = [analysis._pair_row("legendre_plus_quartic", f"p={p} shifts={rf}/{rg}",
+                                     cyclic_shift(hf, rf), cyclic_shift(qf, rg), target)]
+        calls = []
+        numerators = analysis._numerators
+
+        def counted(seqs, m, pairs):
+            calls.append((m, pairs))
+            return numerators(seqs, m, pairs)
+
+        monkeypatch.setattr(analysis, "_numerators", counted)
+        walk_counts.clear()
+        assert report_pairs("legendre_plus_quartic", p=p) == expect
+        assert calls == [(p, ((0, 0), (1, 1)))]
+        assert walk_counts == []
 
     def test_pair_search_validates(self):
         rng = random.Random(66)

@@ -40,18 +40,28 @@ def test_table_values():
 
 def test_budgets_keep_float64_sums_exact():
     """corr and analysis sum +-1 products in float64, exact while every
-    partial sum is an integer below 2^53; these budgets bound those sums."""
+    partial sum is an integer below 2^53; these budgets bound those sums,
+    and the int64 sums that the FFT check compares with."""
     assert limit("exact length") <= 2**53  # a direct correlation value: |C(s)| <= l
     w = limit("shift-search window")
     assert 2 * w**3 < 3 * 2**53  # an ADF numerator: 2 sum_s (w-s)^2 < 2w^3/3
     assert limit("shift-search length") ** 3 < 2**53  # a diagonal dot product, window <= l
     assert limit("pair-grid length") ** 3 < 2**53  # a pair-grid entry
-    # Full-period windows walk the folded v(s) = C(s) - C(l-s), s <= (l-1)/2:
-    # |v(s)| <= (l-s) + s = l, so the sums of products stay below (l-1)/2 * l^2.
+    # Full-period windows are read from periodic correlations (see analysis):
+    # w_a(s) = C_a(s) - C_a(l-s), s <= (l-1)/2, whose rotation 0 is the V row,
+    # has |w| <= (l-s) + s = l at every rotation a, and P, Q and PC are at most l.
     ell = limit("shift-search length")
-    assert ell + 2 < 2**53  # a folded lag between the walk's two adds of +-2
-    assert ell**3 < 2 * 2**53  # sum v^2, an ADF or diagonal product: below l^3/2
-    assert limit("pair-grid length") ** 3 < 2 * 2**53  # a folded grid product: below l^3/2
+    assert ell + 2 < 2**53  # a V value, |V| <= l, held in the kernel's float64 rows
+    # a numerator w^f_a . w^g_a + PC^f . PC^g / 2, below l^3/2 (int64 in the
+    # periodic engine, float64 in the walk that its wrap check falls back to)
+    assert ell**3 < 2 * 2**53
+    # the grid, summed in place in float64 from its second differences:
+    # every partial sum is an entry, in [0, l^3), or a difference of two
+    assert limit("pair-grid length") ** 3 < 2 * 2**53
+    # The bounds the periodic engine relies on, at shift-search length:
+    assert ell**2 < 2**53  # a Hankel partial sum, sum_{j<a} y[j] Q(a+j), in float64: below l^2
+    assert 2 * ell**2 < 2**53  # a direct kernel sum on a V or P row, l terms of at most l: below 2l^2
+    assert 2 * ell**3 < 2**63  # corr._exact's int64 expect |sum x| |sum V| <= l * l^2 <= 2l^3
 
 
 def all_ones_numerator(m):

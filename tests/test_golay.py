@@ -14,7 +14,6 @@ from seqcorr import (
     cdf,
     certify,
     compose_to_length,
-    golay_base,
     is_golay_pair,
     psc,
     rsl_stem,
@@ -253,12 +252,12 @@ class TestComposition:
                 assert str(refused.value) == message
 
     def test_base_pairs(self):
-        p2 = golay_base(2)
+        p2 = seqcorr.golay._BASES[2]
         assert (p2.a.to_line(), p2.b.to_line()) == ("++", "+-")
-        p10 = golay_base(10)
-        assert p10.certified and p10.length == 10 and golay_base(10) is p10
-        with pytest.raises(ValueError, match="^base pair lengths are 2 and 10; got 4$"):
-            golay_base(4)
+        p10 = seqcorr.golay._BASES[10]
+        assert p10.certified and p10.length == 10
+        # composition to a base length returns that base
+        assert (compose_to_length(2), compose_to_length(10)) == (p2, p10)
 
     def test_composition_certified_once(self, monkeypatch):
         calls = []
@@ -286,7 +285,7 @@ class TestSearches:
 
     def test_exhaustive_matches_built_in_base(self):
         pair = search_golay_pairs(10)
-        base = golay_base(10)
+        base = seqcorr.golay._BASES[10]
         assert pair.a == base.a
         assert pair.b == base.b
 

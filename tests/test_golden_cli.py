@@ -9,17 +9,17 @@ decimation by 5 at length 1023, and two recursion seeds) are
 the pair files the cases read.  Some cases run the shift-search
 engines near their limits: the full pair grid at l = 511 and, with the PSC
 objective, at p = 389; the equal-shift diagonal at l = 1023 and, with the
-PSC objective, at p = 521; and a resized best shift at p = 4099.  Best
-shifts of sequences that are rotations of their own reversal are walked
-on half the shifts and mirrored: the resized Legendre case at p = 1033
-(p = 1 mod 4), and the quartic sweep's sizes 17 and 41 (1 mod 8), beside
-13 and 29 (5 mod 8), which are walked in full.  Pair searches mirror
-too: the quartic grid at p = 337 (1 mod 8), the half-Legendre pairs at
-p = 29 and 509 (1 mod 4), and the reversing m-sequence pairs at n = 7, 9
-and 10, where g is f reversed.  Two
-baseline cases take the stacked FFT kernel at length 600 with a negative
-seed, and three words per draw with a seed past 2^64, which reads as
-seed 3.
+PSC objective, at p = 521; and a resized best shift at p = 4099.  Only
+windows other than the whole period are walked, and a walk of a sequence
+that is a rotation of its own reversal, or of a pair where g is f
+reversed, takes half the shifts and mirrors them: the resized Legendre
+case at p = 1033 (p = 1 mod 4) and the half-Legendre pairs at p = 29 and
+509 (1 mod 4).  Full periods are read from periodic correlations with no
+walk, mirrored or not: the quartic sweep's sizes 13, 17, 29 and 41, the
+quartic grid at p = 337 and the reversing m-sequence pairs at n = 7, 9
+and 10 (test_analysis counts the walks of these cases).  Two baseline
+cases take the stacked FFT kernel at length 600 with a negative seed, and
+three words per draw with a seed past 2^64, which reads as seed 3.
 
 The package needs no data files: a copy of its .py files alone, run as a
 fresh interpreter, prints the same Golay bases, compositions and reports.
