@@ -48,8 +48,7 @@ passes the kernel's exactness checks or is taken directly.  _pair_grid
 fills the (l-1)^2 second differences of the grid from a circulant view of
 P minus a Hankel view of Q, its first row and column from w^f_0 . d^g_b
 and d^f_a . w^g_0, and sums its columns and rows in place: O(l^2), one
-l x l array, every partial sum an integer below l^3 <= 2^27 (pair-grid
-length).
+l x l array, every partial sum an integer below l^3 <= 2^27 (_GRID_LENGTH).
 _periodic_numerators sums the diagonal D(a) = w^f_a . w^g_a over steps
 d^f_a . w^g_0 + w^f_0 . d^g_a + d^f_a . d^g_a plus the triangle sums
 sum_{j<a} d^f_a . d^g_j and sum_{i<a} d^f_i . d^g_a, each a causal
@@ -554,12 +553,9 @@ def _pair_grid(af: np.ndarray, ag: np.ndarray) -> np.ndarray:
     """CDF numerators of (cyclic_shift(f, rf), cyclic_shift(g, rg)) over
     the full (rf, rg) grid, float64; divide by l^2.  Entry (a, b) is
     l^2 + 2 sum_s C^f_a(s) C^g_b(s), summed in place from its second
-    differences d^f_a . d^g_b (see the module docstring).
-    """
+    differences d^f_a . d^g_b (see the module docstring).  Its caller has
+    checked that af and ag have one length, at most _GRID_LENGTH."""
     ell = len(af)
-    if len(ag) != ell:
-        raise ValueError("pair shift grid requires equal lengths")
-    budget.check("pair-grid length", ell)
     (part,) = _periodic_parts((af, ag), ((0, 1),))
     grid = np.empty((ell, ell))
     inner = grid[1:, 1:]
@@ -592,6 +588,8 @@ def _first_minimum(cdf: np.ndarray, adf_f: np.ndarray | None = None, adf_g: np.n
 # ---------------------------------------------------------------------------
 # Shift searches
 
+_GRID_LENGTH = 512  # best_pair_shifts' longest full (rf, rg) grid: l x l float64, entries < l^3 <= 2^27 < 2^53
+
 
 def best_shift(
     f: BinarySequence, objective: str = "adf", resize_len: int | None = None
@@ -609,8 +607,8 @@ def best_shift(
 def best_pair_shifts(f: BinarySequence, g: BinarySequence, objective: str = "cdf") -> tuple[int, int]:
     """Shift pair (rf, rg) minimizing cdf or psc.
 
-    Lengths within the pair-grid budget search the full (rf, rg) grid;
-    longer sequences use the equal-shift diagonal heuristic.  The PSC's ADF
+    Lengths up to _GRID_LENGTH search the full (rf, rg) grid; longer
+    sequences use the equal-shift diagonal heuristic.  The PSC's ADF
     numerators, of every rotation of f and of g, are taken only for that
     objective.  Ties break to the first (smallest rf, then rg) candidate.
     """
@@ -620,7 +618,7 @@ def best_pair_shifts(f: BinarySequence, g: BinarySequence, objective: str = "cdf
         raise ValueError("pair objective must be cdf or psc")
     ell = len(f)
     af, ag = f.terms, g.terms
-    if ell <= budget.BUDGETS["pair-grid length"].limit:
+    if ell <= _GRID_LENGTH:
         cdf = _pair_grid(af, ag)
         if objective == "cdf":
             return divmod(_first_minimum(cdf), ell)

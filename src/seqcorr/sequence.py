@@ -1,17 +1,20 @@
 """Binary (+1/-1) sequences and the shared text format.
 
 BinarySequence is the one representation of a sequence in the package: a
-read-only int64 array, validated once on construction, which the
-correlation kernel and every transform use as it is.  A sequence is
-serialized as one line of '+' and '-' characters; lines
-starting with '#' are comments.  A pair file is two non-comment lines.
+read-only int64 array, validated once on construction, which every
+transform uses as it is.  A sequence is serialized as one line of '+' and
+'-' characters; lines starting with '#' are comments.  A pair file is two
+non-comment lines, read and budget-checked one line at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+
+from . import budget
 
 _PLUS, _MINUS = ord("+"), ord("-")
 
@@ -20,10 +23,10 @@ _PLUS, _MINUS = ord("+"), ord("-")
 class BinarySequence:
     """Finite vector of +1/-1 terms, read as a polynomial's coefficients.
 
-    terms is a read-only 1-D int64 array: the dtype the correlation kernel
-    computes in and states its exactness bound for (int8 terms would
-    overflow silently in np.correlate).  The constructor takes any +-1
-    iterable or array and always stores its own copy.
+    terms is a read-only 1-D int64 array, in which integer arithmetic on terms
+    stays exact: golay's Turyn step computes in it, and sum(f.terms) would
+    wrap past 127 in int8 (the kernel and engines copy to float64 or int64).
+    The constructor takes any +-1 iterable or array and stores its own copy.
     """
 
     terms: np.ndarray
@@ -71,29 +74,29 @@ def parse_line(line: str) -> BinarySequence:
     return BinarySequence(np.where(plus, 1, -1))
 
 
-def parse_sequences(text: str) -> list[BinarySequence]:
-    """All non-comment, non-blank lines of a sequence file."""
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append(parse_line(line))
-    return out
-
-
 def load_pair(path) -> tuple[BinarySequence, BinarySequence]:
-    with open(path, "r", encoding="ascii") as fh:
-        seqs = parse_sequences(fh.read())
-    if len(seqs) != 2:
-        raise ValueError(f"pair file must contain exactly 2 sequences, found {len(seqs)}")
+    """The two non-comment, non-blank lines of a pair file, read in pieces of
+    at most exact length + 2 characters: a line of more terms than that budget
+    is refused before anything is built, and lines past the second are dropped."""
+    size = budget.BUDGETS["exact length"].limit + 2
+    seqs, found, head, n, end = [], 0, "", 0, 0
+    with open(path, "r", encoding="ascii") as fh:  # each \r\n or \r is read as \n
+        for piece in chain(iter(lambda: fh.readline(size), ""), "\n"):
+            for part in piece.splitlines(keepends=True):  # lines end as str.splitlines ends them
+                text = part if n else part.lstrip()  # the line from its first term
+                end = n + len(text.rstrip()) if text.strip() else end  # the line's terms so far
+                n, head = n + len(text), head + text if len(head) < size else head
+                if part[-1:].splitlines() != [""]:  # the line goes on in the next piece
+                    continue
+                if end and not head.startswith("#"):
+                    budget.check("exact length", end)
+                    found, seqs = found + 1, [*seqs, parse_line(head)][:2]  # later lines: parsed, not kept
+                head, n, end = "", 0, 0
+    if found != 2:
+        raise ValueError(f"pair file must contain exactly 2 sequences, found {found}")
     return seqs[0], seqs[1]
 
 
 def dump_sequences(seqs, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        for c in comment.splitlines():
-            lines.append(f"# {c}")
-    lines.extend(s.to_line() for s in seqs)
+    lines = [f"# {c}" for c in (comment or "").splitlines()] + [s.to_line() for s in seqs]
     return "\n".join(lines) + "\n"

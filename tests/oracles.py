@@ -172,6 +172,13 @@ def oracle_coset_table(p: int, g: int) -> list[int]:
 # Sequence transforms on tuples
 
 
+def oracle_sequence_lines(text: str) -> list[str]:
+    """The sequence lines of a sequence file's text, as the whole-text parser
+    that load_pair replaced took them: every line (str.splitlines) that is
+    neither blank nor a comment once stripped, stripped."""
+    return [line.strip() for line in text.splitlines() if line.strip() and not line.strip().startswith("#")]
+
+
 def oracle_neg(terms) -> tuple:
     return tuple(-t for t in _ints(terms))
 

@@ -42,7 +42,6 @@ from seqcorr.analysis import (
     rows_to_csv,
     rows_to_json,
 )
-from seqcorr.budget import BUDGETS
 from seqcorr.families import parse_family
 from seqcorr.sequence import parse_line
 
@@ -237,13 +236,12 @@ class TestEngines:
         for m in (0, -3):
             with pytest.raises(ValueError):
                 adf_numerators_all_shifts(arr, m)
-        with pytest.raises(ValueError):
-            analysis._pair_grid(arr, np.ones(4, dtype=np.int64))
-        # _numerators trusts its callers; best_pair_shifts checks lengths
-        longer = BUDGETS["pair-grid length"].limit + 1
-        for ell_g in (longer + 1, longer - 1):
+        # _numerators and _pair_grid trust their callers; best_pair_shifts
+        # checks lengths, on the grid and above it
+        longer = analysis._GRID_LENGTH + 1
+        for ell_f, ell_g in ((5, 4), (longer, longer + 1), (longer, longer - 1)):
             with pytest.raises(ValueError, match="equal lengths"):
-                best_pair_shifts(BinarySequence((1,) * longer), BinarySequence((1,) * ell_g))
+                best_pair_shifts(BinarySequence((1,) * ell_f), BinarySequence((1,) * ell_g))
 
     def test_walk_seeded_above_fft_crossover(self):
         m = corr._DIRECT_WORK + 1  # the first rotation is correlated on the FFT path
@@ -290,7 +288,7 @@ class TestEngines:
     def test_grid_peak_memory(self, search, words):
         # words: the peak in l^2 float64 words, for a random pair, a pair of
         # sequences that are their own reversals and a swap pair
-        ell = BUDGETS["pair-grid length"].limit
+        ell = analysis._GRID_LENGTH
         rng = random.Random(69)
         f, g = random_sequence(rng, ell), random_sequence(rng, ell)
         for f, g in ((f, g), (_mirror_of(f.terms, 1, 0), _mirror_of(g.terms, -1, 7)), (f, _swap_of(f.terms, 100, -1))):
@@ -307,8 +305,6 @@ class TestEngines:
         big = np.ones(1 << 15, dtype=np.int64)
         with pytest.raises(ValueError):
             adf_numerators_all_shifts(big)
-        with pytest.raises(ValueError):
-            analysis._pair_grid(np.ones(513, dtype=np.int64), np.ones(513, dtype=np.int64))
 
 
 def _pm1(min_size, max_size):
@@ -326,7 +322,7 @@ _ODD, _ODD_G, _EVEN, _EVEN_G = (
     random_sequence(random.Random(71 + i), corr._DIRECT_WORK // 2 + 217 - i // 2) for i in range(4)
 )
 _GRID_ODD, _GRID_ODD_G, _GRID_EVEN, _GRID_EVEN_G = (
-    random_sequence(random.Random(75 + i), BUDGETS["pair-grid length"].limit - 1 + i // 2) for i in range(4)
+    random_sequence(random.Random(75 + i), analysis._GRID_LENGTH - 1 + i // 2) for i in range(4)
 )
 
 
@@ -531,7 +527,7 @@ class TestPairMirror:
 
     @pytest.mark.parametrize("ell", [512, 513])  # the largest grid, then the diagonal
     def test_mirrored_searches_equal_full_walks(self, ell, monkeypatch, walk_counts):
-        grid = ell <= BUDGETS["pair-grid length"].limit
+        grid = ell <= analysis._GRID_LENGTH
         pairs3 = ((0, 1), (0, 0), (1, 1))
 
         def search(f, g):
@@ -621,7 +617,7 @@ class TestPeriodicEngine:
         for got in (alone, analysis._periodic_numerators((x, y), pairs), analysis._numerators((x, y), ell, pairs)):
             for nums, expect in zip(got, walked):
                 assert nums.dtype == np.int64 and np.array_equal(nums, expect)
-        if ell <= BUDGETS["pair-grid length"].limit:
+        if ell <= analysis._GRID_LENGTH:
             grid = analysis._pair_grid(x, y)
             assert grid.dtype == np.float64 and np.array_equal(grid, _walked_grid(f, g))
 
@@ -649,7 +645,7 @@ class TestPeriodicEngine:
 
     def test_lengths_about_the_grid_budget_and_mirrored_pairs(self):
         rng = random.Random(91)
-        limit = BUDGETS["pair-grid length"].limit
+        limit = analysis._GRID_LENGTH
         for ell in (limit - 1, limit, limit + 1):
             self.check(random_sequence(rng, ell), random_sequence(rng, ell))
         # own reversals about one centre, swaps, and a mirrored f with a g
@@ -803,7 +799,7 @@ class TestShiftSearch:
         rng = random.Random(80 + ell)
         f, g = random_sequence(rng, ell), random_sequence(rng, ell)
         adf_f, adf_g = (adf_numerators_all_shifts(s.terms).astype(np.float64) for s in (f, g))
-        if ell <= BUDGETS["pair-grid length"].limit:
+        if ell <= analysis._GRID_LENGTH:
             grid = analysis._pair_grid(f.terms, g.terms)
             # the search's ADF numerators are those of adf_numerators_all_shifts
             search_adfs = analysis._numerators((f.terms, g.terms), ell, ((0, 0), (1, 1)))

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from seqcorr import analysis, budget, corr, families, golay
+from seqcorr import analysis, budget, cli, corr, families, golay, sequence
 from seqcorr.budget import BUDGETS
 from seqcorr.families import FamilySpec, parse_family
 from seqcorr.sequence import BinarySequence
@@ -32,7 +32,6 @@ def test_table_values():
         "sequence length": 1 << 24,
         "shift-search length": 1 << 14,
         "shift-search window": 1 << 15,
-        "pair-grid length": 512,
         "census half-length": 20,
         "baseline work": 1 << 26,
     }
@@ -46,7 +45,7 @@ def test_budgets_keep_float64_sums_exact():
     w = limit("shift-search window")
     assert 2 * w**3 < 3 * 2**53  # an ADF numerator: 2 sum_s (w-s)^2 < 2w^3/3
     assert limit("shift-search length") ** 3 < 2**53  # a diagonal dot product, window <= l
-    assert limit("pair-grid length") ** 3 < 2**53  # a pair-grid entry
+    assert analysis._GRID_LENGTH**3 < 2**53  # a pair-grid entry
     # Full-period windows are read from periodic correlations (see analysis):
     # w_a(s) = C_a(s) - C_a(l-s), s <= (l-1)/2, whose rotation 0 is the V row,
     # has |w| <= (l-s) + s = l at every rotation a, and P, Q and PC are at most l.
@@ -57,7 +56,7 @@ def test_budgets_keep_float64_sums_exact():
     assert ell**3 < 2 * 2**53
     # the grid, summed in place in float64 from its second differences:
     # every partial sum is an entry, in [0, l^3), or a difference of two
-    assert limit("pair-grid length") ** 3 < 2 * 2**53
+    assert analysis._GRID_LENGTH**3 < 2 * 2**53
     # The bounds the periodic engine relies on, at shift-search length:
     assert ell**2 < 2**53  # a Hankel partial sum, sum_{j<a} y[j] Q(a+j), in float64: below l^2
     assert 2 * ell**2 < 2**53  # a direct kernel sum on a V or P row, l terms of at most l: below 2l^2
@@ -123,13 +122,12 @@ class TestEntryPointBoundaries:
             analysis.adf_numerators_all_shifts(one, m + 1)
 
     def test_pair_grid_length(self):
-        ell = limit("pair-grid length")
+        # not a budget: the crossover from the grid to the diagonal, exact at l^3 < 2^53
+        ell = analysis._GRID_LENGTH
         ones = np.ones(ell, dtype=np.int64)
         grid = analysis._pair_grid(ones, ones)
         assert grid.shape == (ell, ell)
         assert (grid == all_ones_numerator(ell)).all()
-        with pytest.raises(ValueError, match="pair-grid budget"):
-            analysis._pair_grid(np.ones(ell + 1, dtype=np.int64), np.ones(ell + 1, dtype=np.int64))
 
     def test_census_half_length(self):
         golay.check_census_length(2 * limit("census half-length"))
@@ -207,3 +205,57 @@ def test_refused_before_building(nothing_built, case):
     with pytest.raises(ValueError, match=phrase):
         call()
     assert time.perf_counter() - start < 1
+
+
+# Each budget entry, and the argv of every command that refuses it one past its
+# limit; {pair} is a pair file whose first line has exact length + 1 terms.
+CLI_REFUSALS = {
+    "exact length": ("pairs golay --lengths 2097152", "correlate {pair}", "correlate --periodic {pair}",
+                     "demerit {pair}", "golay verify {pair}",
+                     "pairs rsl_pair --seeds {pair} --signs + --depth 0"),
+    "sequence length": ("generate mseq:n=25",),
+    "shift-search length": ("generate legendre:p=16411,shift=best",),
+    "shift-search window": ("generate legendre:p=16381,shift=best,resize=2.1",),  # m = 34400
+    "census half-length": ("seed-search --max-len 41",),
+    "baseline work": ("baseline --len 1024 --trials 65537",),
+}
+
+
+def test_every_budget_entry_has_a_cli_refusal():
+    assert CLI_REFUSALS.keys() == BUDGETS.keys()
+
+
+@pytest.fixture(scope="module")
+def over_exact_pair(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pairs") / "over.txt"
+    path.write_text("+-" * (limit("exact length") // 2) + "+\n+\n")
+    return path
+
+
+@pytest.mark.parametrize("name,argv", [(name, argv) for name, argvs in CLI_REFUSALS.items() for argv in argvs])
+def test_cli_refuses_before_building(nothing_built, monkeypatch, capsys, over_exact_pair, name, argv):
+    def built(*args, **kwargs):
+        raise AssertionError("a sequence line parsed before the budget check")
+
+    monkeypatch.setattr(sequence, "parse_line", built)
+    entry = BUDGETS[name]
+    start = time.perf_counter()
+    code = cli.main([arg.format(pair=over_exact_pair) for arg in argv.split()])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {name} ") and err.endswith(f" exceeds the {entry.phrase} {entry.limit}\n")
+    assert "Traceback" not in err
+    if "{pair}" in argv:
+        assert err == f"error: exact length {entry.limit + 1} exceeds the exact-arithmetic budget {entry.limit}\n"
+    assert elapsed < 1
+
+
+def test_pair_file_at_exact_length_passes(capsys, tmp_path):
+    rng = np.random.default_rng(5)
+    lines = ("".join(np.where(rng.integers(0, 2, limit("exact length")) > 0, "+", "-")) for _ in range(2))
+    path = tmp_path / "at.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["demerit", str(path)]) == 0
+    out, _ = capsys.readouterr()
+    assert out.startswith(f"length = {limit('exact length')}\n")

@@ -19,7 +19,7 @@ import seqcorr
 from seqcorr import analysis, corr
 from seqcorr.cli import _PARSER, _PAIR_OPTIONS, main
 from seqcorr.families import parse_family
-from seqcorr.sequence import parse_sequences
+from seqcorr.sequence import load_pair
 
 
 GOLAY4 = "+++-\n++-+\n"
@@ -386,10 +386,10 @@ class TestGolayCommand:
     def test_compose_roundtrips_through_verify(self, capsys, tmp_path):
         code, out, _ = run(capsys, "golay", "compose", "--length", "40")
         assert code == 0
-        seqs = parse_sequences(out)
-        assert len(seqs) == 2 and len(seqs[0]) == 40
         pf = tmp_path / "pair.txt"
         pf.write_text(out)
+        seqs = load_pair(pf)
+        assert len(seqs) == 2 and len(seqs[0]) == 40
         code2, _, _ = run(capsys, "golay", "verify", str(pf))
         assert code2 == 0
 
@@ -426,10 +426,12 @@ class TestGolayCommand:
         assert "exact-arithmetic budget" in err
         assert time.perf_counter() - start < 10
 
-    def test_search10(self, capsys):
+    def test_search10(self, capsys, tmp_path):
         code, out, _ = run(capsys, "golay", "search10")
         assert code == 0
-        seqs = parse_sequences(out)
+        pf = tmp_path / "pair.txt"
+        pf.write_text(out)
+        seqs = load_pair(pf)
         assert [len(s) for s in seqs] == [10, 10]
         assert seqs[0].to_line() == "-++-+-----"
 

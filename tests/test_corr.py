@@ -19,7 +19,7 @@ from seqcorr import (
 )
 from seqcorr import corr
 from seqcorr.budget import BUDGETS
-from seqcorr.sequence import dump_sequences, parse_line, parse_sequences
+from seqcorr.sequence import dump_sequences, load_pair, parse_line
 
 from oracles import (
     oracle_adf,
@@ -59,9 +59,10 @@ class TestBinarySequence:
         with pytest.raises(ValueError):
             parse_line("")
 
-    def test_file_format_skips_comments(self):
-        text = "# header\n++\n\n# middle\n+-\n"
-        seqs = parse_sequences(text)
+    def test_file_format_skips_comments(self, tmp_path):
+        path = tmp_path / "pair.txt"
+        path.write_text("# header\n++\n\n# middle\n+-\n")
+        seqs = load_pair(path)
         assert [s.to_line() for s in seqs] == ["++", "+-"]
         assert dump_sequences(seqs, comment="header").startswith("# header\n++")
 

@@ -10,12 +10,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqcorr import BinarySequence, cyclic_shift, decimate, resize, rsl_stem
+from seqcorr.budget import BUDGETS
 from seqcorr.golay import _mask_to_sequence
-from seqcorr.sequence import parse_line
+from seqcorr.sequence import load_pair, parse_line
 
 from oracles import (
     oracle_cyclic_shift,
@@ -24,6 +25,7 @@ from oracles import (
     oracle_neg,
     oracle_resize,
     oracle_rsl_stem,
+    oracle_sequence_lines,
 )
 
 _TERMS = st.lists(st.sampled_from((1, -1)), min_size=1, max_size=40)
@@ -93,6 +95,62 @@ class TestRepresentation:
     def test_parse_rejects_non_sign_text(self, line):
         with pytest.raises(ValueError):
             parse_line(line)
+
+
+# Pair-file text: sign runs, comments, blanks, indentation, and every line end
+# that str.splitlines knows in ASCII, CRLF and a lone CR among them.
+_PAIR_TEXT = st.lists(st.sampled_from(
+    ["+", "-", "++-", "#", "# +-", " ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "x"]
+), max_size=30).map("".join)
+
+
+class TestLoadPair:
+    """load_pair reads a pair file one line at a time, in pieces of at most
+    exact length + 2 characters, and refuses a sequence line over the budget
+    before parse_line builds anything from it."""
+
+    @staticmethod
+    def load(path, text, exact_length=None):
+        with open(path, "w", newline="") as fh:  # the line ends as written
+            fh.write(text)
+        with pytest.MonkeyPatch.context() as mp:
+            if exact_length is not None:  # short pieces, so lines span several
+                mp.setitem(BUDGETS, "exact length", BUDGETS["exact length"]._replace(limit=exact_length))
+            return load_pair(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_PAIR_TEXT, exact_length=st.sampled_from([None, 1, 2, 3, 5]))
+    @example(text="# c\n\n  +-+ \r\n\t--\r\n", exact_length=None)  # comment, blank, indented, CRLF
+    @example(text="+-+\r--", exact_length=None)  # a lone CR, and no final line end
+    @example(text="+-+\x0c--\n", exact_length=None)  # a form feed ends a line too
+    def test_same_lines_as_the_whole_text(self, tmp_path_factory, text, exact_length):
+        path = tmp_path_factory.mktemp("pair") / "pair.txt"
+        lines = oracle_sequence_lines(text)
+        limit = BUDGETS["exact length"].limit if exact_length is None else exact_length
+        if len(lines) != 2 or any(line.strip("+-") for line in lines):
+            with pytest.raises(ValueError):
+                self.load(path, text, exact_length)
+        elif over := [line for line in lines if len(line) > limit]:
+            with pytest.raises(ValueError, match=f"^exact length {len(over[0])} exceeds"):
+                self.load(path, text, exact_length)
+        else:
+            assert [s.to_line() for s in self.load(path, text, exact_length)] == lines
+
+    def test_lines_longer_than_a_piece(self, tmp_path):
+        ell = BUDGETS["exact length"].limit
+        pad = " " * (3 * ell)
+        comment = "#" + "+" * (3 * ell)  # comments of any length are skipped
+        text = f"{comment}\n{pad}\n{pad}{'+' * ell}{pad}\n{'-' * ell}\n"
+        f, g = self.load(tmp_path / "p.txt", text)
+        assert len(f) == len(g) == ell and f.terms.min() == 1 and g.terms.max() == -1
+
+    def test_counts_and_errors_as_before(self, tmp_path):
+        with pytest.raises(ValueError, match="exactly 2 sequences, found 1"):
+            self.load(tmp_path / "p.txt", "# c\n+-\n")
+        with pytest.raises(ValueError, match="exactly 2 sequences, found 4"):
+            self.load(tmp_path / "p.txt", "+\n-\n+\n-\n")
+        with pytest.raises(ValueError, match="'\\+x'"):  # a line past the second is still parsed
+            self.load(tmp_path / "p.txt", "+\n-\n+x\n")
 
 
 class TestTransformsMatchTupleFormulas:
