@@ -4,13 +4,13 @@ BinarySequence is the one representation of a sequence in the package: a
 read-only int64 array, validated once on construction, which every
 transform uses as it is.  A sequence is serialized as one line of '+' and
 '-' characters; lines starting with '#' are comments.  A pair file is two
-non-comment lines, read and budget-checked one line at a time.
+non-comment lines, read whole within its size budget, each line checked
+against exact length before it is parsed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -75,23 +75,20 @@ def parse_line(line: str) -> BinarySequence:
 
 
 def load_pair(path) -> tuple[BinarySequence, BinarySequence]:
-    """The two non-comment, non-blank lines of a pair file, read in pieces of
-    at most exact length + 2 characters: a line of more terms than that budget
-    is refused before anything is built, and lines past the second are dropped."""
-    size = budget.BUDGETS["exact length"].limit + 2
-    seqs, found, head, n, end = [], 0, "", 0, 0
+    """The two non-comment, non-blank lines of a pair file, read in one piece
+    of at most the pair file size budget: a longer or endless file is refused
+    after that many characters, and a line of more terms than exact length
+    before anything is built from it.  Lines past the second are parsed for
+    their errors and dropped."""
+    size = budget.BUDGETS["pair file size"].limit
     with open(path, "r", encoding="ascii") as fh:  # each \r\n or \r is read as \n
-        for piece in chain(iter(lambda: fh.readline(size), ""), "\n"):
-            for part in piece.splitlines(keepends=True):  # lines end as str.splitlines ends them
-                text = part if n else part.lstrip()  # the line from its first term
-                end = n + len(text.rstrip()) if text.strip() else end  # the line's terms so far
-                n, head = n + len(text), head + text if len(head) < size else head
-                if part[-1:].splitlines() != [""]:  # the line goes on in the next piece
-                    continue
-                if end and not head.startswith("#"):
-                    budget.check("exact length", end)
-                    found, seqs = found + 1, [*seqs, parse_line(head)][:2]  # later lines: parsed, not kept
-                head, n, end = "", 0, 0
+        text = fh.read(size + 1)
+    budget.check("pair file size", len(text), f"at least {len(text)}")
+    seqs, found = [], 0
+    for line in map(str.strip, text.splitlines()):
+        if line and not line.startswith("#"):
+            budget.check("exact length", len(line))
+            found, seqs = found + 1, [*seqs, parse_line(line)][:2]  # later lines: parsed, not kept
     if found != 2:
         raise ValueError(f"pair file must contain exactly 2 sequences, found {found}")
     return seqs[0], seqs[1]

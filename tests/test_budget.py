@@ -2,6 +2,8 @@
 table and at the entry points that enforce it, and over-budget inputs are
 refused before anything is built."""
 
+import io
+import os
 import time
 
 import numpy as np
@@ -34,6 +36,7 @@ def test_table_values():
         "shift-search window": 1 << 15,
         "census half-length": 20,
         "baseline work": 1 << 26,
+        "pair file size": 1 << 22,
     }
 
 
@@ -208,7 +211,8 @@ def test_refused_before_building(nothing_built, case):
 
 
 # Each budget entry, and the argv of every command that refuses it one past its
-# limit; {pair} is a pair file whose first line has exact length + 1 terms.
+# limit; {pair} is a pair file whose first line has exact length + 1 terms, and
+# {big} one of pair file size + 1 characters.
 CLI_REFUSALS = {
     "exact length": ("pairs golay --lengths 2097152", "correlate {pair}", "correlate --periodic {pair}",
                      "demerit {pair}", "golay verify {pair}",
@@ -218,6 +222,7 @@ CLI_REFUSALS = {
     "shift-search window": ("generate legendre:p=16381,shift=best,resize=2.1",),  # m = 34400
     "census half-length": ("seed-search --max-len 41",),
     "baseline work": ("baseline --len 1024 --trials 65537",),
+    "pair file size": ("demerit {big}",),
 }
 
 
@@ -232,15 +237,23 @@ def over_exact_pair(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def over_size_pair(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pairs") / "big.txt"
+    path.write_text("#" * limit("pair file size") + "\n")  # one long comment line
+    return path
+
+
 @pytest.mark.parametrize("name,argv", [(name, argv) for name, argvs in CLI_REFUSALS.items() for argv in argvs])
-def test_cli_refuses_before_building(nothing_built, monkeypatch, capsys, over_exact_pair, name, argv):
+def test_cli_refuses_before_building(nothing_built, monkeypatch, capsys, over_exact_pair, over_size_pair,
+                                     name, argv):
     def built(*args, **kwargs):
         raise AssertionError("a sequence line parsed before the budget check")
 
     monkeypatch.setattr(sequence, "parse_line", built)
     entry = BUDGETS[name]
     start = time.perf_counter()
-    code = cli.main([arg.format(pair=over_exact_pair) for arg in argv.split()])
+    code = cli.main([arg.format(pair=over_exact_pair, big=over_size_pair) for arg in argv.split()])
     elapsed = time.perf_counter() - start
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
@@ -248,6 +261,8 @@ def test_cli_refuses_before_building(nothing_built, monkeypatch, capsys, over_ex
     assert "Traceback" not in err
     if "{pair}" in argv:
         assert err == f"error: exact length {entry.limit + 1} exceeds the exact-arithmetic budget {entry.limit}\n"
+    if "{big}" in argv:
+        assert err == f"error: pair file size at least {entry.limit + 1} exceeds the pair-file budget {entry.limit}\n"
     assert elapsed < 1
 
 
@@ -259,3 +274,54 @@ def test_pair_file_at_exact_length_passes(capsys, tmp_path):
     assert cli.main(["demerit", str(path)]) == 0
     out, _ = capsys.readouterr()
     assert out.startswith(f"length = {limit('exact length')}\n")
+
+
+class EndlessText(io.TextIOBase):
+    """An endless text stream of one repeated unit, such as /dev/zero or
+    `yes '#'` gives, that fails the test rather than serve more than 8 times
+    the pair file size."""
+
+    def __init__(self, unit):
+        self.unit, self.served = unit, 0
+
+    def _next(self, size, line):
+        most = 8 * limit("pair file size")
+        size = most + 1 if size < 0 else size
+        start = self.served % len(self.unit)
+        if line and "\n" in self.unit:  # up to the next line end
+            size = min(size, (self.unit[start:] + self.unit).index("\n") + 1)
+        text = (self.unit * (size // len(self.unit) + 2))[start:start + size]
+        self.served += len(text)
+        if self.served > most:
+            raise AssertionError(f"served {self.served} characters of an endless input")
+        return text
+
+    def read(self, size=-1):
+        return self._next(size, False)
+
+    def readline(self, size=-1):
+        return self._next(size, True)
+
+
+@pytest.mark.parametrize("unit", ["\0", "#\n", "\n"], ids=["nul", "comments", "blanks"])
+@pytest.mark.parametrize("argv", ["demerit F", "correlate F", "golay verify F",
+                                  "pairs rsl_pair --seeds F --signs + --depth 0"])
+def test_endless_inputs_end(monkeypatch, capsys, unit, argv):
+    monkeypatch.setattr(sequence, "open", lambda *args, **kwargs: EndlessText(unit), raising=False)
+    start = time.perf_counter()
+    code = cli.main(argv.split())
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error: pair file size ")
+    assert err.endswith(f" exceeds the pair-file budget {limit('pair file size')}\n")
+    assert elapsed < 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_dev_zero_ends(capsys):
+    start = time.perf_counter()
+    assert cli.main(["demerit", "/dev/zero"]) == 2
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: pair file size ") and elapsed < 1

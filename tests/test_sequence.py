@@ -105,16 +105,16 @@ _PAIR_TEXT = st.lists(st.sampled_from(
 
 
 class TestLoadPair:
-    """load_pair reads a pair file one line at a time, in pieces of at most
-    exact length + 2 characters, and refuses a sequence line over the budget
-    before parse_line builds anything from it."""
+    """load_pair reads at most pair file size characters of a pair file, and
+    refuses a longer file, and a sequence line over exact length before
+    parse_line builds anything from it."""
 
     @staticmethod
     def load(path, text, exact_length=None):
         with open(path, "w", newline="") as fh:  # the line ends as written
             fh.write(text)
         with pytest.MonkeyPatch.context() as mp:
-            if exact_length is not None:  # short pieces, so lines span several
+            if exact_length is not None:  # lines over a small budget
                 mp.setitem(BUDGETS, "exact length", BUDGETS["exact length"]._replace(limit=exact_length))
             return load_pair(path)
 
@@ -136,13 +136,16 @@ class TestLoadPair:
         else:
             assert [s.to_line() for s in self.load(path, text, exact_length)] == lines
 
-    def test_lines_longer_than_a_piece(self, tmp_path):
-        ell = BUDGETS["exact length"].limit
-        pad = " " * (3 * ell)
-        comment = "#" + "+" * (3 * ell)  # comments of any length are skipped
-        text = f"{comment}\n{pad}\n{pad}{'+' * ell}{pad}\n{'-' * ell}\n"
+    def test_file_at_the_size_budget(self, tmp_path):
+        size, ell = BUDGETS["pair file size"].limit, BUDGETS["exact length"].limit
+        pad = " " * (ell // 4)
+        lines = f"\n{pad}\n{pad}{'+' * ell}{pad}\n{'-' * ell}\n"
+        text = "#" * (size - len(lines)) + lines  # a comment fills the file to the budget
+        assert len(text) == size
         f, g = self.load(tmp_path / "p.txt", text)
         assert len(f) == len(g) == ell and f.terms.min() == 1 and g.terms.max() == -1
+        with pytest.raises(ValueError, match=f"^pair file size at least {size + 1} exceeds the pair-file budget {size}$"):
+            self.load(tmp_path / "p.txt", text + "\n")
 
     def test_counts_and_errors_as_before(self, tmp_path):
         with pytest.raises(ValueError, match="exactly 2 sequences, found 1"):
