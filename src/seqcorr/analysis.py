@@ -698,6 +698,7 @@ def convergence_sweep(spec: FamilySpec, sizes, target: AsymptoticTarget | None) 
         m = families.realized_length(spec_i)
         budget.check("exact length", m)
         checked.append((spec_i, m))
+    budget.check("list length", sum(m for _, m in checked))
     rows = []
     for spec_i, m in checked:
         seq, shift_used = _realize(spec_i, m)
@@ -789,6 +790,7 @@ def _golay(lengths):
         raise ValueError("lengths must list at least one length")
     for ell in lengths:
         golay.check_composable(ell)
+    budget.check("list length", sum(lengths))
     for pair in map(golay.compose_to_length, lengths):
         yield "composed", pair.a, pair.b
 

@@ -23,6 +23,7 @@ BUDGETS = {
     "census half-length": Budget(20, "census length budget", "tail keys of 2^k sign rows are below k! < 2^63"),
     "baseline work": Budget(1 << 26, "baseline budget", "trials * max(length, 64), 0.12-0.4 us a unit"),
     "pair file size": Budget(1 << 22, "pair-file budget", "characters read at once: two exact-length lines and comments"),
+    "list length": Budget(1 << 22, "list budget", "summed realized lengths of one --sizes or --lengths list, ~30 s at worst"),
 }
 
 

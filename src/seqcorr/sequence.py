@@ -1,11 +1,11 @@
 """Binary (+1/-1) sequences and the shared text format.
 
 BinarySequence is the one representation of a sequence in the package: a
-read-only int64 array, validated once on construction, which every
-transform uses as it is.  A sequence is serialized as one line of '+' and
-'-' characters; lines starting with '#' are comments.  A pair file is two
-non-comment lines, read whole within its size budget, each line checked
-against exact length before it is parsed.
+read-only int64 array, validated once on construction (the one +-1 check),
+which every transform uses as it is.  A sequence is a line of '+' and '-',
+bytes 44 -+ 1: term t is byte 44 - t, and byte b term 44 - b.  A pair file
+is two lines besides '#' comments and blanks, read whole within its size
+budget, each checked against exact length before it is parsed.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budget
-
-_PLUS, _MINUS = ord("+"), ord("-")
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,18 +58,16 @@ class BinarySequence:
         return BinarySequence(-self.terms)
 
     def to_line(self) -> str:
-        # uint8 all through ('-' - 2 is '+'), and one expression, so that
-        # at most two term-length temporaries are alive at once
-        return (_MINUS - 2 * (self.terms > 0).view(np.uint8)).tobytes().decode("ascii")
+        # cast to uint8 as it is computed, so no int64 temporary
+        return np.subtract(44, self.terms, dtype=np.uint8, casting="unsafe").tobytes().decode("ascii")
 
 
 def parse_line(line: str) -> BinarySequence:
-    line = line.strip()
-    codes = np.frombuffer(line.encode(), dtype=np.uint8)
-    plus = codes == _PLUS
-    if not line or not (plus | (codes == _MINUS)).all():
-        raise ValueError(f"sequence line must be nonempty '+'/'-' text, got {line!r}")
-    return BinarySequence(np.where(plus, 1, -1))
+    line = line.strip()  # other bytes are not +-1 in int8; a lone surrogate fails to encode
+    try:
+        return BinarySequence(np.subtract(44, np.frombuffer(line.encode(), np.uint8), dtype=np.int8, casting="unsafe"))
+    except ValueError:
+        raise ValueError(f"sequence line must be nonempty '+'/'-' text, got {line!r}") from None
 
 
 def load_pair(path) -> tuple[BinarySequence, BinarySequence]:

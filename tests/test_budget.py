@@ -37,6 +37,7 @@ def test_table_values():
         "census half-length": 20,
         "baseline work": 1 << 26,
         "pair file size": 1 << 22,
+        "list length": 1 << 22,
     }
 
 
@@ -192,6 +193,9 @@ REFUSED_BEFORE_BUILDING = {
                       "exact-arithmetic budget"),
     "golay_form": (lambda: analysis.report_pairs("golay", lengths=[1 << 20, 3]),
                    "not of the form"),
+    "golay_list": (lambda: analysis.report_pairs("golay", lengths=[1 << 20] * 5), "list budget"),
+    "sweep_list": (lambda: analysis.convergence_sweep(parse_family("legendre:p=3"), [1048573] * 5, None),
+                   "list budget"),
     "rsl_pair": (lambda: analysis.report_pairs("rsl_pair", seed_f=SEED, seed_g=SEED,
                                                signs=(1,) * 21, depth=21),
                  "exact-arithmetic budget"),
@@ -210,6 +214,15 @@ def test_refused_before_building(nothing_built, case):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("call", [
+    lambda: analysis.report_pairs("golay", lengths=[1 << 20] * 4),
+    lambda: analysis.convergence_sweep(parse_family("legendre:p=3"), [1048573] * 4, None),
+], ids=["golay", "sweep"])
+def test_list_at_its_limit_reaches_the_builder(nothing_built, call):
+    with pytest.raises(AssertionError, match="built before the budget check"):
+        call()
+
+
 # Each budget entry, and the argv of every command that refuses it one past its
 # limit; {pair} is a pair file whose first line has exact length + 1 terms, and
 # {big} one of pair file size + 1 characters.
@@ -223,6 +236,8 @@ CLI_REFUSALS = {
     "census half-length": ("seed-search --max-len 41",),
     "baseline work": ("baseline --len 1024 --trials 65537",),
     "pair file size": ("demerit {big}",),
+    "list length": ("pairs golay --lengths 1048576,1048576,1048576,1048576,1048576",
+                    "sweep legendre:p=3 --sizes 1048573,1048573,1048573,1048573,1048573"),
 }
 
 

@@ -91,10 +91,26 @@ class TestRepresentation:
             tracemalloc.stop()
         assert peak <= 1.1 * 2 * len(f)
 
-    @pytest.mark.parametrize("line", ["", "   ", "+-x", "+ -", "+−", "01", "++\x00"])
+    def test_parse_line_peak_memory(self):
+        # the int8 terms and the int64 copy the constructor keeps, no int64 temporary
+        line = BinarySequence(np.random.default_rng(21).choice((1, -1), 1 << 20)).to_line()
+        parse_line(line)
+        tracemalloc.start()
+        try:
+            f = parse_line(line)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(f) == len(line) and peak <= 10 * len(f)
+
+    # every character 0-255 but '+', '-' and ' ' (listed) between a '+' and a
+    # '-', and a lone surrogate, such as a non-UTF-8 argument decodes to
+    @pytest.mark.parametrize("line", ["", "   ", "+-x", "+ -", "+−", "01", "++\x00"]
+                             + [f"+{chr(b)}-" for b in range(256) if chr(b) not in "+- "] + ["+\udcff"])
     def test_parse_rejects_non_sign_text(self, line):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             parse_line(line)
+        assert str(err.value) == f"sequence line must be nonempty '+'/'-' text, got {line.strip()!r}"
 
 
 # Pair-file text: sign runs, comments, blanks, indentation, and every line end
