@@ -59,6 +59,18 @@ that correlation or Hankel level is taken directly; and the steps must
 sum to 0 over a period, since rotation l is rotation 0, else the search
 walks.
 
+A window of m = l + e terms, 0 < e < l, of one sequence x has C(s) =
+A_r(s) + E_r(s) at s < l, A_r of the full period at r and E_r(s) =
+sum_{k<e} x[r+k] x[r+k-s], and C(l+u) = B_r(u) of the e-term window, so
+
+    N_m = N_l + 4 X + 2 Y + 2 e^2 + N_e,   X = sum_s A_r E_r,  Y = sum_s E_r^2.
+
+_appended_numerators sums N_l + 4X + 2Y + 2e^2 from steps, in which the
+Hankel sums S cancel; their terms are rf, the P tails and Hankel sums of x
+against Q rolled by +e and by -e (the README has the derivation), under the
+same checks, and N_e is walked.  So a search costs O(l log^2 l + l e), not
+O(l m).
+
 The RNG is SplitMix64, fixed by its constants so that any implementation
 can reproduce the streams.  With G = 0x9E3779B97F4A7C15 and
 
@@ -224,9 +236,9 @@ def lookup_target(text: str) -> AsymptoticTarget:
 # OpenBLAS spreads a ddot of more than 10000 terms over several threads, and
 # waking them between two walk steps costs more than the product: on two
 # cores the ADF of every shift of the Legendre sequence p = 16381 at
-# resize=1.0578 (m = 17328) takes 1.3 s with one ddot per step and 0.30 s
-# in pieces.  Splitting every vector made the shift_search benchmark
-# (m < 10000) 8% slower, and np.einsum, which has no threads, 33% slower.
+# m = 10156 takes 0.41 s with one ddot per step and 0.096 s in pieces.
+# Splitting every vector made the shift_search benchmark (m < 10000) 8%
+# slower, and np.einsum, which has no threads, 33% slower.
 _DOT_PIECE = 10000
 
 
@@ -333,18 +345,31 @@ def _arc(c: int | None, m: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
     return shifts, (sigma - shifts) % ell
 
 
+# A window of l < m < 2l terms of one sequence is read from periodic
+# correlations and the walk of its windows of m - l terms when its own walk
+# would take more rotations than this.  That saves l terms a rotation against
+# one O(l log^2 l) pass, so the crossover is a number of rotations, nearly
+# whatever l and m.  Medians of 21 calls alternating with the walk, two
+# cores, resize=1.0578: walked in full at l = 1511 / 1723 / 2003, 1.07 /
+# 0.93 / 0.93 of its time; mirrored, 1261 / 1501 / 2065 rotations
+# (l = 2521 / 3001 / 4129), 1.02 / 0.96 / 0.83.
+_WALK_ROTATIONS = 1500
+
+
 def _numerators(seqs, m: int, pairs: tuple[tuple[int, int], ...]) -> list[np.ndarray]:
     """For each (i, j) in pairs, 2 sum_{s=1}^{m-1} C^i_r(s) C^j_r(s) for
     every rotation r, as int64, C^i_r being the autocorrelation of window r
     of seqs[i] (see _rotation_walk); seqs is one sequence or two of equal
-    length.  At m = l they come from _periodic_numerators.  Else, or if its
-    wrap check fails, each sequence is walked once, in lockstep, one dot
-    product per product a step.  When the last sequence is the first
-    reversed about a centre (_reversal_centre), the walk takes the arc of
-    l//2 + 1 rotations, and product (i, j) at rotation r is product
-    (k - j, k - i) at the mirror of r, k = len(seqs) - 1; so (0, 1) and a
-    lone sequence's (0, 0) mirror to themselves, and the partner (1, 1) of
-    (0, 0) is taken too.
+    length.  At m = l they come from _periodic_numerators, and one
+    sequence's at l < m < 2l from _appended_numerators when its walk would
+    take more than _WALK_ROTATIONS rotations.  Else, or if a wrap check
+    fails, each sequence is walked once, in lockstep, one dot product per
+    product a step.  When the last sequence is the first reversed about a
+    centre (_reversal_centre), the walk takes the arc of l//2 + 1
+    rotations, and product (i, j) at rotation r is product (k - j, k - i) at
+    the mirror of r, k = len(seqs) - 1; so (0, 1) and a lone sequence's
+    (0, 0) mirror to themselves, and the partner (1, 1) of (0, 0) is taken
+    too.
     """
     ell = len(seqs[0])
     budget.check("shift-search length", ell)
@@ -353,6 +378,13 @@ def _numerators(seqs, m: int, pairs: tuple[tuple[int, int], ...]) -> list[np.nda
         return got
     c = _reversal_centre(seqs[0], seqs[-1])
     shifts, mirrors = _arc(c, m, ell)
+    if (
+        len(seqs) == 1
+        and ell < m < 2 * ell
+        and len(shifts) > _WALK_ROTATIONS
+        and (got := _appended_numerators(seqs[0], m - ell)) is not None
+    ):
+        return [got]
     k = len(seqs) - 1
     partner = {(i, j): (i, j) if c is None else (k - j, k - i) for i, j in pairs}
     taken = list(dict.fromkeys([*pairs, *partner.values()]))
@@ -386,6 +418,14 @@ def adf_numerators_all_shifts(arr: np.ndarray, m: int | None = None) -> np.ndarr
     return _numerators((arr,), m, ((0, 0),))[0]
 
 
+def _cyclic(row: np.ndarray, ell: int) -> np.ndarray:
+    """sum_t a[t] b[(k-t) mod l], k = 0 .. l-1, from the convolution a * b
+    of a and b of at most l terms."""
+    c = row[:ell].copy()
+    c[: len(row) - ell] += row[ell:]
+    return c
+
+
 class _Parts(NamedTuple):
     """The periodic-correlation terms of one product (see _periodic_parts)."""
 
@@ -402,8 +442,10 @@ def _periodic_parts(seqs, pairs, tails: bool = False) -> list[_Parts]:
     """For each (i, j) in pairs, with x = seqs[i] and y = seqs[j] (see the
     module docstring), all int64 but n0: the numerator n0 at rotation 0,
     rf[a] = d^f_a . w^g_0, rg[a] = w^f_0 . d^g_a, p = P, q = Q and, given
-    tails, the P parts of the triangle sums, tf[a] = sum_{j<a} y[j] P(j-a)
-    and tg[a] = sum_{i<a} x[i] P(a-i).  With V(s) = C_0(s) - C_0(l-s), so
+    tails, the convolutions whose first l terms are the P parts of the
+    triangle sums, tf[a] = sum_{j<a} y[j] P(j-a) and tg[a] = sum_{i<a} x[i]
+    P(a-i), and whose cyclic sums are sum_{j != a} y[j] P(j-a) and
+    sum_{i != a} x[i] P(a-i).  With V(s) = C_0(s) - C_0(l-s), so
     that w_0 = V(1 .. h) and V(-s) = -V(s), d^f_a . w^g_0 = 2 x[a]
     sum_{0<|s|<=h} x[a-s] V^g(s) = -2 x[a] sum_t x[t+a] V^g(t).
 
@@ -416,11 +458,6 @@ def _periodic_parts(seqs, pairs, tails: bool = False) -> list[_Parts]:
     x = np.asarray(seqs, dtype=np.int64)
     k, ell = x.shape
 
-    def cyclic(row):  # sum_t a[t] b[(e-t) mod l], from a * b
-        c = row[:ell].copy()
-        c[:-1] += row[ell:]
-        return c
-
     # C_i from (i, i), P from (j, i), Q from the convolution (i, ~j)
     first = [*((i, i) for i in range(k)), *((j, i) for i, j in pairs), *((i, ~j) for i, j in pairs)]
     first = list(dict.fromkeys(first))
@@ -428,7 +465,7 @@ def _periodic_parts(seqs, pairs, tails: bool = False) -> list[_Parts]:
     got = dict(zip(first, corr._correlations(x.astype(np.float64), first)))
     autos = [got[i, i][ell - 1 :].copy() for i in range(k)]  # C(0 .. l-1)
     ps = [corr._periodic(got[j, i]) for i, j in pairs]
-    qs = [cyclic(got[i, ~j]) for i, j in pairs]
+    qs = [_cyclic(got[i, ~j], ell) for i, j in pairs]
     del got
     # row k + i is [0, V_i(1), .., V_i(l-1)]; tails add the rows
     # [0, P(-1), P(-2), ..] for tf, convolved with y, and [0, P(1), P(2), ..]
@@ -455,7 +492,7 @@ def _periodic_parts(seqs, pairs, tails: bool = False) -> list[_Parts]:
     parts = []
     for t, ((i, j), p, q) in enumerate(zip(pairs, ps, qs)):
         rf, rg = (-2 * x[a] * corr._periodic(got[a, k + b]) for a, b in ((i, j), (j, i)))
-        tf, tg = (got[prod][:ell] for prod in tail_prods[t]) if tails else (None, None)
+        tf, tg = (got[prod] for prod in tail_prods[t]) if tails else (None, None)
         parts.append(_Parts(2 * int(autos[i][1:] @ autos[j][1:]), rf, rg, p, q, tf, tg))
     return parts
 
@@ -471,7 +508,8 @@ _HANKEL_DIRECT_HALF, _HANKEL_DIRECT_WORK = 64, 1 << 17
 
 def _hankel_prefix_sums(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     """S[k, a] = sum_{j<a} w[k, j] q[k, (a + j) mod l] for each row k of
-    the int64 arrays w and q (k x l) and a = 0 .. l-1, int64.
+    the int64 arrays w (k x L) and q (k x l), L >= l, and a = 0 .. L-1,
+    int64.
 
     The length is padded to a power of two n.  Each (j, a), j < a, lies in
     one 2h-block with j in its lower half and a in its upper half, for one
@@ -489,7 +527,7 @@ def _hankel_prefix_sums(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     n = 1 << (ell - 1).bit_length()
     wp = np.zeros((rows, n))
     wp[:, :ell] = w
-    qe = np.ascontiguousarray(q[:, np.arange(3 * n) % ell], dtype=np.float64)
+    qe = np.ascontiguousarray(q[:, np.arange(3 * n) % q.shape[1]], dtype=np.float64)
     # hankel[k, i, v] = qe[k, i + v]; its rows from h on, taken 4h at a time,
     # are the blocks' windows
     hankel = as_strided(qe, (rows, 5 * n // 2, n // 2), (qe.strides[0], qe.itemsize, qe.itemsize), writeable=False)
@@ -536,17 +574,55 @@ def _periodic_numerators(seqs, pairs) -> list[np.ndarray] | None:
     for (i, j), part in zip(pairs, parts):
         # t_f[a] = sum_{j<a} d^f_a . d^g_j = 4 x[a] sum_{j<a} y[j] (P(j-a) - Q(a+j)),
         # t_g[a] = sum_{i<a} d^f_i . d^g_a likewise
-        t_f = 4 * x[i] * (part.tf - next(sums))
-        t_g = t_f if i == j else 4 * x[j] * (part.tg - next(sums))
+        t_f = 4 * x[i] * (part.tf[:ell] - next(sums))
+        t_g = t_f if i == j else 4 * x[j] * (part.tg[:ell] - next(sums))
         steps = part.rf + part.rg + t_f + t_g + 4 * x[i] * x[j] * (part.p[0] - part.q[2 * np.arange(ell) % ell])
-        if steps.sum() != 0:  # rotation l is rotation 0
+        if (nums := _summed(part.n0, steps)) is None:
             return None
-        nums = np.empty(ell, dtype=np.int64)
-        nums[0] = part.n0
-        np.cumsum(steps[:-1], out=nums[1:])
-        nums[1:] += part.n0
         out.append(nums)
     return out
+
+
+def _summed(first: int, steps: np.ndarray) -> np.ndarray | None:
+    """first, then first plus each partial sum of steps, at every rotation;
+    None unless the steps sum to 0 over a period, rotation l being rotation
+    0."""
+    if steps.sum() != 0:
+        return None
+    out = np.empty(len(steps), dtype=np.int64)
+    out[0] = first
+    np.cumsum(steps[:-1], out=out[1:])
+    out[1:] += first
+    return out
+
+
+def _appended_numerators(arr: np.ndarray, e: int) -> np.ndarray | None:
+    """The numerators of _numerators for one sequence and windows of l + e
+    terms, 0 < e < l, at every rotation: N_l + 4X + 2Y + 2e^2 from steps
+    and N_e from the walk (see the module docstring); None unless the steps
+    sum to 0 over a period."""
+    (part,) = _periodic_parts((arr,), ((0, 0),), tails=True)
+    x = np.asarray(arr, dtype=np.int64)
+    ell = len(x)
+    q, tf = part.q, part.tf
+    # the Hankel rows S+(r+e) = sum_{j<r+e} x[j mod l] Q(r+j) and S-(r) = sum_{j<r} x[j] Q(r+e+j)
+    s_plus = _hankel_prefix_sums(np.resize(x, ell + e)[None], np.roll(q, e)[None])[0, e:]
+    s_minus = _hankel_prefix_sums(x[None], np.roll(q, -e)[None])[0]
+    r = np.arange(ell)
+    xe = x[(r + e) % ell]  # x[r+e]
+    fold = _cyclic(tf, ell)  # sum_{a != c} x[a] PA(c-a)
+    s_plus -= tf[:ell]
+    s_minus -= np.concatenate((tf[e:ell], fold[:e] + ell * x[:e] + tf[:e]))  # T(r+e)
+    j = x * fold + part.rf // 2
+    steps = np.roll(j, -e) - j
+    steps += part.rf + 2 * ell
+    steps -= 2 * (x * s_plus + xe * s_minus + x * xe * q[(2 * r + e) % ell])
+    steps *= 2
+    b0 = corr._corr(x[:e], x[:e])[e:]  # B_0(1 .. e-1)
+    nums = _summed(part.n0 + 2 * int(j[:e].sum()) + 2 * e * ell + 4 * int(part.p[1:e] @ b0), steps)
+    if nums is not None:
+        nums += _numerators((x,), e, ((0, 0),))[0]
+    return nums
 
 
 def _pair_grid(af: np.ndarray, ag: np.ndarray) -> np.ndarray:
@@ -689,7 +765,9 @@ def rows_to_json(rows) -> str:
 
 def convergence_sweep(spec: FamilySpec, sizes, target: AsymptoticTarget | None) -> list[SweepRow]:
     """One row per size: realize the family, measure ADF, compare to target.
-    Every size is checked against every budget before the first one runs."""
+    Every size is checked against every budget before the first one runs,
+    and each distinct size is realized once: a repeated size repeats its
+    row."""
     if not sizes:
         raise ValueError("sizes must list at least one size")
     checked = []
@@ -699,24 +777,24 @@ def convergence_sweep(spec: FamilySpec, sizes, target: AsymptoticTarget | None) 
         budget.check("exact length", m)
         checked.append((spec_i, m))
     budget.check("list length", sum(m for _, m in checked))
-    rows = []
+    rows: dict[FamilySpec, SweepRow] = {}
     for spec_i, m in checked:
+        if spec_i in rows:
+            continue
         seq, shift_used = _realize(spec_i, m)
         a = float(corr.adf(seq))
         params = f"size={spec_i.size} shift={shift_used}"
         if spec.resize_ratio is not None:
             params += f" resize={spec.resize_ratio:g}"
-        rows.append(
-            SweepRow(
-                family=spec.kind,
-                length=len(seq),
-                params=params,
-                adf_f=a,
-                target=None if target is None else target.value,
-                abs_err=None if target is None else abs(a - target.value),
-            )
+        rows[spec_i] = SweepRow(
+            family=spec.kind,
+            length=len(seq),
+            params=params,
+            adf_f=a,
+            target=None if target is None else target.value,
+            abs_err=None if target is None else abs(a - target.value),
         )
-    return rows
+    return [rows[spec_i] for spec_i, _ in checked]
 
 
 # Trials per block of the Monte Carlo baseline are this many work units
@@ -791,8 +869,14 @@ def _golay(lengths):
     for ell in lengths:
         golay.check_composable(ell)
     budget.check("list length", sum(lengths))
-    for pair in map(golay.compose_to_length, lengths):
-        yield "composed", pair.a, pair.b
+    first: dict[int, int] = {}
+    for t, ell in enumerate(lengths):
+        if ell in first:
+            yield first[ell]
+        else:
+            first[ell] = t
+            pair = golay.compose_to_length(ell)
+            yield "composed", pair.a, pair.b
 
 
 def _typical_mseq(n, d):
@@ -845,7 +929,8 @@ def _rsl_pair(seed_f, seed_g, signs, depth):
 
 # Pair constructions: name -> (builder, TARGETS name of the limiting PSC).
 # A builder's signature is the one list of its parameters and defaults; it
-# yields (params text, f, g) for each pair it reports, golay one per length.
+# yields (params text, f, g) for each pair it reports, golay one per length,
+# or the index of an earlier pair whose row repeats (a repeated length).
 PAIR_CONSTRUCTIONS = {
     "typical_mseq": (_typical_mseq, "psc-typical-mseq"),
     "reversing_mseq": (_reversing_mseq, "psc-reversing-mseq"),
@@ -867,4 +952,7 @@ def report_pairs(construction: str, **params) -> list[SweepRow]:
         inspect.signature(build).bind(**params)
     except TypeError as e:  # a missing or an unexpected parameter, named
         raise ValueError(f"construction {construction}: {e}") from None
-    return [_pair_row(construction, text, f, g, TARGETS[target].value) for text, f, g in build(**params)]
+    rows = []
+    for built in build(**params):
+        rows.append(rows[built] if isinstance(built, int) else _pair_row(construction, *built, TARGETS[target].value))
+    return rows

@@ -15,11 +15,13 @@ from seqcorr import (
     BinarySequence,
     adf,
     analysis,
+    budget,
     cdf,
     cli,
     corr,
     cyclic_shift,
     families,
+    golay,
     half_legendre_pair,
     legendre,
     psc,
@@ -256,12 +258,13 @@ class TestEngines:
             assert Fraction(int(nums[r]), m * m) == adf(resize(fr, m))
             assert Fraction(int(diag[r]), ell * ell) == cdf(fr, gr)
 
-    @pytest.mark.parametrize("p", [9461, 9463])  # 1 mod 4 is mirrored, 3 mod 4 walked in full
-    def test_walk_in_dot_pieces(self, p):
-        m = round(1.0578 * p)  # m - 1 lags, more than one ddot piece at every step
-        assert m - 1 > analysis._DOT_PIECE
+    @pytest.mark.parametrize("p, m, rotations", [(16381, 10156, 8191), (10007, 10006, 10007)])  # mirrored, then not
+    def test_walk_in_dot_pieces(self, p, m, rotations, walk_counts):
+        assert m - 1 > analysis._DOT_PIECE  # m - 1 lags, more than one ddot piece at every step
         f = legendre(p)
+        walk_counts.clear()
         nums = adf_numerators_all_shifts(f.terms, m)
+        assert walk_counts == [[m, rotations]]  # m < l walks
         for r in (0, 1, p // 3, 2 * p // 3, p - 1, int(nums.argmin())):
             assert Fraction(int(nums[r]), m * m) == adf(resize(cyclic_shift(f, r), m))
 
@@ -581,15 +584,18 @@ def _walked_grid(f, g):
     return ell * ell + 2 * rows[0] @ rows[1].T
 
 
-def _walked(f, g, pairs=((0, 1), (0, 0), (1, 1))):
-    """_numerators at m = l from full rotation walks of f and g:
-    the numerators that the periodic engine must equal."""
-    saved = analysis._periodic_numerators, analysis._reversal_centre
-    analysis._periodic_numerators, analysis._reversal_centre = lambda seqs, pairs: None, lambda a, b: None
+def _walked(f, g, pairs=((0, 1), (0, 0), (1, 1)), m=None):
+    """_numerators at m (l by default) from full rotation walks of f and g:
+    the numerators that the periodic engines must equal."""
+    names = "_periodic_numerators", "_appended_numerators", "_reversal_centre"
+    saved = [getattr(analysis, name) for name in names]
+    for name in names:
+        setattr(analysis, name, lambda *args: None)
     try:
-        return analysis._numerators((f.terms, g.terms), len(f), pairs)
+        return analysis._numerators((f.terms, g.terms), m or len(f), pairs)
     finally:
-        analysis._periodic_numerators, analysis._reversal_centre = saved
+        for name, fn in zip(names, saved):
+            setattr(analysis, name, fn)
 
 
 def _quartic(p):
@@ -743,6 +749,112 @@ class TestPeriodicEngine:
         assert walk_counts == [[1031, 1031]]
 
 
+def _walked_windows(f, m):
+    """adf_numerators_all_shifts(f.terms, m) from full rotation walks."""
+    return _walked(f, f, ((0, 0),), m)[0]
+
+
+class TestAppendedEngine:
+    """The engine for windows of l < m < 2l terms of one sequence, N_l +
+    4X + 2Y + 2e^2 from steps plus the walk of its e-term windows, against
+    full rotation walks, value for value."""
+
+    def test_random_sequences_every_length_to_40_and_every_e(self):
+        rng = random.Random(93)
+        for ell in range(2, 41):
+            for e in range(1, ell):
+                f = random_sequence(rng, ell)
+                got = analysis._appended_numerators(f.terms, e)
+                assert got.dtype == np.int64 and np.array_equal(got, _walked_windows(f, ell + e)), (ell, e)
+        ones = BinarySequence((1,) * 17)
+        for e in range(1, 17):
+            assert np.array_equal(analysis._appended_numerators(ones.terms, e), _walked_windows(ones, 17 + e))
+
+    @pytest.mark.parametrize("p", [1049, 1051, 2069, 2083])  # 1 and 3 mod 4
+    def test_legendre(self, p):
+        f = legendre(p)
+        for e in (1, round(0.0578 * p), p // 3, p - 1):
+            assert np.array_equal(analysis._appended_numerators(f.terms, e), _walked_windows(f, p + e)), e
+
+    @pytest.mark.parametrize("p", [13, 389, 521, 1013])  # 5, 5, 1, 5 mod 8
+    def test_quartic(self, p):
+        for f in _quartic(p):
+            for e in sorted({1, 2, max(1, p // 17), p // 2, p - 1}):
+                assert np.array_equal(analysis._appended_numerators(f.terms, e), _walked_windows(f, p + e)), e
+
+    def test_mseq(self):
+        f = families.msequence(families.make_binary_field(8), 1)
+        for e in (1, 15, 128, 254):
+            assert np.array_equal(analysis._appended_numerators(f.terms, e), _walked_windows(f, 255 + e)), e
+
+    @pytest.mark.parametrize("p, rotations", [(4099, 4099), (8233, 4117)])  # 3 mod 4, then mirrored
+    def test_searches_above_the_crossover_walk_only_the_e_windows(self, p, rotations, walk_counts):
+        f = legendre(p)
+        m = round(1.0578 * p)
+        assert rotations > analysis._WALK_ROTATIONS
+        walk_counts.clear()
+        got = adf_numerators_all_shifts(f.terms, m)
+        assert walk_counts == [[m - p, rotations]]
+        assert np.array_equal(got, _walked_windows(f, m))
+
+    def test_windows_of_2l_and_more_walk(self, walk_counts):
+        x = legendre(2903).terms  # 2903 rotations, above the crossover
+        walk_counts.clear()
+        adf_numerators_all_shifts(x, 2 * 2903)
+        assert walk_counts == [[2 * 2903, 2903]]
+
+    def test_refused_fft_outputs_are_taken_directly(self, monkeypatch, walk_counts):
+        """With every FFT output refused, the kernel correlates directly and
+        each Hankel level is taken by its einsum: the same arrays, and no
+        m-window walked."""
+        x = legendre(4099).terms
+        expect = adf_numerators_all_shifts(x, 4336)
+        refused = []
+        monkeypatch.setattr(corr, "_exact", lambda x, expect: refused.append(x.shape))
+        walk_counts.clear()
+        got = adf_numerators_all_shifts(x, 4336)
+        assert walk_counts == [[237, 4099]]
+        assert any(len(shape) == 3 for shape in refused)  # a Hankel level was refused
+        assert got.dtype == np.int64 and np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("row", [0, 1])  # against Q rolled by +e, then by -e
+    def test_off_by_one_in_a_hankel_row_walks(self, row, monkeypatch, walk_counts):
+        """An error in either Hankel row breaks the wrap check, and the
+        search walks its m-windows."""
+        x = legendre(4099).terms
+        expect = adf_numerators_all_shifts(x, 4336)
+        hankel = analysis._hankel_prefix_sums
+        calls = []
+
+        def off_by_one(w, q):
+            s = hankel(w, q)
+            if len(calls) == row:
+                s[0, 500] += 1
+            calls.append(w.shape)
+            return s
+
+        monkeypatch.setattr(analysis, "_hankel_prefix_sums", off_by_one)
+        walk_counts.clear()
+        assert np.array_equal(adf_numerators_all_shifts(x, 4336), expect)
+        assert walk_counts == [[4336, 4099]]
+        assert calls == [(1, 4336), (1, 4099)]
+
+    def test_peak_memory(self):
+        # the Legendre p = 8231 search at resize=1.0578 holds at most 37
+        # int64 l-words, 2.44 MB, below the quartic_pair p = 389 grid's
+        # 2.45 MB peak (test_grid_peak_memory); it peaks at 28, in the
+        # full period's correlations, and the full-period search at 27
+        x = legendre(8231).terms
+        adf_numerators_all_shifts(x, 8707)  # lazy imports and BLAS set-up are not the search's own memory
+        tracemalloc.start()
+        try:
+            adf_numerators_all_shifts(x, 8707)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 37 * 8231 * 8
+
+
 class TestShiftSearch:
     def test_near_mirror_walks_every_shift(self):
         # A Legendre sequence with p = 3 mod 4 is minus its reversal at every
@@ -856,10 +968,13 @@ class TestShiftSearch:
                 assert walks == ([] if m == p else [[m, rotations]])
 
     def test_golden_walks(self, walk_counts):
-        """The walks of the golden corpus's shift searches: resize= and
-        the half-Legendre halves walk a mirrored arc, full periods none."""
+        """The walks of the golden corpus's shift searches: resize= below
+        the crossover and the half-Legendre halves walk a mirrored arc,
+        resize= above it only its windows of m - l terms, full periods
+        none."""
         expect = {
             "generate_legendre_1033_best_resize": [[1093, 517]],
+            "generate_legendre_4099_best_resize": [[237, 4099]],
             "pairs_half_legendre_29": [[14, 15], [14, 15]],
             "pairs_half_legendre_509": [[254, 255], [254, 255]],
             "sweep_quartic_f_best": [],
@@ -1010,6 +1125,30 @@ class TestSweepsAndReports:
         # the sweep checks both sizes before the first row is built; then
         # legendre, as a public builder, checks its own argument
         assert calls == [101, 211, 101, 211]
+
+    def test_repeated_entries_are_built_once(self, monkeypatch):
+        """A repeated size or length repeats its row: each distinct entry is
+        realized, or composed and measured, once, and the list budget still
+        sums every entry."""
+        spec = parse_family("legendre:p=3,shift=best,resize=1.0578")
+        once = convergence_sweep(spec, [101, 211], None)
+        golay_once = report_pairs("golay", lengths=[2, 40, 10])
+        calls = []
+        for module, name in ((analysis, "_realize"), (golay, "compose_to_length"), (corr, "psc")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        assert convergence_sweep(spec, [101, 211, 101, 101], None) == [once[0], once[1], once[0], once[0]]
+        assert calls == ["_realize"] * 2
+        calls.clear()
+        rows = report_pairs("golay", lengths=[2, 40, 2, 10, 40, 2])
+        assert rows == [golay_once[i] for i in (0, 1, 0, 2, 1, 0)]
+        assert calls == ["compose_to_length", "psc"] * 3
+        limit = budget.BUDGETS["list length"]
+        monkeypatch.setitem(budget.BUDGETS, "list length", limit._replace(limit=250))
+        with pytest.raises(ValueError, match="list length 321"):
+            convergence_sweep(spec, [101, 101, 101], None)  # 3 x 107 terms
+        with pytest.raises(ValueError, match="list length 260"):
+            report_pairs("golay", lengths=[40] * 6 + [20])
 
     def test_json_matches_rows(self):
         rows = convergence_sweep(parse_family("legendre:p=7"), [7, 11], None)
