@@ -9,12 +9,13 @@ C_gg(t).  Every search reads its numerators from one entry, _numerators,
 for one sequence or two of equal length, and takes its answer from
 _first_minimum.
 
-Windows resize(cyclic_shift(f, r), m) with m != l (resize=, the
-half-Legendre halves) are scored by a rotation walk of each sequence:
+Windows resize(cyclic_shift(f, r), m) with m < l (the half-Legendre
+halves), the short windows below and a pair's at m != l are walked:
 C(1..m-1) of the first window from corr._corr, an O(m) update to each
 next rotation and one dot product per product a shift, in float64, exact
-since every partial sum is an integer below m^3/3 < 2^45 (shift-search
-window).  Reversal or negation leaves C unchanged, so when
+since every partial sum is an integer below m^3/3 < 2^45, a walk of one
+sequence having m < 2l terms and a pair's at most 2^14 (shift-search
+length).  Reversal or negation leaves C unchanged, so when
 _reversal_centre(f, g) finds a c with g[i] = eps f[(c - i) mod l] for every
 i and one eps = +-1, g's window at sigma - r, sigma = (c - m + 1) mod l, is
 eps times f's window at r reversed, and product (i, j) at r equals product
@@ -69,7 +70,13 @@ _appended_numerators sums N_l + 4X + 2Y + 2e^2 from steps, in which the
 Hankel sums S cancel; their terms are rf, the P tails and Hankel sums of x
 against Q rolled by +e and by -e (the README has the derivation), under the
 same checks, and N_e is walked.  So a search costs O(l log^2 l + l e), not
-O(l m).
+O(l m).  At e = 0 the two Hankel rows are one, and the steps are those of
+_periodic_numerators.  A window of m = (q + 1) l + e terms, q >= 1, is its
+first m0 = l + e terms and q more periods, C_m(kl + u) = C_{m0}(u) + (q -
+k) P(u) for k < q, so that N_m = (q+1) U + N_e + q(q+1) (S + 2el + 2
+sum_{k<e} z[r+k]) + q(q+1)(2q+1)/3 (S + l^2), U = N_{m0} - N_e being the
+steps' sum, S = sum_{u=1}^{l-1} P(u)^2 and z = x fold (see the README):
+an integer below 2m^3/3 < 2^63 (exact length).
 
 The RNG is SplitMix64, fixed by its constants so that any implementation
 can reproduce the streams.  With G = 0x9E3779B97F4A7C15 and
@@ -361,27 +368,27 @@ def _numerators(seqs, m: int, pairs: tuple[tuple[int, int], ...]) -> list[np.nda
     every rotation r, as int64, C^i_r being the autocorrelation of window r
     of seqs[i] (see _rotation_walk); seqs is one sequence or two of equal
     length.  At m = l they come from _periodic_numerators, and one
-    sequence's at l < m < 2l from _appended_numerators when its walk would
-    take more than _WALK_ROTATIONS rotations.  Else, or if a wrap check
-    fails, each sequence is walked once, in lockstep, one dot product per
-    product a step.  When the last sequence is the first reversed about a
-    centre (_reversal_centre), the walk takes the arc of l//2 + 1
-    rotations, and product (i, j) at rotation r is product (k - j, k - i) at
-    the mirror of r, k = len(seqs) - 1; so (0, 1) and a lone sequence's
-    (0, 0) mirror to themselves, and the partner (1, 1) of (0, 0) is taken
-    too.
+    sequence's at m > l from _appended_numerators when m >= 2l or its walk
+    would take more than _WALK_ROTATIONS rotations.  Else, or if a wrap
+    check fails at m < 2l, each sequence is walked once, in lockstep, one
+    dot product per product a step (a pair's m is a shift-search length
+    too).  When the last sequence is the first reversed about a centre
+    (_reversal_centre), the walk takes the arc of l//2 + 1 rotations, and
+    product (i, j) at rotation r is product (k - j, k - i) at the mirror of
+    r, k = len(seqs) - 1; so (0, 1) and a lone sequence's (0, 0) mirror to
+    themselves, and the partner (1, 1) of (0, 0) is taken too.
     """
     ell = len(seqs[0])
-    budget.check("shift-search length", ell)
-    budget.check("shift-search window", m)
+    budget.check("shift-search length", ell if len(seqs) == 1 else max(ell, m))
+    budget.check("exact length", m)
     if m == ell and (got := _periodic_numerators(seqs, pairs)) is not None:
         return got
     c = _reversal_centre(seqs[0], seqs[-1])
     shifts, mirrors = _arc(c, m, ell)
     if (
         len(seqs) == 1
-        and ell < m < 2 * ell
-        and len(shifts) > _WALK_ROTATIONS
+        and m > ell
+        and (m >= 2 * ell or len(shifts) > _WALK_ROTATIONS)
         and (got := _appended_numerators(seqs[0], m - ell)) is not None
     ):
         return [got]
@@ -596,33 +603,41 @@ def _summed(first: int, steps: np.ndarray) -> np.ndarray | None:
     return out
 
 
-def _appended_numerators(arr: np.ndarray, e: int) -> np.ndarray | None:
-    """The numerators of _numerators for one sequence and windows of l + e
-    terms, 0 < e < l, at every rotation: N_l + 4X + 2Y + 2e^2 from steps
-    and N_e from the walk (see the module docstring); None unless the steps
-    sum to 0 over a period."""
+def _appended_numerators(arr: np.ndarray, extra: int) -> np.ndarray | None:
+    """The numerators of _numerators for one sequence and windows of m = l
+    + extra terms, extra > 0, at every rotation: U from steps, N_e from the
+    walk and the block terms (see the module docstring).  If the steps do
+    not sum to 0 over a period, None at m < 2l, else U from the m0 walk."""
     (part,) = _periodic_parts((arr,), ((0, 0),), tails=True)
     x = np.asarray(arr, dtype=np.int64)
     ell = len(x)
-    q, tf = part.q, part.tf
+    q, e = divmod(extra, ell)
+    tf = part.tf
     # the Hankel rows S+(r+e) = sum_{j<r+e} x[j mod l] Q(r+j) and S-(r) = sum_{j<r} x[j] Q(r+e+j)
-    s_plus = _hankel_prefix_sums(np.resize(x, ell + e)[None], np.roll(q, e)[None])[0, e:]
-    s_minus = _hankel_prefix_sums(x[None], np.roll(q, -e)[None])[0]
+    s_plus = _hankel_prefix_sums(np.resize(x, ell + e)[None], np.roll(part.q, e)[None])[0, e:]
+    s_minus = _hankel_prefix_sums(x[None], np.roll(part.q, -e)[None])[0] if e else s_plus.copy()
     r = np.arange(ell)
     xe = x[(r + e) % ell]  # x[r+e]
     fold = _cyclic(tf, ell)  # sum_{a != c} x[a] PA(c-a)
     s_plus -= tf[:ell]
     s_minus -= np.concatenate((tf[e:ell], fold[:e] + ell * x[:e] + tf[:e]))  # T(r+e)
-    j = x * fold + part.rf // 2
+    z = x * fold
+    j = z + part.rf // 2
     steps = np.roll(j, -e) - j
     steps += part.rf + 2 * ell
-    steps -= 2 * (x * s_plus + xe * s_minus + x * xe * q[(2 * r + e) % ell])
+    steps -= 2 * (x * s_plus + xe * s_minus + x * xe * part.q[(2 * r + e) % ell])
     steps *= 2
-    b0 = corr._corr(x[:e], x[:e])[e:]  # B_0(1 .. e-1)
-    nums = _summed(part.n0 + 2 * int(j[:e].sum()) + 2 * e * ell + 4 * int(part.p[1:e] @ b0), steps)
-    if nums is not None:
-        nums += _numerators((x,), e, ((0, 0),))[0]
-    return nums
+    b0 = corr._corr(x[:e], x[:e])[e:] if e else x[:0]  # B_0(1 .. e-1)
+    u = _summed(part.n0 + 2 * int(j[:e].sum()) + 2 * e * ell + 4 * int(part.p[1:e] @ b0), steps)
+    if u is None and q == 0:
+        return None
+    n_e = _numerators((x,), e, ((0, 0),))[0] if e else 0
+    if u is None:  # the m0-term search fails the same check, and walks
+        u = _numerators((x,), ell + e, ((0, 0),))[0] - n_e
+    sums = np.concatenate(([0], np.cumsum(np.resize(z, ell + e))))
+    w = sums[e : ell + e] - sums[:ell]  # sum_{k<e} z[r+k]
+    s, blocks = int(part.p[1:] @ part.p[1:]), q * (q + 1)
+    return (q + 1) * u + n_e + blocks * (s + 2 * e * ell + 2 * w) + blocks * (2 * q + 1) // 3 * (s + ell * ell)
 
 
 def _pair_grid(af: np.ndarray, ag: np.ndarray) -> np.ndarray:

@@ -274,5 +274,5 @@ def realized_length(spec: FamilySpec) -> int:
         m = max(round(scaled), 1)
     if spec.shift == "best":
         budget.check("shift-search length", ell)
-        budget.check("shift-search window", m)
+        budget.check("exact length", m)
     return m

@@ -754,6 +754,55 @@ def _walked_windows(f, m):
     return _walked(f, f, ((0, 0),), m)[0]
 
 
+def _numerators_by_correlate(x, m):
+    """2 sum_{s=1}^{m-1} C_r(s)^2 of resize(cyclic_shift(x, r), m) at every r,
+    each window correlated by np.correlate."""
+    out = []
+    for r in range(len(x)):
+        w = np.resize(np.roll(x, -r), m)
+        c = np.correlate(w, w, "full")[m:]
+        out.append(2 * int(c @ c))
+    return out
+
+
+class TestBlockIdentity:
+    """Windows of m >= 2l terms of one sequence, m = (q + 1) l + e, from the
+    m0 = l + e windows and the q blocks of l lags past them (see analysis),
+    against brute force at every rotation."""
+
+    def test_random_sequences_every_length_to_40(self):
+        rng = random.Random(94)
+        for ell in range(1, 41):
+            x = random_sequence(rng, ell).terms
+            for m in sorted({*range(2 * ell, 3 * ell), 3 * ell, 5 * ell + 3}):
+                got = adf_numerators_all_shifts(x, m)
+                assert got.dtype == np.int64 and got.tolist() == _numerators_by_correlate(x, m), (ell, m)
+
+    @pytest.mark.parametrize("p", [13, 19, 101, 103, 1021, 1031])  # 1 and 3 mod 4
+    def test_legendre(self, p):
+        f = legendre(p)
+        for m in (2 * p, 2 * p + 1, 2 * p + round(0.0578 * p), 3 * p - 1, 3 * p, 5 * p + 3):
+            assert np.array_equal(adf_numerators_all_shifts(f.terms, m), _walked_windows(f, m)), m
+        if p < 1000:  # np.correlate takes O(m^2) a window
+            assert adf_numerators_all_shifts(f.terms, 3 * p + 2).tolist() == _numerators_by_correlate(f.terms, 3 * p + 2)
+
+    def test_length_one_at_exact_length(self, walk_counts):
+        m = 1 << 20
+        walk_counts.clear()
+        assert adf_numerators_all_shifts(np.ones(1, dtype=np.int64), m).tolist() == [m * (m - 1) * (2 * m - 1) // 3]
+        assert walk_counts == []
+
+    def test_whole_periods_take_the_full_period_shift(self):
+        # N_{ql}(r) = q N_l(r) + c: every ratio q finds the shift of q = 1
+        for p in (1019, 1033):
+            f = legendre(p)
+            full = adf_numerators_all_shifts(f.terms)
+            for q in (2, 3, 7):
+                nums = adf_numerators_all_shifts(f.terms, q * p)
+                assert len(set((nums - q * full).tolist())) == 1
+                assert best_shift(f, resize_len=q * p)[0] == best_shift(f)[0]
+
+
 class TestAppendedEngine:
     """The engine for windows of l < m < 2l terms of one sequence, N_l +
     4X + 2Y + 2e^2 from steps plus the walk of its e-term windows, against
@@ -797,11 +846,32 @@ class TestAppendedEngine:
         assert walk_counts == [[m - p, rotations]]
         assert np.array_equal(got, _walked_windows(f, m))
 
-    def test_windows_of_2l_and_more_walk(self, walk_counts):
-        x = legendre(2903).terms  # 2903 rotations, above the crossover
+    def test_windows_past_two_periods_walk_only_the_e_windows(self, walk_counts):
+        x = legendre(2903)  # 2903 rotations, above the crossover
+        for m, walks in ((2 * 2903, []), (2 * 2903 + 237, [[237, 2903]])):
+            walk_counts.clear()
+            got = adf_numerators_all_shifts(x.terms, m)
+            assert walk_counts == walks
+            assert np.array_equal(got, _walked_windows(x, m))
+
+    def test_failed_wrap_check_at_2l_and_more_walks_no_m_window(self, monkeypatch, walk_counts):
+        """An error in one Hankel sum breaks the wrap check, and a search at
+        m >= 2l walks its e-term and m0-term windows, never its m-term
+        ones."""
+        x = legendre(4099).terms
+        m = 3 * 4099 + 237
+        expect = adf_numerators_all_shifts(x, m)
+        hankel = analysis._hankel_prefix_sums
+
+        def off_by_one(w, q):
+            s = hankel(w, q)
+            s[0, 500] += 1
+            return s
+
+        monkeypatch.setattr(analysis, "_hankel_prefix_sums", off_by_one)
         walk_counts.clear()
-        adf_numerators_all_shifts(x, 2 * 2903)
-        assert walk_counts == [[2 * 2903, 2903]]
+        assert np.array_equal(adf_numerators_all_shifts(x, m), expect)
+        assert walk_counts == [[237, 4099], [4336, 4099]]
 
     def test_refused_fft_outputs_are_taken_directly(self, monkeypatch, walk_counts):
         """With every FFT output refused, the kernel correlates directly and
@@ -970,11 +1040,14 @@ class TestShiftSearch:
     def test_golden_walks(self, walk_counts):
         """The walks of the golden corpus's shift searches: resize= below
         the crossover and the half-Legendre halves walk a mirrored arc,
-        resize= above it only its windows of m - l terms, full periods
-        none."""
+        resize= above it or at m >= 2l only its windows of m mod l terms,
+        full periods and whole numbers of them none."""
         expect = {
             "generate_legendre_1033_best_resize": [[1093, 517]],
             "generate_legendre_4099_best_resize": [[237, 4099]],
+            "generate_legendre_1033_best_resize_3_1": [[103, 517]],
+            "generate_legendre_4099_best_resize_2_0578": [[237, 4099]],
+            "sweep_legendre_best_resize_2": [],
             "pairs_half_legendre_29": [[14, 15], [14, 15]],
             "pairs_half_legendre_509": [[254, 255], [254, 255]],
             "sweep_quartic_f_best": [],

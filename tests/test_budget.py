@@ -5,6 +5,7 @@ refused before anything is built."""
 import io
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ def test_table_values():
         "exact length": 1 << 20,
         "sequence length": 1 << 24,
         "shift-search length": 1 << 14,
-        "shift-search window": 1 << 15,
         "census half-length": 20,
         "baseline work": 1 << 26,
         "pair file size": 1 << 22,
@@ -46,8 +46,12 @@ def test_budgets_keep_float64_sums_exact():
     partial sum is an integer below 2^53; these budgets bound those sums,
     and the int64 sums that the FFT check compares with."""
     assert limit("exact length") <= 2**53  # a direct correlation value: |C(s)| <= l
-    w = limit("shift-search window")
-    assert 2 * w**3 < 3 * 2**53  # an ADF numerator: 2 sum_s (w-s)^2 < 2w^3/3
+    # a walked ADF numerator, 2 sum_s (w-s)^2 < 2w^3/3: every walked window
+    # has fewer than w = 2l terms
+    w = 2 * limit("shift-search length")
+    assert 2 * w**3 < 3 * 2**53
+    m = limit("exact length")
+    assert 2 * m**3 < 3 * 2**63  # an int64 ADF numerator of a shift search's window, N_m < 2m^3/3
     assert limit("shift-search length") ** 3 < 2**53  # a diagonal dot product, window <= l
     assert analysis._GRID_LENGTH**3 < 2**53  # a pair-grid entry
     # Full-period windows are read from periodic correlations (see analysis):
@@ -118,12 +122,25 @@ class TestEntryPointBoundaries:
         with pytest.raises(ValueError, match="shift-search budget"):
             analysis.best_pair_shifts(longer, longer)
 
-    def test_shift_search_window(self):
-        m = limit("shift-search window")
+    def test_exact_length_of_a_shift_search(self):
+        m = limit("exact length")
         one = np.ones(1, dtype=np.int64)
         assert analysis.adf_numerators_all_shifts(one, m).tolist() == [m * (m - 1) * (2 * m - 1) // 3]
-        with pytest.raises(ValueError, match="shift-search budget"):
+        with pytest.raises(ValueError, match="exact-arithmetic budget"):
             analysis.adf_numerators_all_shifts(one, m + 1)
+        at = FamilySpec("legendre", 3, shift="best", resize_ratio=m / 3)
+        assert families.realized_length(at) == m
+        with pytest.raises(ValueError, match="exact-arithmetic budget"):
+            families.realized_length(replace(at, resize_ratio=(m + 1) / 3))
+
+    def test_pair_windows_at_shift_search_length(self):
+        # a pair is walked at every m != l, so its window is a shift-search length
+        m = limit("shift-search length")
+        ones = np.ones(2, dtype=np.int64)
+        (cross,) = analysis._numerators((ones, ones), m, ((0, 1),))
+        assert (m * m + cross == all_ones_numerator(m)).all()
+        with pytest.raises(ValueError, match="shift-search budget"):
+            analysis._numerators((ones, ones), m + 1, ((0, 1),))
 
     def test_pair_grid_length(self):
         # not a budget: the crossover from the grid to the diagonal, exact at l^3 < 2^53
@@ -229,10 +246,10 @@ def test_list_at_its_limit_reaches_the_builder(nothing_built, call):
 CLI_REFUSALS = {
     "exact length": ("pairs golay --lengths 2097152", "correlate {pair}", "correlate --periodic {pair}",
                      "demerit {pair}", "golay verify {pair}",
-                     "pairs rsl_pair --seeds {pair} --signs + --depth 0"),
+                     "pairs rsl_pair --seeds {pair} --signs + --depth 0",
+                     "generate legendre:p=3,shift=best,resize=400000"),  # m = 1.2e6
     "sequence length": ("generate mseq:n=25",),
     "shift-search length": ("generate legendre:p=16411,shift=best",),
-    "shift-search window": ("generate legendre:p=16381,shift=best,resize=2.1",),  # m = 34400
     "census half-length": ("seed-search --max-len 41",),
     "baseline work": ("baseline --len 1024 --trials 65537",),
     "pair file size": ("demerit {big}",),

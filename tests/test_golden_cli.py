@@ -9,12 +9,14 @@ decimation by 5 at length 1023, and two recursion seeds) are
 the pair files the cases read.  Some cases run the shift-search
 engines near their limits: the full pair grid at l = 511 and, with the PSC
 objective, at p = 389; the equal-shift diagonal at l = 1023 and, with the
-PSC objective, at p = 521; and a resized best shift at p = 4099.  Only
-windows other than the whole period are walked, and a walk of a sequence
-that is a rotation of its own reversal, or of a pair where g is f
-reversed, takes half the shifts and mirrors them: the resized Legendre
-case at p = 1033 (p = 1 mod 4) and the half-Legendre pairs at p = 29 and
-509 (1 mod 4).  Full periods are read from periodic correlations with no
+PSC objective, at p = 521; and a resized best shift at p = 4099.  Three
+cases resize past two periods, which no walk of m terms scores: p = 1033
+at 3.1 and 4099 at 2.0578 (m mod p > 0), and a sweep of whole double
+periods at resize=2.  Only windows other than whole periods are walked,
+and a walk of a sequence that is a rotation of its own reversal, or of a
+pair where g is f reversed, takes half the shifts and mirrors them: the
+resized Legendre cases at p = 1033 (p = 1 mod 4) and the half-Legendre
+pairs at p = 29 and 509 (1 mod 4).  Full periods are read from periodic correlations with no
 walk, mirrored or not: the quartic sweep's sizes 13, 17, 29 and 41, the
 quartic grid at p = 337 and the reversing m-sequence pairs at n = 7, 9
 and 10 (test_analysis counts the walks of these cases).  Two baseline
@@ -57,6 +59,10 @@ CASES = {
     "generate_mseq_13_char8191": (["generate", "mseq:n=13,char=8191"], 0),
     "generate_legendre_1033_best_resize": (
         ["generate", "legendre:p=1033,shift=best,resize=1.0578"], 0),
+    "generate_legendre_1033_best_resize_3_1": (
+        ["generate", "legendre:p=1033,shift=best,resize=3.1"], 0),
+    "generate_legendre_4099_best_resize_2_0578": (
+        ["generate", "legendre:p=4099,shift=best,resize=2.0578"], 0),
     "correlate_golay10": (["correlate", GOLAY10], 0),
     "correlate_golay10_periodic": (["correlate", GOLAY10, "--periodic"], 0),
     "correlate_pair7": (["correlate", PAIR7], 0),
@@ -71,6 +77,8 @@ CASES = {
          "--target", "legendre-shifted-adf"], 0),
     "sweep_legendre_resize": (["sweep", "legendre:p=3,resize=1.5", "--sizes", "7,11"], 0),
     "sweep_quartic_f_best": (["sweep", "quartic_f:p=5,shift=best", "--sizes", "13,17,29,41"], 0),
+    "sweep_legendre_best_resize_2": (
+        ["sweep", "legendre:p=3,shift=best,resize=2", "--sizes", "1019,1033,4099"], 0),
     "sweep_legendre_json": (
         ["sweep", "legendre:p=3,shift=best", "--sizes", "101,211",
          "--target", "legendre-shifted-adf", "--json"], 0),
