@@ -32,8 +32,8 @@ def _cmd_generate(args) -> int:
 def _cmd_correlate(args) -> int:
     f, g = load_pair(args.pairfile)
     spec = corr.periodic_xcorr(f, g) if args.periodic else corr.aperiodic_xcorr(f, g)
-    items = spec.values.items()  # in shift order
-    rows = ("%d,%d\n" * len(items)) % tuple(chain.from_iterable(items))
+    shifts = range(spec.first, spec.first + len(spec.array))
+    rows = ("%d,%d\n" * len(shifts)) % tuple(chain.from_iterable(zip(shifts, spec.array.tolist())))
     sys.stdout.write("shift,value\n" + rows)
     return 0
 

@@ -39,6 +39,7 @@ int64, and every value is exact in float64.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,27 +136,30 @@ def _exact(x: np.ndarray, expect) -> np.ndarray | None:
     return out if (out.sum(axis=-1) == expect).all() else None
 
 
-def xcorr_values(f: BinarySequence, g: BinarySequence) -> list[int]:
-    """C_{f,g}(s) for s = -(len(g)-1) .. len(f)-1, as Python ints."""
-    return _corr(f.terms, g.terms).tolist()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationSpectrum:
-    """Dense map shift -> integer correlation over the full shift support,
-    in increasing shift order."""
+    """Correlations at shifts first, first + 1, ...: array is the kernel's int64
+    output, made read-only; values, the shift -> int dict, is built on first read."""
 
-    values: dict
+    first: int
+    array: np.ndarray
+
+    def __post_init__(self):
+        self.array.flags.writeable = False
+
+    @functools.cached_property
+    def values(self) -> dict:
+        return dict(zip(range(self.first, self.first + len(self.array)), self.array.tolist()))
 
 
 def aperiodic_xcorr(f: BinarySequence, g: BinarySequence) -> CorrelationSpectrum:
-    return CorrelationSpectrum(dict(zip(range(1 - len(g), len(f)), xcorr_values(f, g))))
+    return CorrelationSpectrum(1 - len(g), _corr(f.terms, g.terms))
 
 
 def periodic_xcorr(f: BinarySequence, g: BinarySequence) -> CorrelationSpectrum:
     if len(f) != len(g):
         raise ValueError("periodic crosscorrelation requires equal lengths")
-    return CorrelationSpectrum(dict(enumerate(_periodic(_corr(f.terms, g.terms)).tolist())))
+    return CorrelationSpectrum(0, _periodic(_corr(f.terms, g.terms)))
 
 
 def _periodic(c: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import io
 import os
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from seqcorr import analysis, budget, cli, corr, families, golay, sequence
 from seqcorr.budget import BUDGETS
 from seqcorr.families import FamilySpec, parse_family
 from seqcorr.sequence import BinarySequence
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def limit(name):
@@ -39,6 +42,17 @@ def test_table_values():
         "pair file size": 1 << 22,
         "list length": 1 << 22,
     }
+
+
+def test_readme_table_is_the_budget_table():
+    """README's "Budgets" table lists every entry of BUDGETS, in order, each
+    with its limit written as a power of two or a number."""
+    section = README.read_text(encoding="utf-8").split("\n## Budgets\n")[1].split("\n## ")[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("|")][2:]
+    assert [name.strip() for name, _ in rows] == list(BUDGETS)
+    for name, cell in rows:
+        base, _, exponent = cell.strip().strip("`").partition("^")
+        assert int(base) ** int(exponent or 1) == BUDGETS[name.strip()].limit, name
 
 
 def test_budgets_keep_float64_sums_exact():

@@ -1,6 +1,9 @@
 import ast
+import contextlib
+import io
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +20,7 @@ from seqcorr import (
     periodic_xcorr,
     psc,
 )
-from seqcorr import corr
+from seqcorr import cli, corr
 from seqcorr.budget import BUDGETS
 from seqcorr.sequence import dump_sequences, load_pair, parse_line
 
@@ -358,6 +361,60 @@ class TestPeriodicXcorr:
         assert list(spec.values) == list(range(ell))
         assert spec.values == oracle_periodic(f, g)
 
+
+class TestSpectrumArray:
+    """A spectrum holds the kernel's read-only int64 array and its lowest
+    shift; its values dict is built once, on first read."""
+
+    # lengths on both sides of the kernel's FFT crossover
+    LENGTHS = [(1, 1), (5, 3), (3, 5), (17, 17), (X, X), (X + 9, X - 4)]
+
+    @pytest.mark.parametrize("lf, lg", LENGTHS)
+    def test_read_only_int64_array_from_lowest_shift(self, lf, lg):
+        rng = random.Random(112 + lf + lg)
+        f, g = random_sequence(rng, lf), random_sequence(rng, lg)
+        spectra = [(aperiodic_xcorr(f, g), 1 - lg, lf + lg - 1)]
+        if lf == lg:
+            spectra.append((periodic_xcorr(f, g), 0, lf))
+        for spec, first, size in spectra:
+            assert spec.first == first
+            assert spec.array.dtype == np.int64 and spec.array.shape == (size,)
+            assert not spec.array.flags.writeable
+            with pytest.raises(ValueError):
+                spec.array[0] = 0
+
+    @pytest.mark.parametrize("lf, lg", LENGTHS)
+    def test_values_match_oracle_and_are_built_once(self, lf, lg):
+        rng = random.Random(113 + lf + lg)
+        f, g = random_sequence(rng, lf), random_sequence(rng, lg)
+        spec = aperiodic_xcorr(f, g)
+        assert spec.values == oracle_spectrum(f, g)
+        assert list(spec.values) == list(range(1 - lg, lf))
+        assert spec.values is spec.values
+        if lf == lg:
+            pe = periodic_xcorr(f, g)
+            assert pe.values == oracle_periodic(f, g)
+            assert pe.values is pe.values
+
+    # Peak bytes a row of `correlate` at 2^16 terms: writing the rows from the
+    # array peaks near 100 B a row aperiodic and 111 B periodic, and building
+    # the shift -> int dict first near 132 and 139 B.
+    @pytest.mark.parametrize("extra, rows, per_row", [([], 2 * (1 << 16) - 1, 116), (["--periodic"], 1 << 16, 125)])
+    def test_correlate_writes_rows_without_a_dict(self, tmp_path, extra, rows, per_row):
+        rng = np.random.default_rng(31)
+        path = tmp_path / "pair.txt"
+        path.write_text(dump_sequences([BinarySequence(rng.choice((1, -1), 1 << 16)) for _ in range(2)]))
+        argv = ["correlate", str(path), *extra]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            cli.main(argv)  # warm: imports and the FFT plans
+            tracemalloc.start()
+            try:
+                rc = cli.main(argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert rc == 0 and out.getvalue().count("\n") == 2 * (rows + 1)
+        assert peak <= per_row * rows
 
 class TestDemeritFactors:
     def test_adf_examples(self):
